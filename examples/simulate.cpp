@@ -68,6 +68,10 @@
  * the environment equivalents of --trace-out / --progress /
  * --telemetry-out for wrapped invocations; DEUCE_FLIGHT_RECORDER=
  * <path> arms the in-memory flight recorder (obs/flight_recorder.hh).
+ *
+ * A configuration error (unknown bench or scheme id, ...) prints
+ * "deuce: fatal: <message>" and exits 1; the trace and flight dumps
+ * configured so far are still written.
  */
 
 #include <cstdlib>
@@ -75,9 +79,11 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/line_kernels.hh"
+#include "common/logging.hh"
 #include "crypto/aes_backend.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/trace.hh"
@@ -360,10 +366,8 @@ dumpCellStats(const BenchmarkProfile &p, const std::string &scheme_id,
     }
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     CliOptions cli = parseArgs(argc, argv);
 
@@ -464,4 +468,23 @@ main(int argc, char **argv)
         }
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &e) {
+        // Returning (instead of letting std::terminate abort) runs the
+        // atexit hooks, so configured trace/flight dumps still land.
+        std::string_view msg = e.what();
+        if (msg.starts_with("fatal: ")) {
+            msg.remove_prefix(std::strlen("fatal: "));
+        }
+        std::cerr << "deuce: fatal: " << msg << '\n';
+        return 1;
+    }
 }

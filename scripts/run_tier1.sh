@@ -237,6 +237,65 @@ grep -q 'cells' "$build/tier1_progress.log" || {
 }
 echo "tier1: progress heartbeat OK"
 
+# Span trace + flight recorder on one 3-thread sweep. Both dumps come
+# from one per-thread event log, so a thread has one tid in both and
+# every timestamp shares one clock epoch: each flight tid must be a
+# span-trace tid, and each flight write must fall inside a sweep.cell
+# span on its own thread.
+rm -f "$build/tier1_both_trace.json" "$build/tier1_both_flight.json"
+DEUCE_FLIGHT_RECORDER="$build/tier1_both_flight.json" \
+"$build/examples/simulate" \
+    --bench mcf --scheme encr,encr-fnw,deuce,dyndeuce \
+    --fast-otp --writebacks 2000 --threads 3 \
+    --trace-out "$build/tier1_both_trace.json" > /dev/null
+python3 - "$build/tier1_both_trace.json" \
+    "$build/tier1_both_flight.json" <<'PY'
+import collections
+import json
+import sys
+
+spans = json.load(open(sys.argv[1]))["traceEvents"]
+flight = json.load(open(sys.argv[2]))["traceEvents"]
+open_cells = collections.defaultdict(list)
+cells = collections.defaultdict(list)
+for ev in spans:
+    if ev["name"] != "sweep.cell":
+        continue
+    if ev["ph"] == "B":
+        open_cells[ev["tid"]].append(ev["ts"])
+    else:
+        cells[ev["tid"]].append((open_cells[ev["tid"]].pop(), ev["ts"]))
+span_tids = {ev["tid"] for ev in spans}
+flight_tids = {ev["tid"] for ev in flight}
+assert flight_tids <= span_tids, \
+    f"flight tids {flight_tids} not all in span tids {span_tids}"
+writes = [ev for ev in flight if ev["name"] == "write"]
+assert writes, "flight dump has no write events"
+for ev in writes:
+    assert any(b <= ev["ts"] <= e for b, e in cells[ev["tid"]]), \
+        f"write outside every sweep.cell span on its tid: {ev}"
+print(f"tier1: trace+flight OK ({len(writes)} writes inside their "
+      f"cells on {len(flight_tids)} shared tids)")
+PY
+
+# A fatal configuration error must exit 1 with a message, not abort:
+# returning from main runs the exit hooks, so the configured span
+# trace and flight dump are still written as valid JSON.
+rm -f "$build/tier1_fatal_trace.json" "$build/tier1_fatal_flight.json"
+status=0
+DEUCE_FLIGHT_RECORDER="$build/tier1_fatal_flight.json" \
+"$build/examples/simulate" --bench nosuch --scheme deuce --fast-otp \
+    --trace-out "$build/tier1_fatal_trace.json" \
+    > /dev/null 2> "$build/tier1_fatal.log" || status=$?
+if [[ "$status" != 1 ]] ||
+    ! grep -q '^deuce: fatal: ' "$build/tier1_fatal.log"; then
+    echo "tier1: FAIL — fatal error exited $status (want 1)" >&2
+    exit 1
+fi
+python3 -c 'import json, sys; [json.load(open(p)) for p in sys.argv[1:]]' \
+    "$build/tier1_fatal_trace.json" "$build/tier1_fatal_flight.json"
+echo "tier1: fatal exit OK (status 1, trace and flight dumps written)"
+
 # Trace overhead cell: the same sweep with tracing compiled in but
 # disabled vs enabled, appended as BENCH_MICRO rows. Informational
 # only — never a pass/fail gate (wall clock varies with the host).
@@ -417,7 +476,7 @@ if [[ "${DEUCE_TSAN:-0}" == "1" ]]; then
         --target test_thread_pool test_sweep test_spsc_queue \
                  test_serving test_persist test_write_batch \
                  test_vcc test_telemetry test_flight_recorder \
-                 stolen_dimm_attack bench_serving
+                 test_obs_trace stolen_dimm_attack bench_serving
     "$tsan/tests/test_thread_pool"
     "$tsan/tests/test_sweep"
     "$tsan/tests/test_spsc_queue"
@@ -425,8 +484,11 @@ if [[ "${DEUCE_TSAN:-0}" == "1" ]]; then
     # Live sampling races by design (relaxed atomics, concurrent
     # snapshot reads): the telemetry and flight-recorder suites must
     # be TSan-clean, including the sampler-vs-worker serving test.
+    # Spans share the flight recorder's per-thread event log, so the
+    # span suite runs here too.
     "$tsan/tests/test_telemetry"
     "$tsan/tests/test_flight_recorder"
+    "$tsan/tests/test_obs_trace"
     # The batch pipeline itself is single-threaded per shard, but the
     # serving workers drive it concurrently — run its bit-identity
     # suite under TSan alongside the worker tests.

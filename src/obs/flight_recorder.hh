@@ -1,8 +1,7 @@
 /**
  * @file
- * Flight recorder: fixed-size per-thread ring buffers of the last N
- * serving/simulation events, dumped as Chrome-trace-compatible JSON
- * for postmortems.
+ * Flight recorder: the last N serving/simulation events of every
+ * thread, dumped as Chrome-trace-compatible JSON for postmortems.
  *
  * The telemetry sampler (obs/telemetry.hh) answers "how fast is the
  * system right now"; the flight recorder answers "what exactly were
@@ -10,24 +9,29 @@
  * request submit/complete, write commits, backpressure stalls,
  * recovery passes, line decommissions, backend degrades, crash
  * injection — appends one small record to a ring owned exclusively
- * by the emitting thread. Rings are bounded, so recording never
- * allocates after warm-up and the memory cost is fixed regardless of
- * run length; old events are overwritten, keeping exactly the last
- * `capacity` events per thread.
+ * by the emitting thread. The ring is the flight half of the
+ * per-thread event log that span tracing (obs/trace.hh) also writes:
+ * the same fixed-size record, the same tid per thread and the same
+ * timestamp epoch, so a flight event dumped next to a span trace of
+ * the same run falls on its thread's track inside its span. Unlike
+ * spans (kept in full), rings are bounded: recording never allocates
+ * after a thread's first event, the memory cost is fixed regardless
+ * of run length, and old events are overwritten, keeping exactly the
+ * last `capacity` events per thread.
  *
  * Cost model: a disabled site is one relaxed atomic load and a
  * predictable branch (the same contract as span tracing). An enabled
- * record is a handful of stores into thread-local memory — no locks,
- * no allocation.
+ * record is a handful of stores into thread-local memory — no locks
+ * and no allocation once the thread's ring exists.
  *
  * Dumping: flightRecorderDump() walks every registered ring and
  * emits instant events ("ph":"i") in Chrome trace_event JSON, sorted
- * by timestamp — load the file in chrome://tracing or Perfetto next
- * to a span trace. Dump with recording threads quiesced (after
- * stop()/join); the crash-injection path is the sanctioned
- * exception, where a torn oldest-event on a concurrently recording
- * thread is acceptable in exchange for capturing the final pre-crash
- * events.
+ * by timestamp — load the file in chrome://tracing or Perfetto,
+ * alone or next to a span trace. Dump with recording threads
+ * quiesced (after stop()/join); the crash-injection path is the
+ * sanctioned exception, where a torn oldest-event on a concurrently
+ * recording thread is acceptable in exchange for capturing the final
+ * pre-crash events.
  *
  * Configuration:
  *   flightRecorderConfigure(path, cap)   programmatic
@@ -109,8 +113,8 @@ flightRecorderRecord(FlightEventKind kind, uint16_t shard = 0,
 
 /**
  * Arm recording with per-thread rings of @p capacity events
- * (rounded up to a power of two). Idempotent; an already-armed
- * recorder keeps its first capacity.
+ * (rounded up to a power of two, at least 8). Idempotent; the first
+ * call fixes the capacity for the whole process.
  */
 void flightRecorderEnable(std::size_t capacity = 4096);
 

@@ -5,11 +5,11 @@
 
 #include "obs/registry.hh"
 
-#include <cstdio>
 #include <ostream>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
+#include "obs/output.hh"
 
 namespace deuce
 {
@@ -18,39 +18,6 @@ namespace obs
 
 namespace
 {
-
-/** Minimal JSON string escaping for stat-name keys. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** One node of the dotted-name tree built for the JSON dump. */
 struct TreeNode

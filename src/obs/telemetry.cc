@@ -15,6 +15,7 @@
 
 #include "common/logging.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/output.hh"
 #include "obs/registry.hh"
 
 namespace deuce
@@ -436,13 +437,8 @@ TelemetrySampler::sampleOnce()
 
     // Export.
     if (!config_.promPath.empty()) {
-        std::string tmp = config_.promPath + ".tmp";
-        std::ofstream os(tmp, std::ios::out | std::ios::trunc);
-        if (os) {
-            writeProm(os, s);
-            os.close();
-            std::rename(tmp.c_str(), config_.promPath.c_str());
-        }
+        writeFileAtomically(config_.promPath,
+                            [&](std::ostream &os) { writeProm(os, s); });
     }
     if (!config_.jsonlPath.empty()) {
         std::ofstream os(config_.jsonlPath,

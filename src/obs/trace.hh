@@ -1,8 +1,10 @@
 /**
  * @file
- * Span tracing: lock-free per-thread buffers of begin/end events,
- * exported as Chrome trace_event JSON (load the file in
- * chrome://tracing or https://ui.perfetto.dev).
+ * Span tracing: begin/end events in the per-thread event log shared
+ * with the flight recorder (obs/flight_recorder.hh), exported as
+ * Chrome trace_event JSON (load the file in chrome://tracing or
+ * https://ui.perfetto.dev). Both use one tid per thread and one
+ * timestamp epoch, so a flight dump lines up with a span trace.
  *
  * Usage:
  *   DEUCE_TRACE_SCOPE("sweep.cell");             // RAII span
@@ -11,10 +13,12 @@
  *
  * Cost model: tracing is always compiled in; a disabled site costs
  * one relaxed atomic load and one predictable branch. An enabled
- * span appends two small records to a buffer owned exclusively by
- * the emitting thread — no locks, no allocation beyond the vector's
- * amortised growth. The global buffer list is only locked when a
- * thread emits its first event and at export.
+ * span appends two fixed-size records to a log owned exclusively by
+ * the emitting thread; spans are kept in full (never overwritten) so
+ * every begin keeps its end. A dynamic label is interned once into a
+ * pool shared with logEvent messages, so records never own strings.
+ * The global log list is only locked when a thread emits its first
+ * event, when a label is interned, and at export.
  *
  * Levels: Phase covers per-cell and per-phase spans (cheap enough
  * for full sweeps); Verbose adds hot-path spans (per-write, per-AES-
@@ -92,9 +96,9 @@ void traceConfigure(const std::string &path,
 bool traceConfigureFromEnv();
 
 /**
- * Write the configured output file now (also disarms the exit-time
- * flush for the events written). @return false when no path was
- * configured or the file could not be opened.
+ * Write the configured output file now (atomically: temp file +
+ * rename); the exit-time flush rewrites it with any later events.
+ * @return false when no path was configured or the write failed.
  */
 bool traceWriteFile();
 

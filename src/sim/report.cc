@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "obs/output.hh"
 #include "sim/experiment.hh"
 
 namespace deuce
@@ -108,26 +109,6 @@ printPaperVsMeasured(std::ostream &os, const std::string &label,
 namespace
 {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
 /** Shortest float form that round-trips (JSON has no NaN/inf). */
 std::string
 jsonNumber(double v)
@@ -143,8 +124,8 @@ std::string
 experimentRowJson(const ExperimentRow &row)
 {
     std::ostringstream os;
-    os << '{' << "\"bench\":\"" << jsonEscape(row.bench) << "\","
-       << "\"scheme\":\"" << jsonEscape(row.scheme) << "\","
+    os << '{' << "\"bench\":\"" << obs::jsonEscape(row.bench) << "\","
+       << "\"scheme\":\"" << obs::jsonEscape(row.scheme) << "\","
        << "\"flip_pct\":" << jsonNumber(row.flipPct) << ','
        << "\"avg_slots\":" << jsonNumber(row.avgSlots) << ','
        << "\"tracking_bits\":" << row.trackingBits << ','
@@ -162,12 +143,12 @@ experimentRowJson(const ExperimentRow &row)
     // The backend field is appended only when the runner recorded
     // one, so rows from borrowed-scheme runs keep the old format.
     if (!row.aesBackend.empty()) {
-        os << ",\"aes_backend\":\"" << jsonEscape(row.aesBackend)
+        os << ",\"aes_backend\":\"" << obs::jsonEscape(row.aesBackend)
            << '"';
     }
     if (!row.lineBackend.empty()) {
-        os << ",\"line_backend\":\"" << jsonEscape(row.lineBackend)
-           << '"';
+        os << ",\"line_backend\":\""
+           << obs::jsonEscape(row.lineBackend) << '"';
     }
     // The burst size is appended only for batched replays, so
     // one-at-a-time rows keep the historical format. Results are
@@ -202,7 +183,7 @@ experimentRowJson(const ExperimentRow &row)
     // Persist counters likewise append only when the model ran.
     if (row.persistEnabled) {
         os << ",\"persist_policy\":\""
-           << jsonEscape(row.persistPolicy) << "\","
+           << obs::jsonEscape(row.persistPolicy) << "\","
            << "\"persist_flush_epoch\":" << row.persistFlushEpoch
            << ','
            << "\"persist_volatile_counters\":"

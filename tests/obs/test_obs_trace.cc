@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the span tracer and its Chrome trace export.
+ * Unit tests for the span tracer and its Chrome trace export,
+ * including the tid and clock it shares with the flight recorder.
  *
  * The trace buffers are process-global; every test starts from
  * traceClear() + an explicit level so order does not matter.
@@ -8,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/flight_recorder.hh"
 #include "obs/trace.hh"
 
 namespace deuce
@@ -32,6 +36,32 @@ countOf(const std::string &hay, const std::string &needle)
         ++n;
     }
     return n;
+}
+
+/** The lines of a Chrome dump (one event per line) holding @p needle. */
+std::vector<std::string>
+linesWith(const std::string &dump, const std::string &needle)
+{
+    std::vector<std::string> out;
+    std::istringstream in(dump);
+    for (std::string line; std::getline(in, line);) {
+        if (line.find(needle) != std::string::npos) {
+            out.push_back(line);
+        }
+    }
+    return out;
+}
+
+/** The number after "key": in one event line. */
+double
+field(const std::string &line, const std::string &key)
+{
+    size_t at = line.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key << " missing in " << line;
+    return at == std::string::npos
+               ? -1.0
+               : std::strtod(line.c_str() + at + key.size() + 3,
+                             nullptr);
 }
 
 class TraceTest : public ::testing::Test
@@ -150,6 +180,45 @@ TEST_F(TraceTest, DisabledSiteLeavesLabelUnevaluated)
     }
     EXPECT_EQ(evaluations, 0);
     EXPECT_EQ(traceEventCount(), 0u);
+}
+
+TEST_F(TraceTest, FlightEventSharesItsSpansTidAndClock)
+{
+    // The main thread records a span first, so it takes the first tid
+    // without ever recording a flight event.
+    setTraceLevel(TraceLevel::Phase);
+    {
+        DEUCE_TRACE_SCOPE("main.first");
+    }
+    // Arm the recorder well after that span: a clock epoch of its own
+    // would put the worker's flight event before the worker's span.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    flightRecorderEnable();
+    flightRecorderClear();
+
+    std::thread worker([] {
+        DEUCE_TRACE_SCOPE("worker.probe");
+        flightRecorderRecord(FlightEventKind::Mark, 0, 0, /*a=*/424242);
+    });
+    worker.join();
+    setTraceLevel(TraceLevel::Off);
+
+    std::ostringstream spans, flight;
+    writeChromeTrace(spans);
+    flightRecorderDump(flight);
+    std::vector<std::string> span =
+        linesWith(spans.str(), "\"name\":\"worker.probe\"");
+    std::vector<std::string> instant =
+        linesWith(flight.str(), "\"a\":424242");
+    ASSERT_EQ(span.size(), 2u);
+    ASSERT_EQ(instant.size(), 1u);
+    ASSERT_NE(span[0].find("\"ph\":\"B\""), std::string::npos);
+    ASSERT_NE(span[1].find("\"ph\":\"E\""), std::string::npos);
+
+    EXPECT_EQ(field(instant[0], "tid"), field(span[0], "tid"))
+        << "the worker must sit on one track in both dumps";
+    EXPECT_LE(field(span[0], "ts"), field(instant[0], "ts"));
+    EXPECT_LE(field(instant[0], "ts"), field(span[1], "ts"));
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Unit tests for the live-telemetry layer: the atomic log2 histogram
  * and its snapshots, the SLO burn-rate monitor, and the sampler's
  * snapshot/delta arithmetic and Prometheus export under concurrent
- * writers.
+ * writers, plus the atomic file writer the export rewrites through.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/output.hh"
 #include "obs/registry.hh"
 #include "obs/telemetry.hh"
 
@@ -348,6 +349,26 @@ TEST(TelemetrySampler, SinkFilesAreWrittenAndAppended)
 
     std::remove(cfg.promPath.c_str());
     std::remove(cfg.jsonlPath.c_str());
+}
+
+TEST(AtomicFileWriter, FailedWriteLeavesTheLiveFileAlone)
+{
+    std::string path = ::testing::TempDir() + "deuce_atomic_write.txt";
+    ASSERT_TRUE(writeFileAtomically(
+        path, [](std::ostream &os) { os << "good\n"; }));
+    // A write that fails part-way must not be renamed over the file a
+    // reader (a Prometheus scraper) may be looking at.
+    EXPECT_FALSE(writeFileAtomically(path, [](std::ostream &os) {
+        os << "torn";
+        os.setstate(std::ios::badbit);
+    }));
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(), "good\n");
+    EXPECT_FALSE(std::ifstream(path + ".tmp").is_open())
+        << "a failed write must not leave its temp file behind";
+    std::remove(path.c_str());
 }
 
 TEST(TelemetrySampler, ThreadedSamplerStopsWithFinalSample)
