@@ -147,17 +147,21 @@ if ! diff \
 fi
 echo "tier1: line backend equivalence OK (scalar == auto)"
 
-# Batch-pipeline equivalence gate: replaying the same cells one write
-# at a time (--batch 1) and through 64-line bursts must produce
-# byte-identical rows modulo the write_batch/backend-name fields. A
-# divergence means the batched pad stream or the deferred wear landing
-# drifted from the sequential reference — a hard failure.
+# Batch-pipeline equivalence gate, over every scheme id: write() is a
+# burst of one through the same commit loop as writeBatch(), so
+# replaying the same cells one write at a time (--batch 1) and through
+# 64-line bursts must produce byte-identical rows modulo the
+# write_batch/backend-name fields. A divergence means chunking (the
+# duplicate-address split, the shared pad stream, the deferred wear
+# landing) changed a result — a hard failure.
+batch_schemes=nodcw,nofnw,encr,encr-fnw,ble,ble-deuce,deuce,deuce-fnw
+batch_schemes=$batch_schemes,dyndeuce,addrpad,invmm,perword,vcc,vcc-mlc
 "$build/examples/simulate" \
-    --bench mcf --scheme deuce,deuce-fnw,dyndeuce --writebacks 5000 \
+    --bench mcf --scheme "$batch_schemes" --writebacks 5000 \
     --fast-otp --batch 1 \
     --json "$build/equiv_batch_seq.jsonl" > /dev/null
 "$build/examples/simulate" \
-    --bench mcf --scheme deuce,deuce-fnw,dyndeuce --writebacks 5000 \
+    --bench mcf --scheme "$batch_schemes" --writebacks 5000 \
     --fast-otp --batch 64 \
     --json "$build/equiv_batch_64.jsonl" > /dev/null
 if ! diff \

@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
 
 #include "common/line_kernels.hh"
 #include "common/logging.hh"
@@ -138,6 +139,11 @@ CacheLine
 CacheLine::fromBytes(const uint8_t *src)
 {
     CacheLine line;
+    if constexpr (std::endian::native == std::endian::little) {
+        // Limb i already holds bytes 8i..8i+7 least significant first.
+        std::memcpy(line.limbs_.data(), src, kBytes);
+        return line;
+    }
     for (unsigned i = 0; i < kLimbs; ++i) {
         uint64_t limb = 0;
         for (unsigned b = 0; b < 8; ++b) {

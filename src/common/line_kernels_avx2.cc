@@ -272,12 +272,79 @@ avx2PopcountBatch(const CacheLine *lines, uint32_t *out, std::size_t n)
     }
 }
 
+/**
+ * Burst size from which avx2AccumulateFlipsBatch counts in byte
+ * lanes. Below it the fixed pass that widens 512 byte counters into
+ * the 64-bit counters costs more than scattering the set bits of a
+ * few sparse diffs.
+ */
+constexpr std::size_t kByteLaneMinLines = 8;
+
+/**
+ * Vertical byte counters: every bit position of the line gets one
+ * byte lane, sixteen 32-lane accumulators in all. Each 32-bit slice
+ * of a diff is broadcast, spread one source byte per 8 lanes
+ * (VPSHUFB), reduced to its own bit per lane and compared: a set
+ * bit yields -1 in its lane, and subtracting that counts it. Lanes
+ * are widened into @p counters every 255 lines, before one can wrap.
+ * Branch-free, so sparse and dense diffs cost the same.
+ */
+void
+avx2ByteLaneAccumulate(const CacheLine *diffs, std::size_t n,
+                       uint64_t *counters)
+{
+    const __m256i spread = _mm256_setr_epi8(
+        0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,
+        2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3);
+    const __m256i bit_of_lane =
+        _mm256_set1_epi64x(static_cast<long long>(0x8040201008040201ull));
+    constexpr unsigned kSlices = CacheLine::kBits / 32;
+    while (n > 0) {
+        std::size_t g = n < 255 ? n : 255;
+        __m256i lanes[kSlices];
+        for (__m256i &v : lanes) {
+            v = _mm256_setzero_si256();
+        }
+        for (std::size_t i = 0; i < g; ++i) {
+            for (unsigned j = 0; j < kSlices; ++j) {
+                uint64_t limb = diffs[i].limbs()[j / 2];
+                __m256i v = _mm256_shuffle_epi8(
+                    _mm256_set1_epi32(static_cast<int>(
+                        static_cast<uint32_t>(limb >> (32 * (j % 2))))),
+                    spread);
+                __m256i hit = _mm256_cmpeq_epi8(
+                    _mm256_and_si256(v, bit_of_lane), bit_of_lane);
+                lanes[j] = _mm256_sub_epi8(lanes[j], hit);
+            }
+        }
+        for (unsigned j = 0; j < kSlices; ++j) {
+            alignas(32) uint32_t quads[8];
+            _mm256_store_si256(reinterpret_cast<__m256i *>(quads),
+                               lanes[j]);
+            uint64_t *c = counters + 32 * j;
+            for (unsigned q = 0; q < 8; ++q) {
+                __m256i wide = _mm256_cvtepu8_epi64(
+                    _mm_cvtsi32_si128(static_cast<int>(quads[q])));
+                __m256i *dst = reinterpret_cast<__m256i *>(c + 4 * q);
+                _mm256_storeu_si256(
+                    dst, _mm256_add_epi64(_mm256_loadu_si256(dst), wide));
+            }
+        }
+        diffs += g;
+        n -= g;
+    }
+}
+
 void
 avx2AccumulateFlipsBatch(const CacheLine *diffs, std::size_t n,
                          uint64_t *counters)
 {
-    // Carry-save planes + weighted scatter (shared portable core).
-    detail::positionalFlipAccumulate(diffs, n, counters);
+    if (n < kByteLaneMinLines) {
+        // Carry-save planes + weighted scatter (shared portable core).
+        detail::positionalFlipAccumulate(diffs, n, counters);
+        return;
+    }
+    avx2ByteLaneAccumulate(diffs, n, counters);
 }
 
 constexpr LineKernelOps kAvx2Ops = {

@@ -47,15 +47,6 @@ class AddressPadEncryption : public EncryptionScheme
         state.data = plaintext ^ otp_.padForLine(line_addr, 0);
     }
 
-    WriteResult
-    write(uint64_t line_addr, const CacheLine &plaintext,
-          StoredLineState &state) const override
-    {
-        StoredLineState before = state;
-        state.data = plaintext ^ otp_.padForLine(line_addr, 0);
-        return makeWriteResult(before, state);
-    }
-
     CacheLine
     read(uint64_t line_addr, const StoredLineState &state) const override
     {
@@ -63,8 +54,6 @@ class AddressPadEncryption : public EncryptionScheme
     }
 
     /** The counterless pad is always known: one line pad at 0. */
-    bool supportsBatchedWrites() const override { return true; }
-
     unsigned
     planWritePads(uint64_t line_addr, const StoredLineState &,
                   LinePadRequest *requests) const override

@@ -109,8 +109,10 @@ BlockLevelEncryption::install(uint64_t line_addr,
 }
 
 WriteResult
-BlockLevelEncryption::write(uint64_t line_addr, const CacheLine &plaintext,
-                            StoredLineState &state) const
+BlockLevelEncryption::writeWithPads(uint64_t line_addr,
+                                    const CacheLine &plaintext,
+                                    StoredLineState &state,
+                                    const CacheLine * /* line_pads */) const
 {
     StoredLineState before = state;
     CacheLine cur_plain = read(line_addr, state);

@@ -48,8 +48,11 @@ class BlockLevelEncryption : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
-                      StoredLineState &state) const override;
+    /** Pads depend on the data: none planned, generated here. */
+    WriteResult writeWithPads(uint64_t line_addr,
+                              const CacheLine &plaintext,
+                              StoredLineState &state,
+                              const CacheLine *line_pads) const override;
     CacheLine read(uint64_t line_addr,
                    const StoredLineState &state) const override;
 

@@ -37,36 +37,6 @@ CounterModeEncryption::install(uint64_t line_addr,
     state.data = plaintext ^ otp_.padForLine(line_addr, 0);
 }
 
-WriteResult
-CounterModeEncryption::write(uint64_t line_addr,
-                             const CacheLine &plaintext,
-                             StoredLineState &state) const
-{
-    return applyWrite(plaintext, state,
-                      otp_.padForLine(line_addr, state.counter + 1));
-}
-
-WriteResult
-CounterModeEncryption::applyWrite(const CacheLine &plaintext,
-                                  StoredLineState &state,
-                                  const CacheLine &pad) const
-{
-    StoredLineState before = state;
-
-    ++state.counter;
-    CacheLine cipher = plaintext ^ pad;
-
-    if (useFnw_) {
-        FnwResult fnw = applyFnw(before.data, before.flipBits, cipher,
-                                 fnwRegionBits_);
-        state.data = fnw.stored;
-        state.flipBits = fnw.flipBits;
-    } else {
-        state.data = cipher;
-    }
-    return makeWriteResult(before, state);
-}
-
 unsigned
 CounterModeEncryption::planWritePads(uint64_t line_addr,
                                      const StoredLineState &state,
@@ -91,7 +61,20 @@ CounterModeEncryption::writeWithPads(uint64_t, const CacheLine &plaintext,
                                      StoredLineState &state,
                                      const CacheLine *line_pads) const
 {
-    return applyWrite(plaintext, state, line_pads[0]);
+    StoredLineState before = state;
+
+    ++state.counter;
+    CacheLine cipher = plaintext ^ line_pads[0];
+
+    if (useFnw_) {
+        FnwResult fnw = applyFnw(before.data, before.flipBits, cipher,
+                                 fnwRegionBits_);
+        state.data = fnw.stored;
+        state.flipBits = fnw.flipBits;
+    } else {
+        state.data = cipher;
+    }
+    return makeWriteResult(before, state);
 }
 
 CacheLine

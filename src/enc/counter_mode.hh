@@ -33,13 +33,10 @@ class CounterModeEncryption : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
-                      StoredLineState &state) const override;
     CacheLine read(uint64_t line_addr,
                    const StoredLineState &state) const override;
 
-    /** Pad need is one line pad at counter+1 — always plannable. */
-    bool supportsBatchedWrites() const override { return true; }
+    /** Pad need is one line pad at counter+1. */
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
                            LinePadRequest *requests) const override;
@@ -51,11 +48,6 @@ class CounterModeEncryption : public EncryptionScheme
                               const CacheLine *line_pads) const override;
 
   private:
-    /** The write() body, with the (single) pad already in hand. */
-    WriteResult applyWrite(const CacheLine &plaintext,
-                           StoredLineState &state,
-                           const CacheLine &pad) const;
-
     const OtpEngine &otp_;
     bool useFnw_;
     unsigned fnwRegionBits_;

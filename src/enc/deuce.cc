@@ -29,6 +29,19 @@ Deuce::Deuce(const OtpEngine &otp, const DeuceConfig &cfg)
     wordBits_ = cfg_.wordBytes * 8;
     numWords_ = CacheLine::kBits / wordBits_;
     deuce_assert(numWords_ <= 64);
+    wordsPerLimb_ = 64 / wordBits_;
+    const uint64_t word_ones = wordBits_ == 64
+        ? ~uint64_t{0}
+        : (uint64_t{1} << wordBits_) - 1;
+    for (unsigned sel = 0; sel < (1u << wordsPerLimb_); ++sel) {
+        uint64_t mask = 0;
+        for (unsigned w = 0; w < wordsPerLimb_; ++w) {
+            if ((sel >> w) & 1) {
+                mask |= word_ones << (w * wordBits_);
+            }
+        }
+        limbMasks_[sel] = mask;
+    }
 }
 
 std::string
@@ -71,34 +84,10 @@ Deuce::install(uint64_t line_addr, const CacheLine &plaintext,
 }
 
 void
-Deuce::encryptStep(uint64_t line_addr, const CacheLine &plaintext,
-                   const CacheLine &cur_plain, uint64_t new_counter,
-                   uint64_t old_modified, CacheLine &cipher_out,
-                   uint64_t &modified_out) const
-{
-    CacheLine pad_lctr = otp_.padForLine(line_addr, new_counter);
-
-    if (isEpochStart(new_counter)) {
-        encryptStepWithPads(plaintext, cur_plain, new_counter,
-                            old_modified, pad_lctr, nullptr, cipher_out,
-                            modified_out);
-        return;
-    }
-
-    CacheLine pad_tctr =
-        otp_.padForLine(line_addr, trailingCounter(new_counter));
-    encryptStepWithPads(plaintext, cur_plain, new_counter, old_modified,
-                        pad_lctr, &pad_tctr, cipher_out, modified_out);
-}
-
-void
-Deuce::encryptStepWithPads(const CacheLine &plaintext,
-                           const CacheLine &cur_plain,
-                           uint64_t new_counter, uint64_t old_modified,
-                           const CacheLine &pad_lctr,
-                           const CacheLine *pad_tctr,
-                           CacheLine &cipher_out,
-                           uint64_t &modified_out) const
+Deuce::encryptStep(const CacheLine &plaintext, const CacheLine &cur_plain,
+                   uint64_t new_counter, uint64_t old_modified,
+                   const CacheLine &pad_lctr, const CacheLine *pad_tctr,
+                   CacheLine &cipher_out, uint64_t &modified_out) const
 {
     if (isEpochStart(new_counter)) {
         // Epoch start: full re-encryption, tracking bits reset.
@@ -119,46 +108,22 @@ Deuce::encryptStepWithPads(const CacheLine &plaintext,
     // their epoch-start (TCTR) ciphertext. Since an unmodified word's
     // plaintext equals the current plaintext, XORing it with the TCTR
     // pad reproduces the stored ciphertext bit-for-bit.
-    CacheLine cipher;
-    for (unsigned w = 0; w < numWords_; ++w) {
-        unsigned lsb = w * wordBits_;
-        const CacheLine &pad =
-            (modified & (uint64_t{1} << w)) ? pad_lctr : *pad_tctr;
-        cipher.setField(lsb, wordBits_,
-                        plaintext.field(lsb, wordBits_) ^
-                        pad.field(lsb, wordBits_));
-    }
-    cipher_out = cipher;
+    cipher_out = plaintext ^ selectWords(modified, pad_lctr, *pad_tctr);
     modified_out = modified;
 }
 
-WriteResult
-Deuce::write(uint64_t line_addr, const CacheLine &plaintext,
-             StoredLineState &state) const
+CacheLine
+Deuce::selectWords(uint64_t words, const CacheLine &on,
+                   const CacheLine &off) const
 {
-    StoredLineState before = state;
-
-    // "On subsequent writes, a read is performed to identify the words
-    // that are modified by the given write" (Section 4.3.2).
-    CacheLine cur_plain = read(line_addr, state);
-
-    uint64_t new_counter = state.counter + 1;
-    CacheLine cipher;
-    uint64_t modified = 0;
-    encryptStep(line_addr, plaintext, cur_plain, new_counter,
-                state.modifiedBits, cipher, modified);
-
-    state.counter = new_counter;
-    state.modifiedBits = modified;
-    if (cfg_.withFnw) {
-        FnwResult fnw = applyFnw(before.data, before.flipBits, cipher,
-                                 cfg_.fnwRegionBits);
-        state.data = fnw.stored;
-        state.flipBits = fnw.flipBits;
-    } else {
-        state.data = cipher;
+    const uint64_t sel_ones = (uint64_t{1} << wordsPerLimb_) - 1;
+    CacheLine out;
+    for (unsigned l = 0; l < CacheLine::kLimbs; ++l) {
+        uint64_t mask =
+            limbMasks_[(words >> (l * wordsPerLimb_)) & sel_ones];
+        out.limb(l) = (on.limb(l) & mask) | (off.limb(l) & ~mask);
     }
-    return makeWriteResult(before, state);
+    return out;
 }
 
 CacheLine
@@ -178,16 +143,7 @@ Deuce::decryptWithPads(const CacheLine &cipher, uint64_t modified,
                        const CacheLine &pad_lctr,
                        const CacheLine &pad_tctr) const
 {
-    CacheLine plain;
-    for (unsigned w = 0; w < numWords_; ++w) {
-        unsigned lsb = w * wordBits_;
-        const CacheLine &pad =
-            (modified & (uint64_t{1} << w)) ? pad_lctr : pad_tctr;
-        plain.setField(lsb, wordBits_,
-                       cipher.field(lsb, wordBits_) ^
-                       pad.field(lsb, wordBits_));
-    }
-    return plain;
+    return cipher ^ selectWords(modified, pad_lctr, pad_tctr);
 }
 
 unsigned
@@ -202,16 +158,11 @@ Deuce::planWritePads(uint64_t line_addr, const StoredLineState &state,
         }
         ++n;
     };
-    // Read-back decryption of the current contents...
+    // Read-back decryption of the current contents, then the new
+    // image's LCTR pad; its TCTR pad, when needed, is TCTR(c).
     addLine(state.counter);
     addLine(trailingCounter(state.counter));
-    // ...then the new image: LCTR pad always, TCTR pad unless the
-    // write starts an epoch (full re-encryption needs no TCTR pad).
-    uint64_t new_counter = state.counter + 1;
-    addLine(new_counter);
-    if (!isEpochStart(new_counter)) {
-        addLine(trailingCounter(new_counter));
-    }
+    addLine(state.counter + 1);
     return n;
 }
 
@@ -229,8 +180,9 @@ Deuce::writeWithPads(uint64_t, const CacheLine &plaintext,
 {
     StoredLineState before = state;
 
-    // Same read-back as write(), but decrypting with the pre-generated
-    // pads: line_pads[0] = LCTR(c), [1] = TCTR(c).
+    // "On subsequent writes, a read is performed to identify the words
+    // that are modified by the given write" (Section 4.3.2):
+    // line_pads[0] = LCTR(c), [1] = TCTR(c), [2] = LCTR(c+1).
     CacheLine cur_cipher = cfg_.withFnw
         ? fnwDecode(state.data, state.flipBits, cfg_.fnwRegionBits)
         : state.data;
@@ -240,11 +192,10 @@ Deuce::writeWithPads(uint64_t, const CacheLine &plaintext,
     uint64_t new_counter = state.counter + 1;
     CacheLine cipher;
     uint64_t modified = 0;
-    encryptStepWithPads(plaintext, cur_plain, new_counter,
-                        state.modifiedBits, line_pads[2],
-                        isEpochStart(new_counter) ? nullptr
-                                                  : &line_pads[3],
-                        cipher, modified);
+    encryptStep(plaintext, cur_plain, new_counter, state.modifiedBits,
+                line_pads[2],
+                isEpochStart(new_counter) ? nullptr : &line_pads[1],
+                cipher, modified);
 
     state.counter = new_counter;
     state.modifiedBits = modified;

@@ -29,6 +29,8 @@
 #ifndef DEUCE_ENC_DEUCE_HH
 #define DEUCE_ENC_DEUCE_HH
 
+#include <array>
+
 #include "crypto/otp_engine.hh"
 #include "enc/scheme.hh"
 
@@ -69,8 +71,6 @@ class Deuce : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
-                      StoredLineState &state) const override;
     CacheLine read(uint64_t line_addr,
                    const StoredLineState &state) const override;
 
@@ -97,11 +97,12 @@ class Deuce : public EncryptionScheme
     const DeuceConfig &config() const { return cfg_; }
 
     /**
-     * Pad plan: [LCTR(c), TCTR(c)] for the read-back, [c+1] for the
-     * new image, plus [TCTR(c+1)] unless the write starts an epoch —
-     * the exact pads (and order) the sequential path generates.
+     * Pad plan: [LCTR(c), TCTR(c)] for the read-back, then [c+1] for
+     * the new image. The new image's TCTR pad is not planned: unless
+     * the write starts an epoch (full re-encryption, no TCTR pad)
+     * c+1 shares c's epoch, so TCTR(c+1) = TCTR(c) is already in
+     * hand.
      */
-    bool supportsBatchedWrites() const override { return true; }
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
                            LinePadRequest *requests) const override;
@@ -113,29 +114,28 @@ class Deuce : public EncryptionScheme
                               const CacheLine *line_pads) const override;
 
   private:
-    /**
-     * Build the new logical ciphertext image and updated modified bits
-     * for one write; shared by Deuce and DynDeuce.
-     */
     friend class DynDeuce;
-    void encryptStep(uint64_t line_addr, const CacheLine &plaintext,
+
+    /**
+     * Build the new logical ciphertext image and updated modified
+     * bits for one write; shared by Deuce and DynDeuce. @p pad_lctr
+     * is the pad of @p new_counter; @p pad_tctr the pad of its
+     * trailing counter, or nullptr iff the write starts an epoch
+     * (the TCTR pad is not needed on a full re-encryption).
+     */
+    void encryptStep(const CacheLine &plaintext,
                      const CacheLine &cur_plain, uint64_t new_counter,
-                     uint64_t old_modified, CacheLine &cipher_out,
+                     uint64_t old_modified, const CacheLine &pad_lctr,
+                     const CacheLine *pad_tctr, CacheLine &cipher_out,
                      uint64_t &modified_out) const;
 
     /**
-     * encryptStep with the pads already generated: @p pad_lctr is the
-     * pad of @p new_counter; @p pad_tctr the pad of its trailing
-     * counter, or nullptr iff the write starts an epoch (the TCTR pad
-     * is not generated — nor needed — on a full re-encryption).
+     * Per word, the word of @p on where bit w of @p words is set and
+     * the word of @p off elsewhere: the per-word LCTR/TCTR pad choice
+     * of Figure 7, as one table-driven masked select per limb.
      */
-    void encryptStepWithPads(const CacheLine &plaintext,
-                             const CacheLine &cur_plain,
-                             uint64_t new_counter, uint64_t old_modified,
-                             const CacheLine &pad_lctr,
-                             const CacheLine *pad_tctr,
-                             CacheLine &cipher_out,
-                             uint64_t &modified_out) const;
+    CacheLine selectWords(uint64_t words, const CacheLine &on,
+                          const CacheLine &off) const;
 
     /** Decrypt given explicit counter/modified-bit values. */
     CacheLine decryptWith(uint64_t line_addr, const CacheLine &cipher,
@@ -150,6 +150,9 @@ class Deuce : public EncryptionScheme
     DeuceConfig cfg_;
     unsigned wordBits_;
     unsigned numWords_;
+    unsigned wordsPerLimb_;
+    /** Limb mask of every word-select pattern within one limb. */
+    std::array<uint64_t, 256> limbMasks_{};
 };
 
 } // namespace deuce

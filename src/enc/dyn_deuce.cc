@@ -45,9 +45,9 @@ DynDeuce::install(uint64_t line_addr, const CacheLine &plaintext,
 }
 
 StoredLineState
-DynDeuce::fnwCandidate(uint64_t line_addr, const CacheLine &plaintext,
+DynDeuce::fnwCandidate(const CacheLine &plaintext,
                        const StoredLineState &before,
-                       uint64_t new_counter) const
+                       uint64_t new_counter, const CacheLine &pad) const
 {
     // FNW mode: the whole line is re-encrypted with the fresh counter
     // and stored through FNW, with the tracking column as flip bits.
@@ -56,16 +56,6 @@ DynDeuce::fnwCandidate(uint64_t line_addr, const CacheLine &plaintext,
     // cell image it compares against is `before.data` as-is (in DEUCE
     // mode nothing was inverted, in FNW mode the comparison against
     // the inverted image is precisely FNW's behaviour).
-    return fnwCandidateWithPad(plaintext, before, new_counter,
-                               otp_.padForLine(line_addr, new_counter));
-}
-
-StoredLineState
-DynDeuce::fnwCandidateWithPad(const CacheLine &plaintext,
-                              const StoredLineState &before,
-                              uint64_t new_counter,
-                              const CacheLine &pad) const
-{
     CacheLine cipher = plaintext ^ pad;
     FnwResult fnw = applyFnw(before.data, before.modifiedBits, cipher,
                              deuce_.wordBits());
@@ -76,56 +66,6 @@ DynDeuce::fnwCandidateWithPad(const CacheLine &plaintext,
     after.counter = new_counter;
     after.modeBit = true;
     return after;
-}
-
-WriteResult
-DynDeuce::write(uint64_t line_addr, const CacheLine &plaintext,
-                StoredLineState &state) const
-{
-    StoredLineState before = state;
-    uint64_t new_counter = state.counter + 1;
-
-    if (deuce_.isEpochStart(new_counter)) {
-        // Epoch boundary: return to DEUCE mode with a full
-        // re-encryption regardless of the previous mode.
-        state.data = plaintext ^ otp_.padForLine(line_addr, new_counter);
-        state.counter = new_counter;
-        state.modifiedBits = 0;
-        state.modeBit = false;
-        return makeWriteResult(before, state);
-    }
-
-    if (state.modeBit) {
-        // Already morphed: stay in FNW mode until the next epoch.
-        state = fnwCandidate(line_addr, plaintext, before, new_counter);
-        return makeWriteResult(before, state);
-    }
-
-    // DEUCE mode: evaluate both encodings and pick the cheaper one
-    // (Figure 11). The comparison uses the exact flip counts the
-    // write-circuitry would observe, including tracking-bit and mode-
-    // bit changes.
-    CacheLine cur_plain = read(line_addr, state);
-    StoredLineState deuce_after = before;
-    {
-        CacheLine cipher;
-        uint64_t modified = 0;
-        deuce_.encryptStep(line_addr, plaintext, cur_plain, new_counter,
-                           before.modifiedBits, cipher, modified);
-        deuce_after.data = cipher;
-        deuce_after.modifiedBits = modified;
-        deuce_after.counter = new_counter;
-        deuce_after.modeBit = false;
-    }
-    StoredLineState fnw_after =
-        fnwCandidate(line_addr, plaintext, before, new_counter);
-
-    unsigned deuce_cost =
-        makeWriteResult(before, deuce_after).totalFlips();
-    unsigned fnw_cost = makeWriteResult(before, fnw_after).totalFlips();
-
-    state = (fnw_cost < deuce_cost) ? fnw_after : deuce_after;
-    return makeWriteResult(before, state);
 }
 
 unsigned
@@ -147,14 +87,10 @@ DynDeuce::planWritePads(uint64_t line_addr, const StoredLineState &state,
         addLine(new_counter);
         return n;
     }
-    // Mid-epoch DEUCE mode: read-back pads, the DEUCE candidate's
-    // LCTR/TCTR pads, then the FNW candidate's independent
-    // re-encryption pad (same counter as the LCTR pad, regenerated by
-    // the sequential path, so replanned here for exact pad parity).
+    // Mid-epoch DEUCE mode: read-back pads, then the fresh pad both
+    // candidates encrypt under.
     addLine(state.counter);
     addLine(deuce_.trailingCounter(state.counter));
-    addLine(new_counter);
-    addLine(deuce_.trailingCounter(new_counter));
     addLine(new_counter);
     return n;
 }
@@ -175,6 +111,8 @@ DynDeuce::writeWithPads(uint64_t, const CacheLine &plaintext,
     uint64_t new_counter = state.counter + 1;
 
     if (deuce_.isEpochStart(new_counter)) {
+        // Epoch boundary: return to DEUCE mode with a full
+        // re-encryption regardless of the previous mode.
         state.data = plaintext ^ line_pads[0];
         state.counter = new_counter;
         state.modifiedBits = 0;
@@ -183,29 +121,33 @@ DynDeuce::writeWithPads(uint64_t, const CacheLine &plaintext,
     }
 
     if (state.modeBit) {
-        state = fnwCandidateWithPad(plaintext, before, new_counter,
-                                    line_pads[0]);
+        // Already morphed: stay in FNW mode until the next epoch.
+        state = fnwCandidate(plaintext, before, new_counter,
+                             line_pads[0]);
         return makeWriteResult(before, state);
     }
 
-    // DEUCE mode: line_pads = [LCTR(c), TCTR(c), LCTR(c+1),
-    // TCTR(c+1), FNW re-encryption pad at c+1].
+    // DEUCE mode: evaluate both encodings and pick the cheaper one
+    // (Figure 11). The comparison uses the exact flip counts the
+    // write-circuitry would observe, including tracking-bit and mode-
+    // bit changes. line_pads = [LCTR(c), TCTR(c), LCTR(c+1)]; c+1
+    // shares c's epoch, so TCTR(c+1) = TCTR(c).
     CacheLine cur_plain = deuce_.decryptWithPads(
         state.data, state.modifiedBits, line_pads[0], line_pads[1]);
     StoredLineState deuce_after = before;
     {
         CacheLine cipher;
         uint64_t modified = 0;
-        deuce_.encryptStepWithPads(plaintext, cur_plain, new_counter,
-                                   before.modifiedBits, line_pads[2],
-                                   &line_pads[3], cipher, modified);
+        deuce_.encryptStep(plaintext, cur_plain, new_counter,
+                           before.modifiedBits, line_pads[2],
+                           &line_pads[1], cipher, modified);
         deuce_after.data = cipher;
         deuce_after.modifiedBits = modified;
         deuce_after.counter = new_counter;
         deuce_after.modeBit = false;
     }
     StoredLineState fnw_after =
-        fnwCandidateWithPad(plaintext, before, new_counter, line_pads[4]);
+        fnwCandidate(plaintext, before, new_counter, line_pads[2]);
 
     unsigned deuce_cost =
         makeWriteResult(before, deuce_after).totalFlips();

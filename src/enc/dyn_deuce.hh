@@ -42,19 +42,16 @@ class DynDeuce : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
-                      StoredLineState &state) const override;
     CacheLine read(uint64_t line_addr,
                    const StoredLineState &state) const override;
 
     /**
      * Pad plan: epoch starts and FNW-mode writes need one pad [c+1];
      * a mid-epoch DEUCE-mode write races both encodings and needs
-     * [c, tctr(c), c+1, tctr(c+1), c+1] — the last duplicates the
-     * LCTR pad because the sequential path's FNW candidate generates
-     * it independently (kMaxWritePadLines sizes arenas for this).
+     * [c, tctr(c), c+1]. The DEUCE candidate's TCTR pad is tctr(c)
+     * (same epoch) and the FNW candidate re-encrypts under the same
+     * c+1 pad as the DEUCE candidate's modified words.
      */
-    bool supportsBatchedWrites() const override { return true; }
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
                            LinePadRequest *requests) const override;
@@ -66,17 +63,14 @@ class DynDeuce : public EncryptionScheme
                               const CacheLine *line_pads) const override;
 
   private:
-    /** Build the FNW-mode candidate state for one write. */
-    StoredLineState fnwCandidate(uint64_t line_addr,
-                                 const CacheLine &plaintext,
+    /**
+     * Build the FNW-mode candidate state for one write, re-encrypted
+     * under @p pad, the pad of @p new_counter.
+     */
+    StoredLineState fnwCandidate(const CacheLine &plaintext,
                                  const StoredLineState &before,
-                                 uint64_t new_counter) const;
-
-    /** fnwCandidate with the re-encryption pad already in hand. */
-    StoredLineState fnwCandidateWithPad(const CacheLine &plaintext,
-                                        const StoredLineState &before,
-                                        uint64_t new_counter,
-                                        const CacheLine &pad) const;
+                                 uint64_t new_counter,
+                                 const CacheLine &pad) const;
 
     const OtpEngine &otp_;
     Deuce deuce_; ///< DEUCE-mode engine (shares counter semantics)

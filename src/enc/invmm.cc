@@ -23,8 +23,10 @@ INvmm::install(uint64_t line_addr, const CacheLine &plaintext,
 }
 
 WriteResult
-INvmm::write(uint64_t line_addr, const CacheLine &plaintext,
-             StoredLineState &state) const
+INvmm::writeWithPads(uint64_t line_addr,
+                     const CacheLine &plaintext,
+                     StoredLineState &state,
+                     const CacheLine * /* line_pads */) const
 {
     StoredLineState before = state;
 

@@ -49,8 +49,11 @@ class INvmm : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
-                      StoredLineState &state) const override;
+    /** A demand write stores plaintext: no pads planned. */
+    WriteResult writeWithPads(uint64_t line_addr,
+                              const CacheLine &plaintext,
+                              StoredLineState &state,
+                              const CacheLine *line_pads) const override;
     CacheLine read(uint64_t line_addr,
                    const StoredLineState &state) const override;
 

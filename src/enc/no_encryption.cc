@@ -35,8 +35,10 @@ NoEncryption::install(uint64_t /* line_addr */, const CacheLine &plaintext,
 }
 
 WriteResult
-NoEncryption::write(uint64_t /* line_addr */, const CacheLine &plaintext,
-                    StoredLineState &state) const
+NoEncryption::writeWithPads(uint64_t /* line_addr */,
+                            const CacheLine &plaintext,
+                            StoredLineState &state,
+                            const CacheLine * /* line_pads */) const
 {
     StoredLineState before = state;
     if (useFnw_) {

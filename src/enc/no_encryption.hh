@@ -29,16 +29,13 @@ class NoEncryption : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
-                      StoredLineState &state) const override;
+    /** No pads at all: none planned. */
+    WriteResult writeWithPads(uint64_t line_addr,
+                              const CacheLine &plaintext,
+                              StoredLineState &state,
+                              const CacheLine *line_pads) const override;
     CacheLine read(uint64_t line_addr,
                    const StoredLineState &state) const override;
-
-    /**
-     * No pads at all, so the write is trivially plannable: the batch
-     * pipeline commits through the default zero-pad writeWithPads().
-     */
-    bool supportsBatchedWrites() const override { return true; }
 
   private:
     bool useFnw_;

@@ -112,8 +112,10 @@ PerWordCounters::install(uint64_t line_addr, const CacheLine &plaintext,
 }
 
 WriteResult
-PerWordCounters::write(uint64_t line_addr, const CacheLine &plaintext,
-                       StoredLineState &state) const
+PerWordCounters::writeWithPads(uint64_t line_addr,
+                               const CacheLine &plaintext,
+                               StoredLineState &state,
+                               const CacheLine * /* line_pads */) const
 {
     StoredLineState before = state;
     WordCounters &ctrs = counters_[line_addr];

@@ -6,6 +6,7 @@
 #include "enc/scheme.hh"
 
 #include <bit>
+#include <memory>
 
 #include "common/line_kernels.hh"
 #include "common/logging.hh"
@@ -27,13 +28,48 @@ EncryptionScheme::registerStats(obs::StatRegistry &reg,
                     });
 }
 
+void
+assembleLinePads(const AesBlock *blocks, CacheLine *line_pads,
+                 unsigned lines)
+{
+    for (unsigned p = 0; p < lines; ++p) {
+        std::construct_at(&line_pads[p],
+                          CacheLine::fromBytes(blocks[4 * p].data()));
+    }
+}
+
+WriteResult
+EncryptionScheme::write(uint64_t line_addr, const CacheLine &plaintext,
+                        StoredLineState &state) const
+{
+    // Raw arenas sized for the largest plan: LinePadRequest and
+    // CacheLine arrays would zero every slot per call, and most
+    // writes plan three line pads or none.
+    union Requests
+    {
+        Requests() {}
+        LinePadRequest at[4 * kMaxWritePadLines];
+    } requests;
+    union LinePads
+    {
+        LinePads() {}
+        CacheLine at[kMaxWritePadLines];
+    } line_pads;
+    AesBlock blocks[4 * kMaxWritePadLines];
+    unsigned lines = planWritePads(line_addr, state, requests.at);
+    if (lines > 0) {
+        generatePads(requests.at, blocks, 4 * lines);
+        assembleLinePads(blocks, line_pads.at, lines);
+    }
+    return writeWithPads(line_addr, plaintext, state, line_pads.at);
+}
+
 unsigned
 EncryptionScheme::planWritePads(uint64_t, const StoredLineState &,
                                 LinePadRequest *) const
 {
-    // Default: no plannable pads. Paired with the default
-    // supportsBatchedWrites() == false, this routes the scheme
-    // through the one-at-a-time fallback inside a batch.
+    // Default: the scheme's pads depend on the data, so it generates
+    // them inside writeWithPads().
     return 0;
 }
 
@@ -45,17 +81,6 @@ EncryptionScheme::generatePads(const LinePadRequest *, AesBlock *,
         deuce_fatal("generatePads called on a scheme that plans no "
                     "pads");
     }
-}
-
-WriteResult
-EncryptionScheme::writeWithPads(uint64_t line_addr,
-                                const CacheLine &plaintext,
-                                StoredLineState &state,
-                                const CacheLine *) const
-{
-    // Only correct when planWritePads() returned 0 (no pads to
-    // consume); schemes that plan pads must override.
-    return write(line_addr, plaintext, state);
 }
 
 WriteResult

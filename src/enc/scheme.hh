@@ -6,8 +6,10 @@
  *
  * A scheme is a pure state transformer: given the line's current
  * stored state (cell image + counters + tracking bits) and a new
- * plaintext, write() produces the new stored state. All bit-flip
- * accounting is derived centrally by diffing old and new state
+ * plaintext, write() produces the new stored state. Every write runs
+ * down one path — planWritePads() → generatePads() → writeWithPads()
+ * — whether it arrives alone or in a burst. All bit-flip accounting
+ * is derived centrally by diffing old and new state
  * (makeWriteResult), so a scheme cannot misreport its own cost.
  */
 
@@ -37,9 +39,17 @@ constexpr unsigned kLineCounterBits = 28;
  * write; sizes the per-write slice of a batch pipeline's pad arena.
  * VCC is the current maximum: with N = 4 coset candidates it plans
  * 3N + 2 = 14 line pads (old/new candidate sets plus the two
- * auxiliary-word pads); DynDEUCE's three-way race needs five.
+ * auxiliary-word pads). DEUCE and DynDEUCE plan three.
  */
 constexpr unsigned kMaxWritePadLines = 14;
+
+/**
+ * Assemble @p lines 512-bit line pads from 4 * @p lines generated
+ * 16-byte blocks: block b of line pad p lands at bytes 16b..16b+15,
+ * exactly padForLine()'s layout.
+ */
+void assembleLinePads(const AesBlock *blocks, CacheLine *line_pads,
+                      unsigned lines);
 
 /**
  * Persistent per-line state as stored in the PCM array.
@@ -142,12 +152,14 @@ class EncryptionScheme
 
     /**
      * Apply one writeback of @p plaintext to the line, updating
-     * @p state in place.
+     * @p state in place: plan the write's pads into a stack arena,
+     * generate them in one generatePads() call, assemble them into
+     * line pads and hand them to writeWithPads() — the same three
+     * steps a batch pipeline runs over a whole burst.
      * @return the flip accounting for this write.
      */
-    virtual WriteResult write(uint64_t line_addr,
-                              const CacheLine &plaintext,
-                              StoredLineState &state) const = 0;
+    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
+                      StoredLineState &state) const;
 
     /** Decrypt the line's current contents. */
     virtual CacheLine read(uint64_t line_addr,
@@ -163,23 +175,18 @@ class EncryptionScheme
     virtual bool usesBlockCounters() const { return false; }
 
     /**
-     * Whether the scheme supports the batched write pipeline: its
-     * pad needs for a write are a pure function of the pre-write
-     * stored state (planWritePads), so a burst's pads can all be
-     * generated through one cipher stream before any line commits.
+     * Plan the 512-bit line pads one write of this (line, state) pair
+     * consumes, appending 4 block-granular requests per line pad
+     * (blocks 0..3 at one counter) to @p requests. A write's pads
+     * depend only on the pre-write state, so a burst's pads can all
+     * be generated through one cipher stream before any line commits.
      * Schemes whose pads depend on the incoming data (BLE's dirty
-     * mask, per-word counters) keep the default and fall back to
-     * one-at-a-time write() inside a batch.
-     */
-    virtual bool supportsBatchedWrites() const { return false; }
-
-    /**
-     * Plan the 512-bit line pads write() would generate for this
-     * (line, state) pair, appending 4 block-granular requests per
-     * line pad (blocks 0..3 at one counter) to @p requests — in the
-     * exact order the sequential path generates them, so pad counters
-     * stay bit-identical. @p requests must hold at least
-     * 4 * kMaxWritePadLines entries.
+     * mask, per-word counters) and schemes that write without pads
+     * (iNVMM, no encryption) keep the default and plan zero pads;
+     * any pads they need are generated inside writeWithPads().
+     * @p requests must hold at least 4 * kMaxWritePadLines entries,
+     * and a scheme plans at most kMaxWritePadLines line pads per
+     * write (test_scheme_properties checks every scheme id).
      * @return the number of line pads planned (not block requests).
      */
     virtual unsigned planWritePads(uint64_t line_addr,
@@ -195,17 +202,15 @@ class EncryptionScheme
                               AesBlock *pads, unsigned n) const;
 
     /**
-     * write(), but consuming the pre-generated line pads planned by
-     * planWritePads() (one CacheLine per planned line pad, blocks
-     * already assembled) instead of calling the OTP engine. Must be
-     * bit-identical to write() — same new state, same WriteResult.
-     * The default ignores @p line_pads and calls write(), which is
-     * only correct for schemes that plan zero pads.
+     * The scheme's write transition, consuming the line pads
+     * planWritePads() planned for this (line, state) pair — one
+     * CacheLine per planned line pad, blocks already assembled
+     * (assembleLinePads()). Zero-pad schemes ignore @p line_pads.
      */
     virtual WriteResult writeWithPads(uint64_t line_addr,
                                       const CacheLine &plaintext,
                                       StoredLineState &state,
-                                      const CacheLine *line_pads) const;
+                                      const CacheLine *line_pads) const = 0;
 
     /**
      * Register the scheme's stats under @p prefix (dotted, e.g.

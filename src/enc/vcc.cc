@@ -226,56 +226,6 @@ Vcc::install(uint64_t line_addr, const CacheLine &plaintext,
     state.cosetBits = (sel ^ aux) & auxMask_;
 }
 
-WriteResult
-Vcc::writeCore(uint64_t, const CacheLine &plaintext,
-               StoredLineState &state, const CacheLine *lctr_cands,
-               const CacheLine *tctr_cands, uint64_t aux_old,
-               const CacheLine *new_cands, uint64_t aux_new) const
-{
-    StoredLineState before = state;
-
-    // Read-back: decode the current selection word, then the current
-    // plaintext, to identify the words this write modifies.
-    uint64_t old_sel = (state.cosetBits ^ aux_old) & auxMask_;
-    CacheLine cur_plain = decryptWithPads(
-        state.data, state.modifiedBits, old_sel, lctr_cands, tctr_cands);
-
-    uint64_t new_counter = state.counter + 1;
-    CacheLine cipher;
-    uint64_t modified = 0;
-    uint64_t sel = 0;
-    encryptStep(plaintext, cur_plain, state.data, new_counter,
-                state.modifiedBits, old_sel, new_cands, cipher, modified,
-                sel);
-
-    state.counter = new_counter;
-    state.modifiedBits = modified;
-    state.data = cipher;
-    // The auxiliary word is re-randomized under a fresh pad on every
-    // write — its ~numWords*selBits/2 flips are the price of keeping
-    // the data-dependent selection indices encrypted.
-    state.cosetBits = (sel ^ aux_new) & auxMask_;
-    return makeWriteResult(before, state);
-}
-
-WriteResult
-Vcc::write(uint64_t line_addr, const CacheLine &plaintext,
-           StoredLineState &state) const
-{
-    // Pad generation order must match planWritePads() exactly.
-    CacheLine lctr_cands[kMaxCandidates];
-    CacheLine tctr_cands[kMaxCandidates];
-    CacheLine new_cands[kMaxCandidates];
-    genCandidates(line_addr, state.counter, lctr_cands);
-    genCandidates(line_addr, trailingCounter(state.counter), tctr_cands);
-    uint64_t aux_old = auxPad64(line_addr, state.counter);
-    genCandidates(line_addr, state.counter + 1, new_cands);
-    uint64_t aux_new = auxPad64(line_addr, state.counter + 1);
-
-    return writeCore(line_addr, plaintext, state, lctr_cands, tctr_cands,
-                     aux_old, new_cands, aux_new);
-}
-
 CacheLine
 Vcc::read(uint64_t line_addr, const StoredLineState &state) const
 {
@@ -326,17 +276,41 @@ Vcc::generatePads(const LinePadRequest *requests, AesBlock *pads,
 }
 
 WriteResult
-Vcc::writeWithPads(uint64_t line_addr, const CacheLine &plaintext,
+Vcc::writeWithPads(uint64_t, const CacheLine &plaintext,
                    StoredLineState &state,
                    const CacheLine *line_pads) const
 {
     const unsigned n = cfg_.candidates;
-    return writeCore(line_addr, plaintext, state,
-                     /*lctr_cands=*/line_pads,
-                     /*tctr_cands=*/line_pads + n,
-                     /*aux_old=*/line_pads[2 * n].limbs()[0],
-                     /*new_cands=*/line_pads + 2 * n + 1,
-                     /*aux_new=*/line_pads[3 * n + 1].limbs()[0]);
+    const CacheLine *lctr_cands = line_pads;
+    const CacheLine *tctr_cands = line_pads + n;
+    const uint64_t aux_old = line_pads[2 * n].limbs()[0];
+    const CacheLine *new_cands = line_pads + 2 * n + 1;
+    const uint64_t aux_new = line_pads[3 * n + 1].limbs()[0];
+
+    StoredLineState before = state;
+
+    // Read-back: decode the current selection word, then the current
+    // plaintext, to identify the words this write modifies.
+    uint64_t old_sel = (state.cosetBits ^ aux_old) & auxMask_;
+    CacheLine cur_plain = decryptWithPads(
+        state.data, state.modifiedBits, old_sel, lctr_cands, tctr_cands);
+
+    uint64_t new_counter = state.counter + 1;
+    CacheLine cipher;
+    uint64_t modified = 0;
+    uint64_t sel = 0;
+    encryptStep(plaintext, cur_plain, state.data, new_counter,
+                state.modifiedBits, old_sel, new_cands, cipher, modified,
+                sel);
+
+    state.counter = new_counter;
+    state.modifiedBits = modified;
+    state.data = cipher;
+    // The auxiliary word is re-randomized under a fresh pad on every
+    // write — its ~numWords*selBits/2 flips are the price of keeping
+    // the data-dependent selection indices encrypted.
+    state.cosetBits = (sel ^ aux_new) & auxMask_;
+    return makeWriteResult(before, state);
 }
 
 } // namespace deuce

@@ -81,8 +81,6 @@ class Vcc : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
-                      StoredLineState &state) const override;
     CacheLine read(uint64_t line_addr,
                    const StoredLineState &state) const override;
 
@@ -132,10 +130,8 @@ class Vcc : public EncryptionScheme
      * Pad plan: the N candidates of LCTR(c), the N candidates of
      * TCTR(c) and the auxiliary pad of c for the read-back, then the
      * N candidates of c+1 and the auxiliary pad of c+1 for the new
-     * image — 3N + 2 line pads, in the exact order the sequential
-     * path generates them.
+     * image — 3N + 2 line pads.
      */
-    bool supportsBatchedWrites() const override { return true; }
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
                            LinePadRequest *requests) const override;
@@ -180,14 +176,6 @@ class Vcc : public EncryptionScheme
     CacheLine decryptWithPads(const CacheLine &cipher, uint64_t modified,
                               uint64_t sel, const CacheLine *lctr_cands,
                               const CacheLine *tctr_cands) const;
-
-    /** Shared body of write() and writeWithPads(). */
-    WriteResult writeCore(uint64_t line_addr, const CacheLine &plaintext,
-                          StoredLineState &state,
-                          const CacheLine *lctr_cands,
-                          const CacheLine *tctr_cands, uint64_t aux_old,
-                          const CacheLine *new_cands,
-                          uint64_t aux_new) const;
 
     const OtpEngine &otp_;
     VccConfig cfg_;

@@ -6,6 +6,7 @@
 #include "pcm/wear_tracker.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/line_kernels.hh"
 
@@ -82,14 +83,22 @@ WearTracker::recordWriteBatch(const CacheLine *phys_diffs,
     } else {
         // Expand each physical diff to its programmed-cell mask in
         // chunk-sized scratch, then run the same cross-line kernels.
-        CacheLine expanded[kChunk];
+        // The scratch is raw storage: a CacheLine array would zero all
+        // kChunk lines per call, and a one-write batch needs one.
+        union Scratch
+        {
+            Scratch() {}
+            CacheLine lines[kChunk];
+        } expanded;
         for (std::size_t i = 0; i < n; i += kChunk) {
             std::size_t c = n - i < kChunk ? n - i : kChunk;
             for (std::size_t j = 0; j < c; ++j) {
-                k.mlcCellDiffInto(phys_diffs[i + j], expanded[j]);
+                CacheLine *line =
+                    std::construct_at(&expanded.lines[j], phys_diffs[i + j]);
+                k.mlcCellDiffInto(*line, *line);
             }
-            k.accumulateFlipsBatch(expanded, c, dataFlips_.data());
-            k.popcountBatch(expanded, counts, c);
+            k.accumulateFlipsBatch(expanded.lines, c, dataFlips_.data());
+            k.popcountBatch(expanded.lines, counts, c);
             for (std::size_t j = 0; j < c; ++j) {
                 totalDataFlips_ += counts[j];
             }

@@ -274,25 +274,31 @@ ShardedMemorySystem::backpressureStalls() const
     return total;
 }
 
-Completion
-ShardedMemorySystem::apply(Shard &shard, Request &req)
+namespace
 {
-    deuce_assert(req.tenant < cfg_.tenants);
+
+/** A completion echoing @p req's identity and submit stamp. */
+Completion
+completionOf(const Request &req)
+{
     Completion c;
     c.op = req.op;
     c.tenant = req.tenant;
     c.addr = req.addr;
     c.seq = req.seq;
     c.submitNs = req.submitNs;
-    uint64_t addr = TenantScheme::globalAddr(req.tenant, req.addr,
-                                             cfg_.tenantAddrBits);
-    if (req.op == ReqOp::Write) {
-        WriteOutcome outcome = shard.system.write(addr, req.data);
-        c.slots = outcome.slots;
-        c.flips = outcome.result.totalFlips();
-    } else {
-        c.data = shard.system.read(addr);
-    }
+    return c;
+}
+
+} // namespace
+
+Completion
+ShardedMemorySystem::applyRead(Shard &shard, const Request &req)
+{
+    deuce_assert(req.tenant < cfg_.tenants);
+    Completion c = completionOf(req);
+    c.data = shard.system.read(TenantScheme::globalAddr(
+        req.tenant, req.addr, cfg_.tenantAddrBits));
     c.completeNs = nowNs();
     return c;
 }
@@ -350,7 +356,7 @@ ShardedMemorySystem::workerLoop(unsigned s)
             std::size_t i = 0;
             while (i < burst.size()) {
                 if (burst[i].op != ReqOp::Write) {
-                    completions.push_back(apply(shard, burst[i]));
+                    completions.push_back(applyRead(shard, burst[i]));
                     recordCompletion(shard, completions.back());
                     ++i;
                     continue;
@@ -370,13 +376,7 @@ ShardedMemorySystem::workerLoop(unsigned s)
                 std::span<const WriteOutcome> outcomes =
                     shard.system.writeBatch(writes);
                 for (std::size_t k = 0; k < outcomes.size(); ++k) {
-                    const Request &r = burst[run_start + k];
-                    Completion c;
-                    c.op = r.op;
-                    c.tenant = r.tenant;
-                    c.addr = r.addr;
-                    c.seq = r.seq;
-                    c.submitNs = r.submitNs;
+                    Completion c = completionOf(burst[run_start + k]);
                     c.slots = outcomes[k].slots;
                     c.flips = outcomes[k].result.totalFlips();
                     c.completeNs = nowNs();

@@ -306,7 +306,8 @@ class ShardedMemorySystem
     };
 
     void workerLoop(unsigned s);
-    Completion apply(Shard &shard, Request &req);
+    /** Serve one read (write runs go through writeBatch()). */
+    Completion applyRead(Shard &shard, const Request &req);
     void recordCompletion(Shard &shard, const Completion &c);
 
     ServeConfig cfg_;

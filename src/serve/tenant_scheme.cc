@@ -54,26 +54,12 @@ TenantScheme::install(uint64_t line_addr, const CacheLine &plaintext,
         .install(localOf(line_addr), plaintext, state);
 }
 
-WriteResult
-TenantScheme::write(uint64_t line_addr, const CacheLine &plaintext,
-                    StoredLineState &state) const
-{
-    return tenantScheme(tenantOf(line_addr))
-        .write(localOf(line_addr), plaintext, state);
-}
-
 CacheLine
 TenantScheme::read(uint64_t line_addr,
                    const StoredLineState &state) const
 {
     return tenantScheme(tenantOf(line_addr))
         .read(localOf(line_addr), state);
-}
-
-bool
-TenantScheme::supportsBatchedWrites() const
-{
-    return schemes_[0]->supportsBatchedWrites();
 }
 
 unsigned

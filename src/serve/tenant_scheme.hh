@@ -73,20 +73,17 @@ class TenantScheme final : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
-                      StoredLineState &state) const override;
     CacheLine read(uint64_t line_addr,
                    const StoredLineState &state) const override;
 
     /**
-     * Batched writes pass through when the inner scheme supports
-     * them. Plans carry global addresses (so one burst may mix
-     * tenants); generatePads() splits the request stream into
-     * consecutive same-tenant runs and hands each run — rewritten to
+     * Writes pass through to the inner scheme's plan and pads. Plans
+     * carry global addresses (so one burst may mix tenants);
+     * generatePads() splits the request stream into consecutive
+     * same-tenant runs and hands each run — rewritten to
      * tenant-local addresses — to that tenant's inner scheme, which
      * generates through its own key domain's engine.
      */
-    bool supportsBatchedWrites() const override;
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
                            LinePadRequest *requests) const override;

@@ -76,62 +76,12 @@ MemorySystem::install(uint64_t line_addr)
 WriteOutcome
 MemorySystem::write(uint64_t line_addr, const CacheLine &plaintext)
 {
-    StoredLineState &state = install(line_addr);
-
-    // Vertical wear leveling advances on demand writes. The gap copy
-    // itself rewrites one line at its new rotation; its (~1% of
-    // traffic) flip cost is the classic Start-Gap overhead and is not
-    // charged to the scheme under study, matching the paper.
-    if (vwl_) {
-        vwl_->onWrite();
-    }
-
-    WriteOutcome outcome;
-    outcome.result = scheme_.write(line_addr, plaintext, state);
-
-    unsigned rotation = rotation_->rotationFor(line_addr);
-    rotation_->onWrite(line_addr);
-    unsigned rot = rotation % CacheLine::kBits;
-
-    // The fault domain sees the same physical view as the wear
-    // tracker: the HWL rotation decides which cells the flips land on
-    // and which cells the image occupies.
-    if (fault_) {
-        FaultDomain::Outcome f = fault_->onWrite(
-            line_addr,
-            rot ? outcome.result.dataDiff.rotl(rot)
-                : outcome.result.dataDiff,
-            rot ? state.data.rotl(rot) : state.data);
-        outcome.faultCorrectedCells = f.correctedCells;
-        outcome.faultUncorrectable = f.uncorrectable;
-    }
-
-    outcome.slots = slotsForWrite(outcome.result.dataDiff,
-                                  outcome.result.metaFlips, pcm_);
-    outcome.writeLatencyNs =
-        static_cast<double>(outcome.slots) * pcm_.writeSlotNs;
-    if (pcm_.cellTech == CellTech::MLC2) {
-        chargeMlcWrite(rot ? outcome.result.dataDiff.rotl(rot)
-                           : outcome.result.dataDiff,
-                       state.data, rot, outcome);
-    }
-    outcome.flipFraction =
-        static_cast<double>(outcome.result.totalFlips()) /
-        CacheLine::kBits;
-
-    counters_.noteWrite(line_addr, outcome.result, outcome.slots,
-                        outcome.flipFraction, rotation);
-
-    obs::flightRecorderRecord(obs::FlightEventKind::Write, 0, 0,
-                              line_addr, outcome.result.totalFlips());
-
-    if (persist_) {
-        PersistTraffic t = persist_->onWrite(line_addr, state);
-        outcome.persistMetaWrites =
-            static_cast<unsigned>(t.criticalMetaWrites);
-        counters_.notePersist(t.metaReads, t.metaWrites);
-    }
-    return outcome;
+    // A write is a burst of one: the same commit sequence as
+    // writeBatch(), without the burst's WriteBatch flight event.
+    scratch_.outcomes.clear();
+    const WriteRequest request{line_addr, plaintext};
+    applyBatchChunk({&request, 1});
+    return scratch_.outcomes.front();
 }
 
 void
@@ -174,16 +124,6 @@ MemorySystem::writeBatch(std::span<const WriteRequest> requests)
     }
     s.outcomes.reserve(requests.size());
 
-    if (!scheme_.supportsBatchedWrites()) {
-        // Data-dependent pad schemes (BLE's dirty mask, per-word
-        // counters) cannot pre-plan; their batch is the sequential
-        // path with batched result storage.
-        for (const WriteRequest &r : requests) {
-            s.outcomes.push_back(write(r.lineAddr, r.data));
-        }
-        return {s.outcomes.data(), s.outcomes.size()};
-    }
-
     // A repeated address must plan its second write against the
     // post-first-write state, so the burst splits into duplicate-free
     // chunks committed in order.
@@ -209,12 +149,21 @@ MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
     BatchScratch &s = scratch_;
     const std::size_t n = chunk.size();
 
+    // The arenas only grow. Duplicate splits make chunk sizes vary,
+    // and resizing down and up again would value-initialize the
+    // regrown tail (56 pad requests a line) on every longer chunk.
+    auto reserveArena = [](auto &arena, std::size_t size) {
+        if (arena.size() < size) {
+            arena.resize(size);
+        }
+    };
+
     // Phase 1: install every line and collect its pad plan. Installs
     // charge nothing and each line's plan depends only on its own
     // state, so hoisting them ahead of the commits changes no result.
-    s.states.resize(n);
-    s.padOffsets.resize(n + 1);
-    s.padReqs.resize(4 * kMaxWritePadLines * n);
+    reserveArena(s.states, n);
+    reserveArena(s.padOffsets, n + 1);
+    reserveArena(s.padReqs, 4 * kMaxWritePadLines * n);
     unsigned pad_total = 0;
     for (std::size_t i = 0; i < n; ++i) {
         StoredLineState &state = install(chunk[i].lineAddr);
@@ -225,26 +174,28 @@ MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
     }
     s.padOffsets[n] = pad_total;
 
-    // Phase 2: one pad stream for the whole chunk, then assemble the
-    // 16-byte blocks into 64-byte line pads (block b at bytes
-    // 16b..16b+15, exactly padForLine()'s layout).
-    s.pads.resize(4 * pad_total);
+    // Phase 2: one pad stream for the whole chunk, assembled into
+    // 64-byte line pads.
+    reserveArena(s.pads, 4 * pad_total);
     scheme_.generatePads(s.padReqs.data(), s.pads.data(), 4 * pad_total);
-    s.linePads.resize(pad_total);
-    for (unsigned p = 0; p < pad_total; ++p) {
-        s.linePads[p] = CacheLine::fromBytes(s.pads[4 * p].data());
-    }
+    reserveArena(s.linePads, pad_total);
+    assembleLinePads(s.pads.data(), s.linePads.data(), pad_total);
 
-    // Phase 3: commit in request order — the exact per-write step
-    // sequence of write(), with the wear landing deferred (wear is
-    // integer-exact and commutative) to one cross-line batch below.
-    s.physDiffs.resize(n);
-    s.metaDiffs.resize(n);
-    s.cosetDiffs.resize(n);
+    // Phase 3: commit in request order, with the wear landing
+    // deferred (wear is integer-exact and commutative) to one
+    // cross-line batch below.
+    reserveArena(s.physDiffs, n);
+    reserveArena(s.metaDiffs, n);
+    reserveArena(s.cosetDiffs, n);
     for (std::size_t i = 0; i < n; ++i) {
         const uint64_t addr = chunk[i].lineAddr;
         StoredLineState &state = *s.states[i];
 
+        // Vertical wear leveling advances on demand writes. The gap
+        // copy itself rewrites one line at its new rotation; its (~1%
+        // of traffic) flip cost is the classic Start-Gap overhead and
+        // is not charged to the scheme under study, matching the
+        // paper.
         if (vwl_) {
             vwl_->onWrite();
         }
@@ -257,6 +208,9 @@ MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
         unsigned rotation = rotation_->rotationFor(addr);
         rotation_->onWrite(addr);
 
+        // The fault domain sees the same physical view as the wear
+        // tracker: the HWL rotation decides which cells the flips
+        // land on and which cells the image occupies.
         unsigned rot = rotation % CacheLine::kBits;
         const CacheLine phys = rot ? outcome.result.dataDiff.rotl(rot)
                                    : outcome.result.dataDiff;

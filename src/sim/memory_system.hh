@@ -148,25 +148,29 @@ class MemorySystem
     MemorySystem &operator=(const MemorySystem &) = delete;
     MemorySystem &operator=(MemorySystem &&) = delete;
 
-    /** Write back a line (installing it first if never seen). */
+    /**
+     * Write back a line (installing it first if never seen): a
+     * writeBatch() of one, minus the burst's WriteBatch flight event.
+     * Reuses the outcome arena, so it also ends the life of the span
+     * the last writeBatch() returned.
+     */
     WriteOutcome write(uint64_t line_addr, const CacheLine &plaintext);
 
     /**
-     * Write back a burst of lines through the batched pipeline:
-     * install + pad-plan every line, generate all OTP pads in one
-     * cipher stream (where wide AES backends earn their keep), then
-     * commit slots/wear/fault/persist in request order with the
-     * burst's wear landed through the cross-line kernels.
+     * Write back a burst of lines: install + pad-plan every line,
+     * generate all OTP pads in one cipher stream (where wide AES
+     * backends earn their keep), then commit slots/wear/fault/persist
+     * in request order with the burst's wear landed through the
+     * cross-line kernels.
      *
      * Bit-identical to calling write() per request, in order — same
      * outcomes, same stored states, same counter signature — for
-     * every scheme: schemes whose pads depend on the incoming data
-     * (no supportsBatchedWrites()) transparently take the sequential
-     * path, and a repeated address splits the burst so later writes
-     * plan against post-write state.
+     * every scheme. Schemes whose pads depend on the incoming data
+     * plan none and generate them at commit; a repeated address
+     * splits the burst so later writes plan against post-write state.
      *
      * The returned span lives in a per-system arena reused by the
-     * next writeBatch() call — consume it before then.
+     * next write() or writeBatch() call — consume it before then.
      */
     std::span<const WriteOutcome>
     writeBatch(std::span<const WriteRequest> requests);
@@ -292,7 +296,11 @@ class MemorySystem
   private:
     StoredLineState &install(uint64_t line_addr);
 
-    /** One duplicate-free slice of a batch, scheme batch-capable. */
+    /**
+     * Commit one duplicate-free slice of a burst (plan → generate →
+     * writeWithPads → accounting), appending its outcomes to the
+     * outcome arena. Every write, single or batched, lands here.
+     */
     void applyBatchChunk(std::span<const WriteRequest> chunk);
 
     /**

@@ -312,6 +312,35 @@ TEST_P(LineKernelDifferential, AccumulateFlipsBatchMatchesScalar)
     }
 }
 
+TEST_P(LineKernelDifferential, AccumulateFlipsBatchLongDenseBursts)
+{
+    // All-ones diffs drive every per-position count to the burst
+    // length: bursts around 255 lines cross the point where a narrow
+    // per-position counter would have to be widened, and a random
+    // tail checks the positions stay apart.
+    Rng rng(17);
+    std::vector<CacheLine> diffs(600, ~CacheLine{});
+    for (std::size_t i = 300; i < diffs.size(); ++i) {
+        for (unsigned l = 0; l < CacheLine::kLimbs; ++l) {
+            diffs[i].limb(l) = rng.next();
+        }
+    }
+    for (std::size_t n : std::vector<std::size_t>{
+             9, 64, 254, 255, 256, 300, 511, 600}) {
+        uint64_t got[CacheLine::kBits];
+        uint64_t want[CacheLine::kBits];
+        for (unsigned i = 0; i < CacheLine::kBits; ++i) {
+            got[i] = want[i] = i * 7 + 5;
+        }
+        ops().accumulateFlipsBatch(diffs.data(), n, got);
+        for (std::size_t i = 0; i < n; ++i) {
+            ref().accumulateFlips(diffs[i], want);
+        }
+        EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0)
+            << "batch size " << n;
+    }
+}
+
 std::string
 backendTestName(
     const ::testing::TestParamInfo<LineBackendKind> &info)

@@ -9,13 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "crypto/otp_engine.hh"
 #include "enc/deuce.hh"
+#include "enc/scheme_factory.hh"
 
 namespace deuce
 {
@@ -358,6 +361,39 @@ INSTANTIATE_TEST_SUITE_P(
         return "w" + std::to_string(std::get<0>(info.param)) + "e" +
                std::to_string(std::get<1>(info.param));
     });
+
+TEST(DeucePadPlan, OneWritePlansEachPadOnce)
+{
+    // Mid-epoch (neither c nor c+1 starts an epoch) TCTR(c+1) equals
+    // TCTR(c), and DynDEUCE's FNW candidate re-encrypts under LCTR(c+1):
+    // a write that plans either pad twice spends AES work on a pad it
+    // already holds.
+    FastOtpEngine otp(7);
+    for (const char *id : {"deuce", "deuce-fnw", "dyndeuce"}) {
+        std::unique_ptr<EncryptionScheme> scheme = makeScheme(id, otp);
+        for (uint64_t c : {uint64_t{5}, uint64_t{33}, uint64_t{94}}) {
+            SCOPED_TRACE(std::string(id) + " counter=" +
+                         std::to_string(c));
+            StoredLineState state;
+            scheme->install(9, CacheLine{}, state);
+            state.counter = c;
+            state.modifiedBits = 0x5;
+
+            LinePadRequest reqs[4 * kMaxWritePadLines];
+            unsigned n = scheme->planWritePads(9, state, reqs);
+            ASSERT_GT(n, 0u);
+            std::set<std::tuple<uint64_t, uint64_t, unsigned>> seen;
+            for (unsigned i = 0; i < 4 * n; ++i) {
+                EXPECT_TRUE(seen.emplace(reqs[i].lineAddr,
+                                         reqs[i].counter, reqs[i].block)
+                                .second)
+                    << "pad (" << reqs[i].lineAddr << ", "
+                    << reqs[i].counter << ", " << reqs[i].block
+                    << ") planned twice";
+            }
+        }
+    }
+}
 
 } // namespace
 } // namespace deuce

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -192,6 +194,34 @@ TEST(SchemeProperty, CorruptionContainmentOfXorPadSchemes)
         CacheLine after = scheme->read(6, corrupted);
         EXPECT_EQ(hammingDistance(before, after), 1u) << id;
         EXPECT_NE(before.bit(bit), after.bit(bit)) << id;
+    }
+}
+
+TEST(SchemeProperty, PadPlanFitsTheWriteArena)
+{
+    // EncryptionScheme::write() plans into a fixed arena of
+    // 4 * kMaxWritePadLines requests: every scheme must stay within
+    // it on every write, epoch starts included. The buffer here is
+    // oversized so an over-plan fails the check instead of overrunning
+    // it.
+    std::unique_ptr<OtpEngine> otp = makeAesOtpEngine(4242);
+    for (const char *id :
+         {"nodcw", "nofnw", "encr", "encr-fnw", "ble", "ble-deuce",
+          "deuce", "deuce-fnw", "dyndeuce", "deuce-1b", "deuce-8b",
+          "deuce-e8", "addrpad", "invmm", "perword", "vcc", "vcc-mlc"}) {
+        auto scheme = makeScheme(id, *otp);
+        Rng rng(6);
+        CacheLine plain = randomLine(rng);
+        StoredLineState state;
+        scheme->install(11, plain, state);
+        std::vector<LinePadRequest> reqs(16 * kMaxWritePadLines);
+        for (int step = 0; step < 80; ++step) {
+            ASSERT_LE(scheme->planWritePads(11, state, reqs.data()),
+                      kMaxWritePadLines)
+                << id << " step " << step;
+            plain = sparseMutate(plain, rng);
+            scheme->write(11, plain, state);
+        }
     }
 }
 

@@ -315,6 +315,21 @@ TEST(WriteBatch, DuplicateHeavyBursts)
     }
 }
 
+TEST(WriteBatch, LongDuplicateFreeChunks)
+{
+    // A wide pool makes chunks run ~90 lines before the first repeated
+    // address (the tests above, over 29 lines, cut them at ~7), so
+    // chunk pads come from one long stream and the wear lands through
+    // the wide cross-line kernel paths. Bursts of 200 also exceed the
+    // 64 lines the serving core and the benches use.
+    for (const char *id : {"deuce", "dyndeuce", "ble", "vcc"}) {
+        expectBatchedMatchesSequential(id, 200, true,
+                                       WearLevelingConfig{},
+                                       FaultConfig{}, PersistConfig{},
+                                       /*writes=*/600, /*pool=*/5000);
+    }
+}
+
 TEST(WriteBatch, EmptyBatchIsNoOp)
 {
     Fixture f("deuce", true, WearLevelingConfig{}, FaultConfig{},
