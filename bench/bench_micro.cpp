@@ -25,15 +25,20 @@ namespace
 using namespace deuce;
 
 /**
- * The AES benchmarks run once per backend so the tier-1 perf smoke
- * can compare them; an aesni capture on a host without AES-NI skips
- * with an error row instead of silently benchmarking the fallback.
+ * The AES benchmarks run once per backend Auto can pick on x86 plus
+ * the scalar reference, so the tier-1 perf smoke can compare them; a
+ * hardware capture on a host without that ISA skips with an error row
+ * instead of silently benchmarking the fallback.
  */
 bool
 skipUnavailable(benchmark::State &state, AesBackendKind backend)
 {
     if (backend == AesBackendKind::AesNi && !aesniAvailable()) {
         state.SkipWithError("AES-NI unavailable on this host");
+        return true;
+    }
+    if (backend == AesBackendKind::Vaes && !vaesAvailable()) {
+        state.SkipWithError("VAES/AVX-512 unavailable on this host");
         return true;
     }
     return false;
@@ -55,8 +60,8 @@ BM_AesEncryptBlock(benchmark::State &state, AesBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 16);
 }
 BENCHMARK_CAPTURE(BM_AesEncryptBlock, scalar, AesBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_AesEncryptBlock, ttable, AesBackendKind::TTable);
 BENCHMARK_CAPTURE(BM_AesEncryptBlock, aesni, AesBackendKind::AesNi);
+BENCHMARK_CAPTURE(BM_AesEncryptBlock, vaes, AesBackendKind::Vaes);
 
 void
 BM_AesDecryptBlock(benchmark::State &state, AesBackendKind backend)
@@ -74,8 +79,8 @@ BM_AesDecryptBlock(benchmark::State &state, AesBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 16);
 }
 BENCHMARK_CAPTURE(BM_AesDecryptBlock, scalar, AesBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_AesDecryptBlock, ttable, AesBackendKind::TTable);
 BENCHMARK_CAPTURE(BM_AesDecryptBlock, aesni, AesBackendKind::AesNi);
+BENCHMARK_CAPTURE(BM_AesDecryptBlock, vaes, AesBackendKind::Vaes);
 
 void
 BM_AesEncrypt4(benchmark::State &state, AesBackendKind backend)
@@ -98,8 +103,8 @@ BM_AesEncrypt4(benchmark::State &state, AesBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 64);
 }
 BENCHMARK_CAPTURE(BM_AesEncrypt4, scalar, AesBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_AesEncrypt4, ttable, AesBackendKind::TTable);
 BENCHMARK_CAPTURE(BM_AesEncrypt4, aesni, AesBackendKind::AesNi);
+BENCHMARK_CAPTURE(BM_AesEncrypt4, vaes, AesBackendKind::Vaes);
 
 void
 BM_PadForLine(benchmark::State &state, AesBackendKind backend)
@@ -116,8 +121,8 @@ BM_PadForLine(benchmark::State &state, AesBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 64);
 }
 BENCHMARK_CAPTURE(BM_PadForLine, scalar, AesBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_PadForLine, ttable, AesBackendKind::TTable);
 BENCHMARK_CAPTURE(BM_PadForLine, aesni, AesBackendKind::AesNi);
+BENCHMARK_CAPTURE(BM_PadForLine, vaes, AesBackendKind::Vaes);
 
 void
 BM_PadForLineFast(benchmark::State &state)
@@ -168,10 +173,6 @@ BENCHMARK(BM_LinePopcount);
 bool
 skipUnavailable(benchmark::State &state, LineBackendKind backend)
 {
-    if (backend == LineBackendKind::Sse2 && !sse2Available()) {
-        state.SkipWithError("SSE2 unavailable on this host");
-        return true;
-    }
     if (backend == LineBackendKind::Avx2 && !avx2Available()) {
         state.SkipWithError("AVX2 unavailable on this host");
         return true;
@@ -204,7 +205,6 @@ BM_LineXorPopcount(benchmark::State &state, LineBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 2 * 64);
 }
 BENCHMARK_CAPTURE(BM_LineXorPopcount, scalar, LineBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_LineXorPopcount, sse2, LineBackendKind::Sse2);
 BENCHMARK_CAPTURE(BM_LineXorPopcount, avx2, LineBackendKind::Avx2);
 
 void
@@ -225,7 +225,6 @@ BM_LineDiffInto(benchmark::State &state, LineBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 2 * 64);
 }
 BENCHMARK_CAPTURE(BM_LineDiffInto, scalar, LineBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_LineDiffInto, sse2, LineBackendKind::Sse2);
 BENCHMARK_CAPTURE(BM_LineDiffInto, avx2, LineBackendKind::Avx2);
 
 void
@@ -247,7 +246,6 @@ BM_LineWordDiffMask(benchmark::State &state, LineBackendKind backend)
     state.SetBytesProcessed(state.iterations() * 2 * 64);
 }
 BENCHMARK_CAPTURE(BM_LineWordDiffMask, scalar, LineBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_LineWordDiffMask, sse2, LineBackendKind::Sse2);
 BENCHMARK_CAPTURE(BM_LineWordDiffMask, avx2, LineBackendKind::Avx2);
 
 void
@@ -269,7 +267,6 @@ BM_LineRegionPopcounts(benchmark::State &state, LineBackendKind backend)
 }
 BENCHMARK_CAPTURE(BM_LineRegionPopcounts, scalar,
                   LineBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_LineRegionPopcounts, sse2, LineBackendKind::Sse2);
 BENCHMARK_CAPTURE(BM_LineRegionPopcounts, avx2, LineBackendKind::Avx2);
 
 void
@@ -296,8 +293,6 @@ BM_LineXorPopcountBatch(benchmark::State &state,
 }
 BENCHMARK_CAPTURE(BM_LineXorPopcountBatch, scalar,
                   LineBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_LineXorPopcountBatch, sse2,
-                  LineBackendKind::Sse2);
 BENCHMARK_CAPTURE(BM_LineXorPopcountBatch, avx2,
                   LineBackendKind::Avx2);
 

@@ -261,9 +261,8 @@ main(int argc, char **argv)
     std::vector<AesBackendKind> backends{AesBackendKind::Auto};
     if (args.allBackends) {
         for (AesBackendKind k :
-             {AesBackendKind::Scalar, AesBackendKind::TTable,
-              AesBackendKind::AesNi, AesBackendKind::Vaes,
-              AesBackendKind::Neon}) {
+             {AesBackendKind::Scalar, AesBackendKind::AesNi,
+              AesBackendKind::Vaes, AesBackendKind::Neon}) {
             if (backendAvailable(k)) {
                 backends.push_back(k);
             }

@@ -19,13 +19,13 @@
  *   --vwl <startgap|sr>     vertical wear-leveling engine
  *   --fast-otp              hash-based pads instead of AES
  *   --aes-backend <b>       AES implementation: auto (default),
- *                           scalar, ttable, aesni, vaes, or neon
- *                           (falls back with a warning when the host
+ *                           scalar, aesni, vaes, or neon (falls back
+ *                           to auto with a warning when the host
  *                           lacks the ISA)
  *   --line-backend <b>      cache-line kernels: auto (default),
- *                           scalar, sse2, avx2, or neon (falls back
- *                           with a warning when the host lacks the
- *                           ISA)
+ *                           scalar, avx2, or neon (falls back to
+ *                           scalar with a warning when the host lacks
+ *                           the ISA)
  *   --batch <n>             writeback burst size for the batched
  *                           write pipeline (default 64; 1 replays
  *                           one write at a time; results are
@@ -69,15 +69,22 @@
  * --telemetry-out for wrapped invocations; DEUCE_FLIGHT_RECORDER=
  * <path> arms the in-memory flight recorder (obs/flight_recorder.hh).
  *
+ * Numeric values are parsed strictly: empty input, trailing junk, a
+ * sign on an unsigned value, overflow and non-finite reals print the
+ * usage line and exit 2, as does an unknown flag or backend name.
  * A configuration error (unknown bench or scheme id, ...) prints
  * "deuce: fatal: <message>" and exits 1; the trace and flight dumps
  * configured so far are still written.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -125,8 +132,8 @@ usage(const char *argv0)
               << " [--bench <name|all>] [--scheme <id[,id...]>]"
                  " [--writebacks <n>] [--timing] [--hwl] [--vwl startgap|sr]"
                  " [--fast-otp]"
-                 " [--aes-backend auto|scalar|ttable|aesni|vaes|neon]"
-                 " [--line-backend auto|scalar|sse2|avx2|neon]"
+                 " [--aes-backend auto|scalar|aesni|vaes|neon]"
+                 " [--line-backend auto|scalar|avx2|neon]"
                  " [--batch <n>]"
                  " [--seed <n>] [--mlp <x>] [--threads <n>]"
                  " [--fault] [--ecp <n>] [--endurance <flips>]"
@@ -138,6 +145,45 @@ usage(const char *argv0)
                  " [--progress] [--telemetry-out <base>]"
                  " [--telemetry-period-ms <n>] [--slo-p99-us <us>]\n";
     std::exit(2);
+}
+
+/**
+ * Strict base-10 unsigned parse: digits only (no sign, no leading
+ * space, no trailing junk) and at most @p max; anything else exits
+ * through usage().
+ */
+uint64_t
+parseUnsigned(const char *argv0, const char *text,
+              uint64_t max = std::numeric_limits<uint64_t>::max())
+{
+    if (!std::isdigit(static_cast<unsigned char>(*text))) {
+        usage(argv0);
+    }
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE || v > max) {
+        usage(argv0);
+    }
+    return v;
+}
+
+/** Strict finite real parse: no leading space, no trailing junk, no
+ *  overflow, no inf/nan; anything else exits through usage(). */
+double
+parseDouble(const char *argv0, const char *text)
+{
+    if (*text == '\0' ||
+        std::isspace(static_cast<unsigned char>(*text))) {
+        usage(argv0);
+    }
+    errno = 0;
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    if (*end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+        usage(argv0);
+    }
+    return v;
 }
 
 std::vector<std::string>
@@ -161,6 +207,7 @@ splitCommas(const std::string &list)
 CliOptions
 parseArgs(int argc, char **argv)
 {
+    constexpr uint64_t kUintMax = std::numeric_limits<unsigned>::max();
     CliOptions cli;
     cli.experiment.writebacks = 60000;
     cli.experiment.wl.verticalEnabled = true;
@@ -182,8 +229,7 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg == "--writebacks") {
-            cli.experiment.writebacks =
-                std::strtoull(value(), nullptr, 10);
+            cli.experiment.writebacks = parseUnsigned(argv[0], value());
         } else if (arg == "--timing") {
             cli.experiment.timing = true;
         } else if (arg == "--hwl") {
@@ -218,21 +264,20 @@ parseArgs(int argc, char **argv)
             setLineBackend(*parsed);
         } else if (arg == "--batch") {
             cli.experiment.writeBatch = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+                parseUnsigned(argv[0], value(), kUintMax));
             if (cli.experiment.writeBatch == 0) {
                 usage(argv[0]);
             }
         } else if (arg == "--seed") {
-            cli.experiment.otpSeed =
-                std::strtoull(value(), nullptr, 10);
+            cli.experiment.otpSeed = parseUnsigned(argv[0], value());
         } else if (arg == "--fault") {
             cli.experiment.fault.enabled = true;
         } else if (arg == "--ecp") {
             cli.experiment.fault.ecpEntries = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+                parseUnsigned(argv[0], value(), kUintMax));
         } else if (arg == "--endurance") {
             cli.experiment.fault.meanEndurance =
-                std::strtod(value(), nullptr);
+                parseDouble(argv[0], value());
         } else if (arg == "--persist") {
             std::string policy = value();
             cli.experiment.persist.enabled = true;
@@ -250,10 +295,10 @@ parseArgs(int argc, char **argv)
             }
         } else if (arg == "--flush-epoch") {
             cli.experiment.persist.flushEpoch =
-                std::strtoull(value(), nullptr, 10);
+                parseUnsigned(argv[0], value());
         } else if (arg == "--persist-queue") {
             cli.experiment.persist.queueDepth = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+                parseUnsigned(argv[0], value(), kUintMax));
         } else if (arg == "--no-persist-integrity") {
             cli.experiment.persist.integrity = false;
         } else if (arg == "--cell-tech") {
@@ -266,11 +311,10 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg == "--mlp") {
-            cli.experiment.timingCfg.mlp =
-                std::strtod(value(), nullptr);
+            cli.experiment.timingCfg.mlp = parseDouble(argv[0], value());
         } else if (arg == "--threads") {
             cli.threads = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+                parseUnsigned(argv[0], value(), kUintMax));
         } else if (arg == "--csv") {
             cli.csv = true;
         } else if (arg == "--json") {
@@ -296,13 +340,12 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--telemetry-out") {
             cli.telemetryOut = value();
         } else if (arg == "--telemetry-period-ms") {
-            cli.telemetryPeriodMs =
-                std::strtoull(value(), nullptr, 10);
+            cli.telemetryPeriodMs = parseUnsigned(argv[0], value());
             if (cli.telemetryPeriodMs == 0) {
                 usage(argv[0]);
             }
         } else if (arg == "--slo-p99-us") {
-            cli.sloP99Us = std::strtod(value(), nullptr);
+            cli.sloP99Us = parseDouble(argv[0], value());
         } else {
             usage(argv[0]);
         }

@@ -70,10 +70,10 @@ DEUCE_BENCH_WB=20000 "$build/bench/bench_related" \
     }
 echo "tier1: VCC/MLC energy-crossover gate OK"
 
-# Perf smoke: the AES backend micro benchmarks (scalar, ttable, aesni
-# when the host has it) plus the line-kernel backends (scalar, sse2,
-# avx2 when the host has it), min-time trimmed so the whole pass is a
-# few seconds. Timings are informational — appended as BENCH_MICRO
+# Perf smoke: the AES backend micro benchmarks (the scalar reference,
+# plus aesni and vaes when the host has them) and the line-kernel
+# backends (scalar, plus avx2 when the host has it), min-time trimmed
+# so the whole pass is a few seconds. Timings are informational — appended as BENCH_MICRO
 # cells to bench_results.json, never a pass/fail criterion: absolute
 # numbers vary with the host and a slow kernel is still correct.
 "$build/bench/bench_micro" \
@@ -299,6 +299,28 @@ fi
 python3 -c 'import json, sys; [json.load(open(p)) for p in sys.argv[1:]]' \
     "$build/tier1_fatal_trace.json" "$build/tier1_fatal_flight.json"
 echo "tier1: fatal exit OK (status 1, trace and flight dumps written)"
+
+# Hostile CLI values must be rejected, not coerced: junk after a
+# number, a sign on an unsigned flag, a non-number, a non-finite real
+# and removed backend names each print the usage line and exit 2.
+hostile_cli() {
+    local status=0
+    "$build/examples/simulate" --bench mcf --scheme deuce --fast-otp \
+        --writebacks 100 "$@" \
+        > /dev/null 2> "$build/tier1_hostile.log" || status=$?
+    if [[ "$status" != 2 ]] ||
+        ! grep -q '^usage: ' "$build/tier1_hostile.log"; then
+        echo "tier1: FAIL — simulate $* exited $status (want 2 + usage)" >&2
+        exit 1
+    fi
+}
+hostile_cli --writebacks 12x
+hostile_cli --seed -1
+hostile_cli --batch abc
+hostile_cli --mlp nan
+hostile_cli --aes-backend ttable
+hostile_cli --line-backend sse2
+echo "tier1: hostile CLI OK (6 bad values rejected with status 2)"
 
 # Trace overhead cell: the same sweep with tracing compiled in but
 # disabled vs enabled, appended as BENCH_MICRO rows. Informational

@@ -1,15 +1,13 @@
 /**
  * @file
- * Line-kernel registry (CPUID detection, selection-knob resolution,
- * the kind -> ops mapping) and the scalar reference backend — the
+ * Line-kernel registry (CPUID detection, selection resolution, the
+ * kind -> ops mapping) and the scalar reference backend — the
  * portable limb-at-a-time loops the SIMD backends are tested against.
  */
 
 #include "common/line_kernels.hh"
 
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 
@@ -294,48 +292,22 @@ cpuHasAvx2()
 /** Explicit override installed by setLineBackend(); Auto = none. */
 std::atomic<LineBackendKind> g_override{LineBackendKind::Auto};
 
-/** Backend named by DEUCE_LINE_BACKEND, read once (Auto when unset). */
-LineBackendKind
-envBackend()
-{
-    static const LineBackendKind kind = [] {
-        const char *env = std::getenv("DEUCE_LINE_BACKEND");
-        if (env == nullptr || *env == '\0') {
-            return LineBackendKind::Auto;
-        }
-        std::optional<LineBackendKind> parsed =
-            parseLineBackendName(env);
-        if (!parsed) {
-            deuce_fatal(std::string("DEUCE_LINE_BACKEND=") + env +
-                        ": expected auto, scalar, sse2, avx2 or neon");
-        }
-        return *parsed;
-    }();
-    return kind;
-}
-
 /** One-time note when an explicit SIMD request has to degrade. */
 void
-warnUnavailable(const char *wanted, const char *got)
+warnUnavailable(const char *wanted)
 {
     static std::once_flag warned;
-    std::call_once(warned, [wanted, got] {
+    std::call_once(warned, [wanted] {
         emitRuntimeWarning(
             "line_backend",
             std::string(wanted) +
                 " line-kernel backend requested but unavailable on "
-                "this host; falling back to " +
-                got + " (results are bit-identical)");
+                "this host; falling back to scalar (results are "
+                "bit-identical)");
     });
 }
 
 } // namespace
-
-bool
-sse2Available()
-{
-    return sse2LineKernelOps() != nullptr;
-}
 
 bool
 avx2Compiled()
@@ -365,30 +337,19 @@ resolveLineBackend(LineBackendKind kind)
         if (avx2Available()) {
             return LineBackendKind::Avx2;
         }
-        if (sse2Available()) {
-            return LineBackendKind::Sse2;
-        }
         if (neonLineKernelsAvailable()) {
             return LineBackendKind::Neon;
         }
         return LineBackendKind::Scalar;
       case LineBackendKind::Avx2:
         if (!avx2Available()) {
-            LineBackendKind fallback = sse2Available()
-                ? LineBackendKind::Sse2 : LineBackendKind::Scalar;
-            warnUnavailable("avx2", lineBackendName(fallback));
-            return fallback;
-        }
-        return kind;
-      case LineBackendKind::Sse2:
-        if (!sse2Available()) {
-            warnUnavailable("sse2", "scalar");
+            warnUnavailable("avx2");
             return LineBackendKind::Scalar;
         }
         return kind;
       case LineBackendKind::Neon:
         if (!neonLineKernelsAvailable()) {
-            warnUnavailable("neon", "scalar");
+            warnUnavailable("neon");
             return LineBackendKind::Scalar;
         }
         return kind;
@@ -403,8 +364,6 @@ lineBackendOps(LineBackendKind kind)
     switch (resolveLineBackend(kind)) {
       case LineBackendKind::Avx2:
         return avx2LineKernelOps();
-      case LineBackendKind::Sse2:
-        return sse2LineKernelOps();
       case LineBackendKind::Neon:
         return neonLineKernelOps();
       case LineBackendKind::Scalar:
@@ -416,11 +375,8 @@ lineBackendOps(LineBackendKind kind)
 LineBackendKind
 defaultLineBackend()
 {
-    LineBackendKind kind = g_override.load(std::memory_order_relaxed);
-    if (kind == LineBackendKind::Auto) {
-        kind = envBackend();
-    }
-    return resolveLineBackend(kind);
+    return resolveLineBackend(
+        g_override.load(std::memory_order_relaxed));
 }
 
 namespace detail
@@ -517,9 +473,6 @@ parseLineBackendName(const std::string &name)
     if (name == "scalar") {
         return LineBackendKind::Scalar;
     }
-    if (name == "sse2") {
-        return LineBackendKind::Sse2;
-    }
     if (name == "avx2") {
         return LineBackendKind::Avx2;
     }
@@ -537,8 +490,6 @@ lineBackendName(LineBackendKind kind)
         return "auto";
       case LineBackendKind::Scalar:
         return "scalar";
-      case LineBackendKind::Sse2:
-        return "sse2";
       case LineBackendKind::Avx2:
         return "avx2";
       case LineBackendKind::Neon:
@@ -551,9 +502,6 @@ std::vector<LineBackendKind>
 availableLineBackends()
 {
     std::vector<LineBackendKind> kinds{LineBackendKind::Scalar};
-    if (sse2Available()) {
-        kinds.push_back(LineBackendKind::Sse2);
-    }
     if (avx2Available()) {
         kinds.push_back(LineBackendKind::Avx2);
     }

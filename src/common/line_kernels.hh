@@ -4,30 +4,29 @@
  * CacheLine diff/flip primitives every simulated writeback funnels
  * through.
  *
- * The library ships up to four bit-identical implementations of the
+ * The library ships up to three bit-identical implementations of the
  * fused line primitives (XOR+popcount, per-word diff masks, per-region
  * flip counts, wear accumulation, cross-line batch sweeps):
  *
  *  - "scalar"  portable limb-at-a-time reference, extracted from the
- *              historical CacheLine/FNW/DEUCE loops (line_kernels.cc)
- *  - "sse2"    128-bit SWAR popcount + byte-compare masks; built
- *              whenever the target has SSE2 (baseline on x86-64,
- *              line_kernels_sse2.cc)
+ *              historical CacheLine/FNW/DEUCE loops (line_kernels.cc):
+ *              the oracle of every differential test, and the
+ *              fallback on hosts with neither AVX2 nor NEON
  *  - "avx2"    256-bit nibble-LUT popcount (vpshufb + vpsadbw); the
  *              only TU compiled with -mavx2 and only dispatched to
  *              when CPUID reports AVX2 (line_kernels_avx2.cc)
  *  - "neon"    128-bit CNT/ADDLP/ADDV popcount; baseline on AArch64,
  *              stubbed out elsewhere (line_kernels_neon.cc)
  *
- * Selection order for the active backend: setLineBackend() (the
- * --line-backend CLI flag) > the DEUCE_LINE_BACKEND environment
- * variable > Auto. Auto resolves to the fastest backend the host
- * supports (avx2 > sse2 > neon > scalar); an explicit request for an
- * unavailable backend degrades down the same ladder with a one-time
- * warning, never an error — all backends produce identical results,
- * so a fallback changes wall-clock only. The claim is enforced by the
- * backend-differential tests (tests/common/test_line_kernels.cc) and
- * the golden sweep regression (tests/sim/test_sweep_golden.cc).
+ * The active backend is the setLineBackend() override (the
+ * --line-backend CLI flag), else Auto. Auto resolves to the fastest
+ * backend the host supports (avx2 > neon > scalar); an explicit
+ * request for an unavailable backend degrades to scalar with a
+ * one-time warning, never an error — all backends produce identical
+ * results, so a fallback changes wall-clock only. The claim is
+ * enforced by the backend-differential tests
+ * (tests/common/test_line_kernels.cc) and the golden sweep regression
+ * (tests/sim/test_sweep_golden.cc).
  */
 
 #ifndef DEUCE_COMMON_LINE_KERNELS_HH
@@ -45,14 +44,17 @@
 namespace deuce
 {
 
-/** Selectable line-kernel implementations. */
+/**
+ * Selectable line-kernel implementations. The values are stable: a
+ * removed backend leaves a gap (2 was the SSE2 backend) rather than
+ * renumbering the rest.
+ */
 enum class LineBackendKind
 {
-    Auto,   ///< resolve to the fastest available backend
-    Scalar, ///< portable limb-at-a-time reference implementation
-    Sse2,   ///< 128-bit SSE2 SWAR implementation
-    Avx2,   ///< 256-bit AVX2 implementation
-    Neon,   ///< 128-bit ARMv8 NEON implementation
+    Auto = 0,   ///< resolve to the fastest available backend
+    Scalar = 1, ///< portable limb-at-a-time reference implementation
+    Avx2 = 3,   ///< 256-bit AVX2 implementation
+    Neon = 4,   ///< 128-bit ARMv8 NEON implementation
 };
 
 /**
@@ -163,9 +165,6 @@ struct LineKernelOps
                                 uint64_t *counts);
 };
 
-/** True when the SSE2 TU was compiled for a target with SSE2. */
-bool sse2Available();
-
 /** True when the AVX2 TU was compiled in (CMake DEUCE_AVX2). */
 bool avx2Compiled();
 
@@ -177,8 +176,8 @@ bool neonLineKernelsAvailable();
 
 /**
  * Resolve @p kind to a concrete, available backend: Auto picks the
- * best available; an explicit but unavailable request degrades
- * (avx2 -> sse2 -> scalar) with a one-time stderr note.
+ * best available; an explicit but unavailable request degrades to
+ * scalar with a one-time stderr note.
  */
 LineBackendKind resolveLineBackend(LineBackendKind kind);
 
@@ -186,9 +185,8 @@ LineBackendKind resolveLineBackend(LineBackendKind kind);
 const LineKernelOps *lineBackendOps(LineBackendKind kind);
 
 /**
- * Process-wide default backend: setLineBackend() override if any,
- * else DEUCE_LINE_BACKEND, else Auto — resolved to a concrete
- * backend.
+ * Process-wide default backend: the setLineBackend() override if
+ * any, else Auto — resolved to a concrete backend.
  */
 LineBackendKind defaultLineBackend();
 
@@ -203,8 +201,7 @@ void setLineBackend(LineBackendKind kind);
 LineBackendKind activeLineBackend();
 
 /**
- * Parse "auto"/"scalar"/"sse2"/"avx2"/"neon"; nullopt on anything
- * else.
+ * Parse "auto"/"scalar"/"avx2"/"neon"; nullopt on anything else.
  */
 std::optional<LineBackendKind> parseLineBackendName(
     const std::string &name);
@@ -214,20 +211,13 @@ const char *lineBackendName(LineBackendKind kind);
 
 /**
  * The concrete backends this process can dispatch to (scalar always,
- * sse2/avx2 when available) — what the differential tests and the
+ * avx2/neon when available) — what the differential tests and the
  * per-backend micro benchmarks iterate over.
  */
 std::vector<LineBackendKind> availableLineBackends();
 
 /** Scalar reference ops table (defined in line_kernels.cc). */
 const LineKernelOps *scalarLineKernelOps();
-
-/**
- * The SSE2 ops table, or null when the target lacks SSE2. Defined in
- * line_kernels_sse2.cc (the TU compiles to the null stub on
- * non-SSE2 targets).
- */
-const LineKernelOps *sse2LineKernelOps();
 
 /**
  * The AVX2 ops table, or null when not compiled in. Defined by

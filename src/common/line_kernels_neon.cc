@@ -3,11 +3,11 @@
  * NEON line-kernel backend (ARMv8). Selected by the DEUCE_NEON CMake
  * option; the flag probe fails on non-ARM toolchains, so this TU is
  * normally only built for aarch64 targets — it still self-guards
- * (like the SSE2 TU) and compiles to a null stub elsewhere.
+ * and compiles to a null stub elsewhere.
  *
  * The vector wins are the byte-popcount kernels (CNT + pairwise
  * widening adds); sub-byte region work delegates to the scalar
- * reference, exactly as the SSE2 backend does. The cross-line
+ * reference. The cross-line
  * accumulateFlipsBatch routes through the shared carry-save plane
  * core. All results are bit-identical to the scalar backend.
  */
@@ -124,7 +124,7 @@ void
 neonAccumulateFlips(const CacheLine &diff, uint64_t *counters)
 {
     // Sparse diffs (the common case) scan set bits; dense diffs add
-    // every position unconditionally — same threshold as SSE2/AVX2.
+    // every position unconditionally — same threshold as AVX2.
     if (neonPopcount(diff) < 128) {
         scalarLineKernelOps()->accumulateFlips(diff, counters);
         return;

@@ -182,8 +182,8 @@ scalarBackendOps()
 
 Aes128::Aes128(const AesKey &key, AesBackendKind backend)
 {
-    // Auto defers to the process-wide selection (--aes-backend /
-    // DEUCE_AES_BACKEND); explicit kinds only resolve availability.
+    // Auto defers to the process-wide selection (--aes-backend);
+    // explicit kinds only resolve availability.
     kind_ = (backend == AesBackendKind::Auto)
                 ? defaultAesBackend()
                 : resolveAesBackend(backend);
@@ -245,21 +245,6 @@ Aes128::computeDecRoundKeys()
             aes_tables::invMixColumnsKey(roundKeys_[kRounds - r]);
     }
     decRoundKeys_[kRounds] = roundKeys_[0];
-
-    // Repack both schedules as little-endian column words so the
-    // T-table rounds read one 32-bit key word per column.
-    for (unsigned r = 0; r <= kRounds; ++r) {
-        for (unsigned c = 0; c < 4; ++c) {
-            auto word = [c](const std::array<uint8_t, 16> &k) {
-                return static_cast<uint32_t>(k[4 * c]) |
-                       (static_cast<uint32_t>(k[4 * c + 1]) << 8) |
-                       (static_cast<uint32_t>(k[4 * c + 2]) << 16) |
-                       (static_cast<uint32_t>(k[4 * c + 3]) << 24);
-            };
-            encKeyWords_[r][c] = word(roundKeys_[r]);
-            decKeyWords_[r][c] = word(decRoundKeys_[r]);
-        }
-    }
 }
 
 AesBlock

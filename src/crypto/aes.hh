@@ -8,10 +8,10 @@
  * implementation can be validated against the full FIPS-197 vectors.
  *
  * Aes128 dispatches at construction to one of several bit-identical
- * backends (scalar reference, T-table, AES-NI — see aes_backend.hh),
+ * backends (scalar reference, AES-NI, VAES, NEON — see aes_backend.hh),
  * so the simulated writeback path can run "as fast as the hardware
- * allows" without changing a single ciphertext byte. None of the
- * software backends are hardened against timing side channels; the
+ * allows" without changing a single ciphertext byte. The scalar
+ * reference is not hardened against timing side channels; the
  * library models an on-chip AES engine, it does not aim to be a
  * production crypto library.
  */
@@ -44,8 +44,8 @@ class Aes128
     /**
      * Expand the key schedule for @p key and bind the instance to a
      * backend. Auto (the default) resolves through defaultAesBackend()
-     * — i.e. the --aes-backend / DEUCE_AES_BACKEND selection, falling
-     * back to the fastest backend this host supports.
+     * — i.e. the --aes-backend selection, falling back to the
+     * fastest backend this host supports.
      */
     explicit Aes128(const AesKey &key,
                     AesBackendKind backend = AesBackendKind::Auto);
@@ -58,9 +58,9 @@ class Aes128
 
     /**
      * Encrypt @p n independent blocks, pipelining rounds across
-     * groups of four (interleaved rounds for the T-table backend, a
-     * 4-wide register pipeline for AES-NI). Bit-identical to n calls
-     * of encrypt(); @p in and @p out may alias only exactly.
+     * blocks (four in flight for AES-NI/NEON, sixteen for VAES).
+     * Bit-identical to n calls of encrypt(); @p in and @p out may
+     * alias only exactly.
      */
     void encryptBlocks(const AesBlock *in, AesBlock *out,
                        size_t n) const;
@@ -85,27 +85,12 @@ class Aes128
      * Equivalent-inverse-cipher decryption keys (backend-internal):
      * dk[0] = rk[10], dk[r] = InvMixColumns(rk[10 - r]) for
      * r = 1..9, dk[10] = rk[0]. This is exactly the AESIMC-transformed
-     * schedule AESDEC expects, and what the T-table decrypt rounds
-     * consume.
+     * schedule AESDEC expects.
      */
     const std::array<std::array<uint8_t, 16>, kRounds + 1> &
     decRoundKeys() const
     {
         return decRoundKeys_;
-    }
-
-    /** roundKeys() as little-endian column words (T-table backend). */
-    const std::array<std::array<uint32_t, 4>, kRounds + 1> &
-    encKeyWords() const
-    {
-        return encKeyWords_;
-    }
-
-    /** decRoundKeys() as little-endian column words. */
-    const std::array<std::array<uint32_t, 4>, kRounds + 1> &
-    decKeyWords() const
-    {
-        return decKeyWords_;
     }
 
     /** Store round key @p r (backend expandKeys hooks only; must
@@ -121,10 +106,6 @@ class Aes128
 
     /** Transformed decryption round keys (see decRoundKeys()). */
     std::array<std::array<uint8_t, 16>, kRounds + 1> decRoundKeys_;
-
-    /** Key schedules repacked as column words (see encKeyWords()). */
-    std::array<std::array<uint32_t, 4>, kRounds + 1> encKeyWords_;
-    std::array<std::array<uint32_t, 4>, kRounds + 1> decKeyWords_;
 
     /** Resolved backend. */
     AesBackendKind kind_;

@@ -1,19 +1,15 @@
 /**
  * @file
- * AES backend registry: CPUID detection, selection-knob resolution
- * (setAesBackend / DEUCE_AES_BACKEND / Auto), and the kind -> ops
- * mapping.
+ * AES backend registry: CPUID detection, selection resolution
+ * (setAesBackend, else Auto), and the kind -> ops mapping.
  */
 
 #include "crypto/aes_backend.hh"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 
-#include "common/logging.hh"
 #include "obs/flight_recorder.hh"
 
 namespace deuce
@@ -62,72 +58,18 @@ cpuHasNeonAes()
 /** Explicit override installed by setAesBackend(); Auto = none. */
 std::atomic<AesBackendKind> g_override{AesBackendKind::Auto};
 
-/** Backend named by DEUCE_AES_BACKEND, read once (Auto when unset). */
-AesBackendKind
-envBackend()
-{
-    static const AesBackendKind kind = [] {
-        const char *env = std::getenv("DEUCE_AES_BACKEND");
-        if (env == nullptr || *env == '\0') {
-            return AesBackendKind::Auto;
-        }
-        std::optional<AesBackendKind> parsed =
-            parseAesBackendName(env);
-        if (!parsed) {
-            deuce_fatal(std::string("DEUCE_AES_BACKEND=") + env +
-                        ": expected auto, scalar, ttable, aesni, "
-                        "vaes or neon");
-        }
-        return *parsed;
-    }();
-    return kind;
-}
-
-/** One-time note when an explicit aesni request has to degrade. */
+/** One-time note when an explicit request has to degrade to Auto. */
 void
-warnAesniUnavailable()
+warnUnavailable(const char *wanted, const char *reason)
 {
     // call_once (rather than an atomic exchange) gives the losing
     // threads a happens-before edge on the winner's fprintf: no
     // thread can proceed while the warning is mid-write.
     static std::once_flag warned;
-    std::call_once(warned, [] {
+    std::call_once(warned, [wanted, reason] {
         obs::logEvent(obs::FlightEventKind::Degrade, "aes_backend",
-                      std::string("aesni backend requested but ") +
-                          (aesniCompiled() ? "CPU lacks AES-NI"
-                                           : "not compiled in") +
-                          "; falling back to ttable (results are "
-                          "bit-identical)");
-    });
-}
-
-/** One-time note when an explicit vaes request has to degrade. */
-void
-warnVaesUnavailable()
-{
-    static std::once_flag warned;
-    std::call_once(warned, [] {
-        obs::logEvent(obs::FlightEventKind::Degrade, "aes_backend",
-                      std::string("vaes backend requested but ") +
-                          (vaesCompiled() ? "CPU lacks VAES/AVX-512"
-                                          : "not compiled in") +
-                          "; falling back down the ladder (results "
-                          "are bit-identical)");
-    });
-}
-
-/** One-time note when an explicit neon request has to degrade. */
-void
-warnNeonUnavailable()
-{
-    static std::once_flag warned;
-    std::call_once(warned, [] {
-        obs::logEvent(obs::FlightEventKind::Degrade, "aes_backend",
-                      std::string("neon AES backend requested but ") +
-                          (aesNeonCompiled()
-                               ? "CPU lacks the crypto extensions"
-                               : "not compiled in") +
-                          "; falling back down the ladder (results "
+                      std::string(wanted) + " backend requested but " +
+                          reason + "; falling back to auto (results "
                           "are bit-identical)");
     });
 }
@@ -173,7 +115,7 @@ aesNeonAvailable()
 AesBackendKind
 resolveAesBackend(AesBackendKind kind)
 {
-    // Availability ladder: vaes > aesni > neon > ttable. An explicit
+    // Availability ladder: vaes > aesni > neon > scalar. An explicit
     // but unavailable request warns once and re-enters at Auto.
     switch (kind) {
       case AesBackendKind::Auto:
@@ -186,22 +128,29 @@ resolveAesBackend(AesBackendKind kind)
         if (aesNeonAvailable()) {
             return AesBackendKind::Neon;
         }
-        return AesBackendKind::TTable;
+        return AesBackendKind::Scalar;
       case AesBackendKind::Vaes:
         if (!vaesAvailable()) {
-            warnVaesUnavailable();
+            warnUnavailable("vaes", vaesCompiled()
+                                        ? "CPU lacks VAES/AVX-512"
+                                        : "not compiled in");
             return resolveAesBackend(AesBackendKind::Auto);
         }
         return kind;
       case AesBackendKind::AesNi:
         if (!aesniAvailable()) {
-            warnAesniUnavailable();
-            return AesBackendKind::TTable;
+            warnUnavailable("aesni", aesniCompiled()
+                                         ? "CPU lacks AES-NI"
+                                         : "not compiled in");
+            return resolveAesBackend(AesBackendKind::Auto);
         }
         return kind;
       case AesBackendKind::Neon:
         if (!aesNeonAvailable()) {
-            warnNeonUnavailable();
+            warnUnavailable("neon", aesNeonCompiled()
+                                        ? "CPU lacks the crypto "
+                                          "extensions"
+                                        : "not compiled in");
             return resolveAesBackend(AesBackendKind::Auto);
         }
         return kind;
@@ -214,28 +163,22 @@ const AesBackendOps *
 aesBackendOps(AesBackendKind kind)
 {
     switch (resolveAesBackend(kind)) {
-      case AesBackendKind::Scalar:
-        return scalarBackendOps();
       case AesBackendKind::AesNi:
         return aesniBackendOps();
       case AesBackendKind::Vaes:
         return vaesBackendOps();
       case AesBackendKind::Neon:
         return aesNeonBackendOps();
-      case AesBackendKind::TTable:
+      case AesBackendKind::Scalar:
       default:
-        return ttableBackendOps();
+        return scalarBackendOps();
     }
 }
 
 AesBackendKind
 defaultAesBackend()
 {
-    AesBackendKind kind = g_override.load(std::memory_order_relaxed);
-    if (kind == AesBackendKind::Auto) {
-        kind = envBackend();
-    }
-    return resolveAesBackend(kind);
+    return resolveAesBackend(g_override.load(std::memory_order_relaxed));
 }
 
 void
@@ -252,9 +195,6 @@ parseAesBackendName(const std::string &name)
     }
     if (name == "scalar") {
         return AesBackendKind::Scalar;
-    }
-    if (name == "ttable") {
-        return AesBackendKind::TTable;
     }
     if (name == "aesni") {
         return AesBackendKind::AesNi;
@@ -276,8 +216,6 @@ aesBackendName(AesBackendKind kind)
         return "auto";
       case AesBackendKind::Scalar:
         return "scalar";
-      case AesBackendKind::TTable:
-        return "ttable";
       case AesBackendKind::AesNi:
         return "aesni";
       case AesBackendKind::Vaes:

@@ -2,12 +2,12 @@
  * @file
  * AES backend registry and runtime dispatch.
  *
- * The library ships up to five bit-identical implementations of the
+ * The library ships up to four bit-identical implementations of the
  * FIPS-197 cipher:
  *
- *  - "scalar"  byte-oriented reference (aes.cc)
- *  - "ttable"  4x1KB fused SubBytes+MixColumns tables, rounds of the
- *              four pipelined blocks interleaved (aes_ttable.cc)
+ *  - "scalar"  byte-oriented reference (aes.cc): the oracle of every
+ *              differential test, and the fallback on hosts without
+ *              a hardware AES unit
  *  - "aesni"   hardware AESENC/AESDEC via x86 AES-NI, compiled in a
  *              separately-flagged TU and only dispatched to when
  *              CPUID reports support (aes_aesni.cc)
@@ -16,13 +16,12 @@
  *              (aes_vaes.cc)
  *  - "neon"    ARMv8 AESE/AESMC crypto extensions (aes_neon.cc)
  *
- * Selection order for the default backend: setAesBackend() (the
- * --aes-backend CLI flag) > the DEUCE_AES_BACKEND environment
- * variable > Auto. Auto resolves to the fastest backend the host
- * supports (vaes > aesni > neon > ttable); an explicit request for an
- * unavailable backend falls back down the same ladder with a one-time
- * warning, never an error — all backends produce identical bytes, so
- * a fallback changes wall-clock only.
+ * The default backend is the setAesBackend() override (the
+ * --aes-backend CLI flag), else Auto. Auto resolves to the fastest
+ * backend the host supports (vaes > aesni > neon > scalar); an
+ * explicit request for an unavailable backend warns once and
+ * re-enters Auto, never an error — all backends produce identical
+ * bytes, so a fallback changes wall-clock only.
  */
 
 #ifndef DEUCE_CRYPTO_AES_BACKEND_HH
@@ -38,15 +37,18 @@ namespace deuce
 
 class Aes128;
 
-/** Selectable AES implementations. */
+/**
+ * Selectable AES implementations. The values are stable: a removed
+ * backend leaves a gap (2 was the T-table backend) rather than
+ * renumbering the rest.
+ */
 enum class AesBackendKind
 {
-    Auto,   ///< resolve to the fastest available backend
-    Scalar, ///< byte-oriented reference implementation
-    TTable, ///< 32-bit T-table software implementation
-    AesNi,  ///< x86 AES-NI hardware instructions
-    Vaes,   ///< x86 VAES/AVX-512 (512-bit, 4 blocks per instruction)
-    Neon,   ///< ARMv8 AESE/AESMC crypto extensions
+    Auto = 0,   ///< resolve to the fastest available backend
+    Scalar = 1, ///< byte-oriented reference implementation
+    AesNi = 3,  ///< x86 AES-NI hardware instructions
+    Vaes = 4,   ///< x86 VAES/AVX-512 (512-bit, 4 blocks per instruction)
+    Neon = 5,   ///< ARMv8 AESE/AESMC crypto extensions
 };
 
 /**
@@ -103,8 +105,8 @@ bool aesNeonAvailable();
 
 /**
  * Resolve @p kind to a concrete, available backend: Auto picks the
- * best available; an explicit but unavailable request degrades
- * (aesni -> ttable) with a one-time stderr note.
+ * best available; an explicit but unavailable request resolves as
+ * Auto after a one-time stderr note.
  */
 AesBackendKind resolveAesBackend(AesBackendKind kind);
 
@@ -113,8 +115,8 @@ const AesBackendOps *aesBackendOps(AesBackendKind kind);
 
 /**
  * Process-wide default backend used by Aes128 instances constructed
- * without an explicit kind: setAesBackend() override if any, else
- * DEUCE_AES_BACKEND, else Auto — resolved to a concrete backend.
+ * without an explicit kind: the setAesBackend() override if any, else
+ * Auto — resolved to a concrete backend.
  */
 AesBackendKind defaultAesBackend();
 
@@ -126,8 +128,8 @@ AesBackendKind defaultAesBackend();
 void setAesBackend(AesBackendKind kind);
 
 /**
- * Parse "auto"/"scalar"/"ttable"/"aesni"/"vaes"/"neon"; nullopt on
- * anything else.
+ * Parse "auto"/"scalar"/"aesni"/"vaes"/"neon"; nullopt on anything
+ * else.
  */
 std::optional<AesBackendKind> parseAesBackendName(
     const std::string &name);
@@ -137,9 +139,6 @@ const char *aesBackendName(AesBackendKind kind);
 
 /** Scalar reference ops table (defined in aes.cc). */
 const AesBackendOps *scalarBackendOps();
-
-/** T-table ops table (defined in aes_ttable.cc). */
-const AesBackendOps *ttableBackendOps();
 
 /**
  * The AES-NI ops table, or null when not compiled in. Defined by

@@ -111,8 +111,8 @@ class OtpEngine
 
     /**
      * Name of the underlying cipher backend for perf attribution
-     * ("scalar"/"ttable"/"aesni", "fast-hash", or "" when the engine
-     * does not report one).
+     * ("scalar"/"aesni"/"vaes"/"neon", "fast-hash", or "" when the
+     * engine does not report one).
      */
     virtual const char *backendName() const { return ""; }
 
@@ -179,7 +179,7 @@ class AesOtpEngine : public OtpEngine
     /**
      * @param key     the secret per-DIMM key.
      * @param backend cipher backend; Auto follows the process-wide
-     *                selection (--aes-backend / DEUCE_AES_BACKEND).
+     *                selection (--aes-backend).
      */
     explicit AesOtpEngine(const AesKey &key,
                           AesBackendKind backend = AesBackendKind::Auto);

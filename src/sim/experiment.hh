@@ -78,7 +78,7 @@ struct ExperimentRow
 
     /**
      * Pad-generator cipher backend the cell ran on ("scalar",
-     * "ttable", "aesni", or "fast-hash"), so perf numbers are
+     * "aesni", "vaes", "neon", or "fast-hash"), so perf numbers are
      * attributable. Populated by the factory-based runExperiment
      * overloads (the sweep path); empty for borrowed-scheme runs,
      * and omitted from the JSON row when empty.
@@ -86,9 +86,8 @@ struct ExperimentRow
     std::string aesBackend;
 
     /**
-     * Line-kernel backend the cell ran on ("scalar", "sse2", or
-     * "avx2" — the resolved --line-backend / DEUCE_LINE_BACKEND
-     * selection). Populated by the factory-based runExperiment
+     * Line-kernel backend the cell ran on ("scalar", "avx2", or
+     * "neon" — the resolved --line-backend selection). Populated by the factory-based runExperiment
      * overloads alongside aesBackend; empty for borrowed-scheme runs
      * and omitted from the JSON row when empty.
      */

@@ -356,8 +356,7 @@ TEST(LineBackendRegistry, ParseNamesRoundTrip)
 {
     for (LineBackendKind kind :
          {LineBackendKind::Auto, LineBackendKind::Scalar,
-          LineBackendKind::Sse2, LineBackendKind::Avx2,
-          LineBackendKind::Neon}) {
+          LineBackendKind::Avx2, LineBackendKind::Neon}) {
         auto parsed = parseLineBackendName(lineBackendName(kind));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(*parsed, kind);
@@ -365,6 +364,7 @@ TEST(LineBackendRegistry, ParseNamesRoundTrip)
     EXPECT_FALSE(parseLineBackendName("").has_value());
     EXPECT_FALSE(parseLineBackendName("avx512").has_value());
     EXPECT_FALSE(parseLineBackendName("SCALAR").has_value());
+    EXPECT_FALSE(parseLineBackendName("sse2").has_value());
 }
 
 TEST(LineBackendRegistry, ScalarAlwaysAvailable)
@@ -385,8 +385,7 @@ TEST(LineBackendRegistry, ResolutionNeverReturnsAuto)
 {
     for (LineBackendKind kind :
          {LineBackendKind::Auto, LineBackendKind::Scalar,
-          LineBackendKind::Sse2, LineBackendKind::Avx2,
-          LineBackendKind::Neon}) {
+          LineBackendKind::Avx2, LineBackendKind::Neon}) {
         LineBackendKind resolved = resolveLineBackend(kind);
         EXPECT_NE(resolved, LineBackendKind::Auto);
         // Resolution lands on something this host can run.

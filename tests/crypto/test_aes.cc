@@ -232,13 +232,11 @@ TEST_P(AesBackendTest, EncryptBlocksLongRunsMatchSingleBlockCalls)
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, AesBackendTest,
-    ::testing::Values(AesBackendKind::Scalar, AesBackendKind::TTable,
-                      AesBackendKind::AesNi, AesBackendKind::Vaes,
-                      AesBackendKind::Neon),
+    ::testing::Values(AesBackendKind::Scalar, AesBackendKind::AesNi,
+                      AesBackendKind::Vaes, AesBackendKind::Neon),
     [](const ::testing::TestParamInfo<AesBackendKind> &info) {
         switch (info.param) {
           case AesBackendKind::Scalar: return "Scalar";
-          case AesBackendKind::TTable: return "TTable";
           case AesBackendKind::Vaes: return "Vaes";
           case AesBackendKind::Neon: return "Neon";
           default: return "AesNi";
@@ -256,10 +254,7 @@ TEST(AesBackends, BackendsBitIdenticalOnRandomKeysAndBlocks)
             pt[i] = static_cast<uint8_t>(rng.next());
         }
         Aes128 scalar(key, AesBackendKind::Scalar);
-        Aes128 ttable(key, AesBackendKind::TTable);
         AesBlock ct = scalar.encrypt(pt);
-        EXPECT_EQ(ttable.encrypt(pt), ct) << "trial " << trial;
-        EXPECT_EQ(ttable.decrypt(ct), pt) << "trial " << trial;
         if (aesniAvailable()) {
             Aes128 aesni(key, AesBackendKind::AesNi);
             EXPECT_EQ(aesni.encrypt(pt), ct) << "trial " << trial;
@@ -282,18 +277,18 @@ TEST(AesBackends, ParseNamesRoundTrip)
 {
     EXPECT_EQ(parseAesBackendName("auto"), AesBackendKind::Auto);
     EXPECT_EQ(parseAesBackendName("scalar"), AesBackendKind::Scalar);
-    EXPECT_EQ(parseAesBackendName("ttable"), AesBackendKind::TTable);
     EXPECT_EQ(parseAesBackendName("aesni"), AesBackendKind::AesNi);
     EXPECT_EQ(parseAesBackendName("vaes"), AesBackendKind::Vaes);
     EXPECT_EQ(parseAesBackendName("neon"), AesBackendKind::Neon);
     EXPECT_EQ(parseAesBackendName("AESNI"), std::nullopt);
     EXPECT_EQ(parseAesBackendName("bogus"), std::nullopt);
     EXPECT_EQ(parseAesBackendName(""), std::nullopt);
+    EXPECT_EQ(parseAesBackendName("ttable"), std::nullopt);
 
     for (AesBackendKind k :
          {AesBackendKind::Auto, AesBackendKind::Scalar,
-          AesBackendKind::TTable, AesBackendKind::AesNi,
-          AesBackendKind::Vaes, AesBackendKind::Neon}) {
+          AesBackendKind::AesNi, AesBackendKind::Vaes,
+          AesBackendKind::Neon}) {
         EXPECT_EQ(parseAesBackendName(aesBackendName(k)), k);
     }
 }
@@ -312,10 +307,11 @@ TEST(AesBackends, AutoResolvesToConcreteAvailableBackend)
     if (resolved == AesBackendKind::Neon) {
         EXPECT_TRUE(aesNeonAvailable());
     }
-    // An unavailable explicit request degrades instead of failing.
+    // An unavailable explicit request re-enters Auto instead of
+    // failing.
     AesBackendKind ni = resolveAesBackend(AesBackendKind::AesNi);
     if (!aesniAvailable()) {
-        EXPECT_EQ(ni, AesBackendKind::TTable);
+        EXPECT_EQ(ni, resolveAesBackend(AesBackendKind::Auto));
     } else {
         EXPECT_EQ(ni, AesBackendKind::AesNi);
     }

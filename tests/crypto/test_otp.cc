@@ -307,13 +307,11 @@ TEST_P(OtpBackendTest, ReportsBackendName)
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, OtpBackendTest,
-    ::testing::Values(AesBackendKind::Scalar, AesBackendKind::TTable,
-                      AesBackendKind::AesNi, AesBackendKind::Vaes,
-                      AesBackendKind::Neon),
+    ::testing::Values(AesBackendKind::Scalar, AesBackendKind::AesNi,
+                      AesBackendKind::Vaes, AesBackendKind::Neon),
     [](const ::testing::TestParamInfo<AesBackendKind> &info) {
         switch (info.param) {
           case AesBackendKind::Scalar: return "Scalar";
-          case AesBackendKind::TTable: return "TTable";
           case AesBackendKind::Vaes: return "Vaes";
           case AesBackendKind::Neon: return "Neon";
           default: return "AesNi";
