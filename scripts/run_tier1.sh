@@ -9,10 +9,12 @@
 #   DEUCE_TSAN=1         additionally build with ThreadSanitizer and
 #                        run the concurrency tests under it
 #   DEUCE_ASAN=1         additionally build with ASan+UBSan and run
-#                        the fault and sweep tests under it
+#                        the fault, sweep, Merkle-tree and persist
+#                        recovery tests under it
 #   DEUCE_UBSAN=1        additionally build with UBSan alone (traps
-#                        fatal) and run the line-kernel differential
-#                        and fuzz-consistency tests under it
+#                        fatal) and run the line-kernel differential,
+#                        fuzz-consistency, Merkle-tree and persist
+#                        tests under it
 
 set -euo pipefail
 
@@ -540,11 +542,17 @@ if [[ "${DEUCE_ASAN:-0}" == "1" ]]; then
     cmake -B "$asan" -S "$repo" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDEUCE_ASAN=ON
     cmake --build "$asan" -j "$(nproc)" \
-        --target test_fault test_fault_sweep test_sweep
+        --target test_fault test_fault_sweep test_sweep \
+                 test_integrity test_persist_fault
     "$asan/tests/test_fault"
     "$asan/tests/test_fault_sweep"
     "$asan/tests/test_sweep"
-    echo "tier1: ASan fault/sweep tests passed"
+    # The batched Merkle hasher packs node messages into stack buffers
+    # and strides over them; the tree equivalence suite and the
+    # recovery cycles that batch-adopt lines cover that indexing.
+    "$asan/tests/test_integrity"
+    "$asan/tests/test_persist_fault"
+    echo "tier1: ASan fault/sweep/integrity tests passed"
 fi
 
 if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
@@ -554,10 +562,14 @@ if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
     cmake --build "$ubsan" -j "$(nproc)" \
         --target test_line_kernels test_fuzz_consistency \
                  test_persist test_write_batch test_otp test_vcc \
-                 stolen_dimm_attack
+                 test_integrity test_persist_fault stolen_dimm_attack
     "$ubsan/tests/test_line_kernels"
     "$ubsan/tests/test_fuzz_consistency"
     "$ubsan/tests/test_persist"
+    # Stride arithmetic of the batched Merkle hasher (test_integrity)
+    # and batch adoption across recovery cycles (test_persist_fault).
+    "$ubsan/tests/test_integrity"
+    "$ubsan/tests/test_persist_fault"
     # The VCC cost arithmetic (virtual-counter algebra at 2^57-scale
     # counters, MLC matrix indexing) is exactly the kind of integer
     # code UBSan exists for.

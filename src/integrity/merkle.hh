@@ -24,7 +24,9 @@
 #ifndef DEUCE_INTEGRITY_MERKLE_HH
 #define DEUCE_INTEGRITY_MERKLE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/cache_line.hh"
@@ -41,16 +43,38 @@ using Digest = AesBlock;
 Digest hashBytes(const Aes128 &cipher, const uint8_t *data,
                  size_t len);
 
+/**
+ * AES-MMO of @p count messages of @p len bytes each, packed back to
+ * back in @p data, written to @p out. The chains are independent, so
+ * block b of every message goes through one Aes128::encryptBlocks
+ * call (the wide backend pipelines); digest i is bit-identical to
+ * hashBytes(cipher, data + i * len, len).
+ */
+void hashMany(const Aes128 &cipher, const uint8_t *data, size_t len,
+              size_t count, Digest *out);
+
 /** 64-bit MAC binding a line's (address, counter, ciphertext). */
 uint64_t macLine(const Aes128 &cipher, uint64_t line_addr,
                  uint64_t counter, const CacheLine &ciphertext);
+
+/** One trusted counter store: MerkleCounterTree::updateBatch input. */
+struct CounterUpdate
+{
+    uint64_t line = 0;
+    uint64_t counter = 0;
+};
 
 /**
  * Merkle tree over per-line write counters.
  *
  * Leaves are groups of `arity` counters; each interior node is the
- * hash of its children's digests. update() maintains the path and the
- * trusted root; verify() recomputes the path from *stored* values and
+ * hash of its children's digests. updateBatch() stores a batch of
+ * counters and then recomputes every node the batch dirtied exactly
+ * once, level by level: the dirty nodes of one level hash together
+ * as interleaved MMO chains (hashMany), and the trusted root is
+ * re-hashed once per batch. The resulting digests are the same as
+ * those of the updates applied one at a time, so update() is simply a
+ * batch of one. verify() recomputes one path from *stored* values and
  * compares against the trusted root, detecting any out-of-band
  * modification (e.g. a counter rollback attack).
  */
@@ -65,7 +89,15 @@ class MerkleCounterTree
     MerkleCounterTree(uint64_t num_lines, const AesKey &key,
                       unsigned arity = 8);
 
-    /** Trusted write: store the counter and update the path + root. */
+    /**
+     * Trusted writes: store every counter in @p updates (in order, so
+     * a line listed twice keeps its last value), then recompute each
+     * dirtied node once and the root once. An empty batch changes
+     * nothing.
+     */
+    void updateBatch(std::span<const CounterUpdate> updates);
+
+    /** Trusted write of one counter: a batch of one. */
     void update(uint64_t line, uint64_t counter);
 
     /** Stored (attackable) counter value. */
@@ -80,6 +112,12 @@ class MerkleCounterTree
 
     /** The tamper-proof root digest. */
     const Digest &root() const { return root_; }
+
+    /** Stored digest of node @p index at @p level (0 = leaf groups). */
+    const Digest &digest(unsigned level, uint64_t index) const;
+
+    /** Nodes stored at @p level. */
+    uint64_t width(unsigned level) const;
 
     /**
      * Attack surface (for tests and demos): overwrite the stored
@@ -98,14 +136,22 @@ class MerkleCounterTree
     }
 
   private:
-    /** Digest of leaf group `group` from the stored counters. */
-    Digest leafDigest(uint64_t group) const;
+    /** Bytes hashed per node at @p level: 8 per counter at the
+     *  leaves, 16 per child digest above. */
+    size_t messageLen(unsigned level) const;
 
-    /** Digest of interior node from its children's stored digests. */
-    Digest interiorDigest(unsigned level, uint64_t index) const;
+    /** Write the messageLen(level)-byte hash input of node @p index
+     *  at @p level from stored state: the group's counters (level 0)
+     *  or its children's digests, zero past the end. */
+    void nodeMessage(unsigned level, uint64_t index,
+                     uint8_t *buf) const;
 
-    /** Recompute digests upward from leaf group, updating storage. */
-    void updatePath(uint64_t group);
+    /** Recompute and store the digests of nodes @p indices of
+     *  @p level from their stored inputs, as interleaved chains. */
+    void rehash(unsigned level, const std::vector<uint64_t> &indices);
+
+    /** Re-hash the top node into the trusted root. */
+    void refreshRoot();
 
     Aes128 cipher_;
     unsigned arity_;
@@ -115,6 +161,8 @@ class MerkleCounterTree
      *  level; every level is stored in attackable memory. */
     std::vector<std::vector<Digest>> nodes_;
     Digest root_{}; ///< tamper-proof on-chip register
+    /** updateBatch() scratch: the dirty node indices of one level. */
+    std::vector<uint64_t> dirty_;
 };
 
 } // namespace deuce

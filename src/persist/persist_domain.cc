@@ -45,11 +45,7 @@ PersistDomain::PersistDomain(const PersistConfig &cfg)
 uint64_t
 PersistDomain::effectiveCounter(const StoredLineState &state)
 {
-    uint64_t eff = state.counter;
-    for (uint64_t c : state.blockCounters) {
-        eff += c;
-    }
-    return eff;
+    return effectiveOf(fieldsOf(state));
 }
 
 PersistDomain::Fields
@@ -61,20 +57,15 @@ PersistDomain::fieldsOf(const StoredLineState &state)
     return f;
 }
 
-namespace
-{
-
 uint64_t
-effectiveOf(uint64_t counter, const std::array<uint64_t, 4> &blocks)
+PersistDomain::effectiveOf(const Fields &f)
 {
-    uint64_t eff = counter;
-    for (uint64_t c : blocks) {
+    uint64_t eff = f.counter;
+    for (uint64_t c : f.blockCounters) {
         eff += c;
     }
     return eff;
 }
-
-} // namespace
 
 uint64_t
 PersistDomain::flushBatch(const std::vector<uint64_t> &batch)
@@ -83,17 +74,20 @@ PersistDomain::flushBatch(const std::vector<uint64_t> &batch)
     // pack into a 64-byte line, the same layout the counter-cache
     // timing model assumes), plus one per distinct tree leaf group.
     // Batches arrive address-ordered, so distinct groups are runs.
+    // The tree takes the whole batch at once: each dirtied node and
+    // the root are re-hashed once, not once per line.
     uint64_t meta_writes = 0;
     uint64_t last_counter_line = ~uint64_t{0};
     uint64_t last_leaf_group = ~uint64_t{0};
+    updates_.clear();
     for (uint64_t line : batch) {
-        auto live = liveFields_.find(line);
-        deuce_assert(live != liveFields_.end());
-        durableFields_[line] = live->second;
+        auto it = meta_.find(line);
+        deuce_assert(it != meta_.end());
+        LineMeta &meta = it->second;
+        meta.durable = meta.live;
         if (tree_) {
             deuce_assert(line < cfg_.numLines);
-            tree_->update(line, effectiveOf(live->second.counter,
-                                            live->second.blockCounters));
+            updates_.push_back({line, effectiveOf(meta.live)});
             ++stats_.treeUpdates;
             uint64_t leaf_group = line / cfg_.treeArity;
             if (leaf_group != last_leaf_group) {
@@ -107,6 +101,9 @@ PersistDomain::flushBatch(const std::vector<uint64_t> &batch)
             ++meta_writes;
         }
     }
+    if (tree_) {
+        tree_->updateBatch(updates_);
+    }
     stats_.flushedCounters += batch.size();
     stats_.metaWrites += meta_writes;
     return meta_writes;
@@ -115,15 +112,16 @@ PersistDomain::flushBatch(const std::vector<uint64_t> &batch)
 PersistTraffic
 PersistDomain::onWrite(uint64_t line, const StoredLineState &state)
 {
-    liveFields_[line] = fieldsOf(state);
+    LineMeta &meta = meta_[line];
+    meta.live = fieldsOf(state);
     ++stats_.counterWrites;
 
     if (cfg_.integrity) {
         // The MAC binds (address, effective counter, ciphertext) and
         // lands in the array atomically with the data, so it costs no
         // separate metadata write.
-        macs_[line] = macLine(macCipher_, line, effectiveCounter(state),
-                              state.data);
+        meta.mac = macLine(macCipher_, line, effectiveCounter(state),
+                           state.data);
         ++stats_.macWrites;
     }
 
@@ -179,11 +177,10 @@ PersistDomain::crash(
         std::vector<uint64_t> pending = policy_->pendingLines();
         if (!pending.empty()) {
             uint64_t torn = pending.front();
-            const Fields &f = liveFields_.at(torn);
-            durableFields_[torn] = f;
+            LineMeta &meta = meta_.at(torn);
+            meta.durable = meta.live;
             if (tree_) {
-                tree_->tamperCounter(
-                    torn, effectiveOf(f.counter, f.blockCounters));
+                tree_->tamperCounter(torn, effectiveOf(meta.live));
             }
             image.tornFlush = true;
             image.tornLine = torn;
@@ -198,22 +195,15 @@ PersistDomain::crash(
                                                lines.end());
     for (auto &[line, state] : sorted) {
         StoredLineState durable = state;
-        auto live = liveFields_.find(line);
-        if (live != liveFields_.end()) {
-            Fields f;
-            auto it = durableFields_.find(line);
-            if (it != durableFields_.end()) {
-                f = it->second;
-            }
-            durable.counter = f.counter;
-            durable.blockCounters = f.blockCounters;
-            image.durableCounters[line] =
-                effectiveOf(f.counter, f.blockCounters);
-            image.liveCounters[line] = effectiveOf(
-                live->second.counter, live->second.blockCounters);
-            auto mac = macs_.find(line);
-            if (mac != macs_.end()) {
-                image.macs[line] = mac->second;
+        auto it = meta_.find(line);
+        if (it != meta_.end()) {
+            const LineMeta &meta = it->second;
+            durable.counter = meta.durable.counter;
+            durable.blockCounters = meta.durable.blockCounters;
+            image.durableCounters[line] = effectiveOf(meta.durable);
+            image.liveCounters[line] = effectiveOf(meta.live);
+            if (cfg_.integrity) {
+                image.macs[line] = meta.mac;
             }
         }
         image.lines.emplace(line, durable);
@@ -229,23 +219,27 @@ PersistDomain::crash(
             cfg_.numLines, keyFromSeed(cfg_.keySeed ^ 0x7ee7),
             cfg_.treeArity);
     }
-    liveFields_.clear();
-    durableFields_.clear();
-    macs_.clear();
+    meta_.clear();
     return image;
 }
 
 void
-PersistDomain::adopt(uint64_t line, const StoredLineState &state)
+PersistDomain::adopt(const std::map<uint64_t, StoredLineState> &lines)
 {
-    Fields f = fieldsOf(state);
-    liveFields_[line] = f;
-    durableFields_[line] = f;
-    if (cfg_.integrity) {
-        uint64_t eff = effectiveOf(f.counter, f.blockCounters);
-        macs_[line] = macLine(macCipher_, line, eff, state.data);
-        deuce_assert(line < cfg_.numLines);
-        tree_->update(line, eff);
+    updates_.clear();
+    for (const auto &[line, state] : lines) {
+        LineMeta &meta = meta_[line];
+        meta.live = fieldsOf(state);
+        meta.durable = meta.live;
+        if (cfg_.integrity) {
+            uint64_t eff = effectiveOf(meta.live);
+            meta.mac = macLine(macCipher_, line, eff, state.data);
+            deuce_assert(line < cfg_.numLines);
+            updates_.push_back({line, eff});
+        }
+    }
+    if (tree_) {
+        tree_->updateBatch(updates_);
     }
 }
 

@@ -10,10 +10,13 @@
  * the system's timing/energy accounting), and can capture a
  * CrashImage at any instant.
  *
- * All state is a pure function of the write order: dirty sets and
- * flush batches are address-ordered, so metadata traffic — and hence
- * timing, energy, and the crash image itself — is bit-identical at
- * any thread count.
+ * All state is a pure function of the write order. Per-line records
+ * and the policy's dirty set are hash containers that nothing iterates
+ * unsorted: the policy sorts its dirty set into address order when it
+ * hands out a flush batch or the pending lines, and crash() walks the
+ * lines in address order. So metadata traffic — and hence timing,
+ * energy, and the crash image itself — is bit-identical at any thread
+ * count.
  */
 
 #ifndef DEUCE_PERSIST_PERSIST_DOMAIN_HH
@@ -28,6 +31,7 @@
 #include <vector>
 
 #include "crypto/aes.hh"
+#include "integrity/merkle.hh"
 #include "persist/crash.hh"
 #include "persist/persistence_policy.hh"
 
@@ -105,10 +109,15 @@ class PersistDomain
         bool mid_flush);
 
     /**
-     * Adopt one recovered line: its counter state becomes both live
-     * and durable, the MAC is recomputed, and the tree path rebuilt.
+     * Adopt recovered lines: each line's counter state becomes both
+     * live and durable and its MAC is recomputed; then one tree batch
+     * rebuilds every adopted line's path.
      */
-    void adopt(uint64_t line, const StoredLineState &state);
+    void adopt(const std::map<uint64_t, StoredLineState> &lines);
+
+    /** The Merkle tree over the durable counters (null without
+     *  integrity). */
+    const MerkleCounterTree *tree() const { return tree_.get(); }
 
     /** Credit repairs applied by a RecoveryEngine (stat only). */
     void noteRecoveryRepairs(uint64_t repairs)
@@ -128,7 +137,17 @@ class PersistDomain
         std::array<uint64_t, 4> blockCounters{};
     };
 
+    /** What the domain tracks for one written (or adopted) line. */
+    struct LineMeta
+    {
+        Fields live;    ///< on-chip counter fields
+        Fields durable; ///< array counter fields (zero until flushed)
+        uint64_t mac = 0; ///< durable MAC, written with the data
+                          ///< (integrity only)
+    };
+
     static Fields fieldsOf(const StoredLineState &state);
+    static uint64_t effectiveOf(const Fields &f);
 
     /** Persist @p batch (address-ordered): shadow, tree, traffic. */
     uint64_t flushBatch(const std::vector<uint64_t> &batch);
@@ -138,14 +157,11 @@ class PersistDomain
     Aes128 macCipher_;
     std::unique_ptr<MerkleCounterTree> tree_;
 
-    /** Live (on-chip) counter fields per written line. */
-    std::map<uint64_t, Fields> liveFields_;
+    /** One record per line ever written or adopted since boot. */
+    std::unordered_map<uint64_t, LineMeta> meta_;
 
-    /** Durable (array) counter fields per flushed line. */
-    std::map<uint64_t, Fields> durableFields_;
-
-    /** Durable per-line MACs (written atomically with the data). */
-    std::map<uint64_t, uint64_t> macs_;
+    /** Scratch: the tree updates of one flush or adoption. */
+    std::vector<CounterUpdate> updates_;
 
     PersistStats stats_;
 };

@@ -43,7 +43,7 @@ void
 LazyFlushPolicy::onCounterWrite(uint64_t line,
                                 std::vector<uint64_t> &flushed)
 {
-    dirty_[line] = true;
+    dirty_.insert(line);
     if (++writesSinceFlush_ >= flushEpoch_) {
         drainPending(flushed);
     }
@@ -52,20 +52,17 @@ LazyFlushPolicy::onCounterWrite(uint64_t line,
 std::vector<uint64_t>
 LazyFlushPolicy::pendingLines() const
 {
-    std::vector<uint64_t> lines;
-    lines.reserve(dirty_.size());
-    for (const auto &[line, _] : dirty_) {
-        lines.push_back(line);
-    }
+    std::vector<uint64_t> lines(dirty_.begin(), dirty_.end());
+    std::sort(lines.begin(), lines.end());
     return lines;
 }
 
 void
 LazyFlushPolicy::drainPending(std::vector<uint64_t> &flushed)
 {
-    for (const auto &[line, _] : dirty_) {
-        flushed.push_back(line);
-    }
+    const size_t first = flushed.size();
+    flushed.insert(flushed.end(), dirty_.begin(), dirty_.end());
+    std::sort(flushed.begin() + first, flushed.end());
     dirty_.clear();
     writesSinceFlush_ = 0;
 }

@@ -7,17 +7,19 @@
  * newer than the durable array — and decides the flush schedule. The
  * counter values themselves live in the PersistDomain, which owns the
  * durable store (and the Merkle tree mirroring it). All state is
- * deterministic in the write order: dirty sets are kept in address
- * order, so flush batches (and therefore metadata traffic and tree
- * update order) are bit-identical run to run.
+ * deterministic in the write order: pending lines are sorted into
+ * address order whenever they are read out (pendingLines(),
+ * drainPending()), whether they sit in the lazy policy's hash set or
+ * the battery FIFO, so flush batches (and therefore metadata traffic
+ * and tree update order) are bit-identical run to run.
  */
 
 #ifndef DEUCE_PERSIST_PERSISTENCE_POLICY_HH
 #define DEUCE_PERSIST_PERSISTENCE_POLICY_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "persist/persist_config.hh"
@@ -99,8 +101,8 @@ class LazyFlushPolicy : public CounterPersistencePolicy
   private:
     uint64_t flushEpoch_;
     uint64_t writesSinceFlush_ = 0;
-    /** Ordered so flush batches are address-sorted (deterministic). */
-    std::map<uint64_t, bool> dirty_;
+    /** Unordered: pendingLines() and drainPending() sort it. */
+    std::unordered_set<uint64_t> dirty_;
 };
 
 /**

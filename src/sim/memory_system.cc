@@ -287,7 +287,7 @@ MemorySystem::adoptLine(uint64_t line_addr,
 {
     lines_[line_addr] = state;
     if (persist_) {
-        persist_->adopt(line_addr, state);
+        persist_->adopt({{line_addr, state}});
     }
 }
 
@@ -295,7 +295,10 @@ void
 MemorySystem::adoptRecovery(const RecoveryOutcome &outcome)
 {
     for (const auto &[line, state] : outcome.lines) {
-        adoptLine(line, state);
+        lines_[line] = state;
+    }
+    if (persist_) {
+        persist_->adopt(outcome.lines);
     }
     // Repaired lines were physically rewritten by the recovery engine;
     // with faults enabled that traffic must age (and may trip) the

@@ -273,8 +273,9 @@ class MemorySystem
     void adoptLine(uint64_t line_addr, const StoredLineState &state);
 
     /**
-     * Adopt a RecoveryEngine's outcome wholesale and credit the
-     * repairs to the persist.* stats.
+     * Adopt a RecoveryEngine's outcome wholesale (the persist domain
+     * rebuilds every adopted line's tree path in one batch) and
+     * credit the repairs to the persist.* stats.
      */
     void adoptRecovery(const RecoveryOutcome &outcome);
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -96,6 +98,35 @@ TEST(PersistPolicy, LazyFlushesEveryEpochInAddressOrder)
     policy->onCounterWrite(7, flushed); // 4th write: epoch boundary
     EXPECT_EQ(flushed, (std::vector<uint64_t>{3, 7, 9}));
     EXPECT_EQ(policy->dirtyCount(), 0u);
+}
+
+TEST(PersistPolicy, LazyPendingSetIsSortedDistinctAndTearsLowest)
+{
+    // The lazy dirty set is a hash set; everything read out of it is
+    // sorted, so pending lines, the volatile count and the torn line
+    // of a mid-flush crash depend only on which lines were written.
+    Fixture f(persistConfig(PersistConfig::Policy::Lazy, 1000));
+    Rng rng(41);
+    CacheLine data;
+    std::set<uint64_t> written;
+    for (int i = 0; i < 200; ++i) {
+        uint64_t addr = rng.nextBounded(48);
+        data.setField(0, 64, rng.next());
+        f.memory->write(addr, data);
+        written.insert(addr);
+    }
+    ASSERT_LT(written.size(), 200u); // the stream repeats lines
+
+    const PersistDomain &domain = *f.memory->persist();
+    std::vector<uint64_t> pending = domain.policy().pendingLines();
+    EXPECT_TRUE(std::is_sorted(pending.begin(), pending.end()));
+    EXPECT_EQ(pending,
+              std::vector<uint64_t>(written.begin(), written.end()));
+    EXPECT_EQ(domain.volatileCounters(), written.size());
+
+    CrashImage image = f.memory->crash(/*mid_flush=*/true);
+    ASSERT_TRUE(image.tornFlush);
+    EXPECT_EQ(image.tornLine, *written.begin());
 }
 
 TEST(PersistPolicy, WriteThroughFlushesEveryWrite)
@@ -244,6 +275,56 @@ TEST(Recovery, RoundTripMatchesShadowModel)
     }
     EXPECT_EQ(f.memory->persist()->stats().recoveryRepairs,
               out.report.repairedLines);
+}
+
+TEST(Recovery, BatchAdoptMatchesPerLineAdoption)
+{
+    // adoptRecovery() rebuilds the tree in one batch; adopting the
+    // same lines one at a time must land on the same root and node
+    // digests, and every adopted line must verify against it.
+    auto crashed = [] {
+        auto f = std::make_unique<Fixture>(
+            persistConfig(PersistConfig::Policy::Lazy, 8));
+        Rng rng(53);
+        CacheLine data;
+        for (int i = 0; i < 150; ++i) {
+            data.setField(0, 64, rng.next());
+            f->memory->write(rng.nextBounded(64), data);
+        }
+        return f;
+    };
+    auto batched = crashed();
+    auto single = crashed();
+    RecoveryOutcome out =
+        RecoveryEngine(*batched->scheme).run(batched->memory->crash(true));
+    RecoveryOutcome same =
+        RecoveryEngine(*single->scheme).run(single->memory->crash(true));
+    ASSERT_GT(out.report.staleLines, 0u);
+    ASSERT_EQ(out.lines.size(), same.lines.size());
+
+    batched->memory->adoptRecovery(out);
+    for (const auto &[line, state] : same.lines) {
+        single->memory->adoptLine(line, state);
+    }
+
+    const MerkleCounterTree &a = *batched->memory->persist()->tree();
+    const MerkleCounterTree &b = *single->memory->persist()->tree();
+    EXPECT_EQ(a.root(), b.root());
+    // Recorded from per-line adoption over the per-line path re-hash
+    // that updateBatch() replaced.
+    EXPECT_EQ(a.root(),
+              (Digest{0xc0, 0x5a, 0x63, 0xd0, 0xd1, 0x51, 0x5c, 0xdf,
+                      0x12, 0xf3, 0xa3, 0x81, 0x0e, 0xa1, 0x5e, 0x42}));
+    for (unsigned level = 0; level < a.levels(); ++level) {
+        for (uint64_t i = 0; i < a.width(level); ++i) {
+            ASSERT_EQ(a.digest(level, i), b.digest(level, i))
+                << "level " << level << " node " << i;
+        }
+    }
+    for (const auto &[line, state] : out.lines) {
+        EXPECT_TRUE(a.verify(line)) << "line " << line;
+        EXPECT_EQ(a.counter(line), PersistDomain::effectiveCounter(state));
+    }
 }
 
 TEST(Recovery, AtomicityViolationsOnlyUnderLazy)

@@ -201,7 +201,7 @@ TEST(WriteBatch, AesEngineBatchedMatchesSequential)
     // The real cipher (auto backend — VAES/AES-NI/NEON where the host
     // has them) through the batched pad stream: catches any pad
     // assembly or ordering bug the fast engine might mask.
-    for (const std::string &id :
+    for (const char *id :
          {"encr", "deuce", "deuce-fnw", "dyndeuce", "ble-deuce",
           "vcc"}) {
         expectBatchedMatchesSequential(id, 64, /*fast=*/false);
@@ -217,7 +217,7 @@ TEST(WriteBatch, MlcCellTechGrid)
     // selection feeds back into the diff being priced.
     PcmConfig mlc;
     mlc.cellTech = CellTech::MLC2;
-    for (const std::string &id :
+    for (const char *id :
          {"encr", "deuce", "vcc", "vcc-mlc"}) {
         for (unsigned batch : {1u, 7u, 64u}) {
             for (const PcmConfig &pcm : {PcmConfig{}, mlc}) {
@@ -236,7 +236,7 @@ TEST(WriteBatch, VccDuplicateHeavyMlcBursts)
     // snapshot would corrupt both selection bits and MLC pricing.
     PcmConfig mlc;
     mlc.cellTech = CellTech::MLC2;
-    for (const std::string &id : {"vcc", "vcc-mlc"}) {
+    for (const char *id : {"vcc", "vcc-mlc"}) {
         expectBatchedMatchesSequential(id, 64, true,
                                        WearLevelingConfig{},
                                        FaultConfig{}, PersistConfig{},
@@ -307,7 +307,7 @@ TEST(WriteBatch, DuplicateHeavyBursts)
     // same line, forcing the duplicate-split path: the second write
     // of an address must plan its pads against post-first-write
     // state, not the burst-entry snapshot.
-    for (const std::string &id : {"deuce", "dyndeuce", "encr"}) {
+    for (const char *id : {"deuce", "dyndeuce", "encr"}) {
         expectBatchedMatchesSequential(id, 64, true,
                                        WearLevelingConfig{},
                                        FaultConfig{}, PersistConfig{},
