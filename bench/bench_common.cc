@@ -7,13 +7,31 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 
+#include "common/cli_parse.hh"
 #include "obs/trace.hh"
 
 namespace deuce
 {
 namespace benchutil
 {
+
+uint64_t
+writebacksFromEnv(uint64_t fallback)
+{
+    const char *env = std::getenv("DEUCE_BENCH_WB");
+    if (env == nullptr) {
+        return fallback;
+    }
+    std::optional<uint64_t> wb = parseUnsigned(env);
+    if (!wb) {
+        std::cerr << "usage: DEUCE_BENCH_WB=<writebacks> (a base-10 "
+                     "count, got \"" << env << "\")\n";
+        std::exit(2);
+    }
+    return *wb;
+}
 
 ExperimentOptions
 standardOptions()
@@ -24,12 +42,9 @@ standardOptions()
     obs::traceConfigureFromEnv();
 
     ExperimentOptions opt;
-    opt.writebacks = 60000;
+    opt.writebacks = writebacksFromEnv(60000);
     opt.fastOtp = false; // figures use the real AES engine
     opt.wl.verticalEnabled = false;
-    if (const char *env = std::getenv("DEUCE_BENCH_WB")) {
-        opt.writebacks = std::strtoull(env, nullptr, 10);
-    }
     return opt;
 }
 

@@ -16,6 +16,7 @@
 #ifndef DEUCE_BENCH_BENCH_COMMON_HH
 #define DEUCE_BENCH_BENCH_COMMON_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,13 @@ namespace deuce
 {
 namespace benchutil
 {
+
+/**
+ * The DEUCE_BENCH_WB writeback budget, or @p fallback when it is
+ * unset. A malformed value (see parseUnsigned()) prints a usage line
+ * and exits 2.
+ */
+uint64_t writebacksFromEnv(uint64_t fallback);
 
 /** Standard options for figure regeneration (real AES). */
 ExperimentOptions standardOptions();

@@ -38,12 +38,15 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli_parse.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "obs/flight_recorder.hh"
@@ -78,64 +81,92 @@ struct Args
     double sloP99Us = 0.0;
 };
 
-std::vector<unsigned>
-parseCsv(const std::string &s)
+[[noreturn]] void
+usage(const char *argv0)
 {
-    std::vector<unsigned> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        out.push_back(static_cast<unsigned>(
-            std::strtoul(item.c_str(), nullptr, 10)));
-    }
-    deuce_assert(!out.empty());
-    return out;
+    std::cerr << "usage: " << argv0
+              << " [--shards <n[,n...]>] [--tenants <n[,n...]>]"
+                 " [--clients <n>] [--ops <n>] [--read-pct <0-100>]"
+                 " [--scheme <id>] [--fast-otp] [--working-set <n>]"
+                 " [--seed <n>] [--queue <n>] [--burst <n>]"
+                 " [--json <path>] [--telemetry-out <base>]"
+                 " [--telemetry-period-ms <n>] [--slo-p99-us <x>]\n";
+    std::exit(2);
 }
 
 Args
 parseArgs(int argc, char **argv)
 {
+    constexpr uint64_t kUintMax = std::numeric_limits<unsigned>::max();
+    constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
     Args args;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            deuce_assert(i + 1 < argc);
+        auto next = [&]() -> const char * {
+            if (i + 1 >= argc) {
+                usage(argv[0]);
+            }
             return argv[++i];
         };
+        // An integer in [min, max]; anything else exits through
+        // usage().
+        auto number = [&](const char *text, uint64_t min, uint64_t max) {
+            std::optional<uint64_t> v = parseUnsigned(text, max);
+            if (!v || *v < min) {
+                usage(argv[0]);
+            }
+            return *v;
+        };
+        auto count = [&](uint64_t max) { return number(next(), 1, max); };
+        auto countList = [&]() {
+            std::vector<unsigned> out;
+            std::stringstream ss(next());
+            std::string item;
+            while (std::getline(ss, item, ',')) {
+                out.push_back(static_cast<unsigned>(
+                    number(item.c_str(), 1, kUintMax)));
+            }
+            if (out.empty()) {
+                usage(argv[0]);
+            }
+            return out;
+        };
         if (a == "--shards") {
-            args.shards = parseCsv(next());
+            args.shards = countList();
         } else if (a == "--tenants") {
-            args.tenants = parseCsv(next());
+            args.tenants = countList();
         } else if (a == "--clients") {
-            args.clients = parseCsv(next())[0];
+            args.clients = static_cast<unsigned>(count(kUintMax));
         } else if (a == "--ops") {
-            args.ops = std::strtoull(next().c_str(), nullptr, 10);
+            args.ops = count(kU64Max);
         } else if (a == "--read-pct") {
-            args.readPct = parseCsv(next())[0];
+            args.readPct = static_cast<unsigned>(number(next(), 0, 100));
         } else if (a == "--working-set") {
-            args.workingSet = parseCsv(next())[0];
+            args.workingSet = static_cast<unsigned>(count(kUintMax));
         } else if (a == "--scheme") {
             args.scheme = next();
         } else if (a == "--fast-otp") {
             args.fastOtp = true;
         } else if (a == "--seed") {
-            args.seed = std::strtoull(next().c_str(), nullptr, 10);
+            args.seed = number(next(), 0, kU64Max);
         } else if (a == "--queue") {
-            args.queue = parseCsv(next())[0];
+            args.queue = count(kUintMax);
         } else if (a == "--burst") {
-            args.burst = parseCsv(next())[0];
+            args.burst = static_cast<unsigned>(count(kUintMax));
         } else if (a == "--json") {
             args.json = next();
         } else if (a == "--telemetry-out") {
             args.telemetryOut = next();
         } else if (a == "--telemetry-period-ms") {
-            args.telemetryPeriodMs =
-                std::strtoull(next().c_str(), nullptr, 10);
+            args.telemetryPeriodMs = count(kU64Max);
         } else if (a == "--slo-p99-us") {
-            args.sloP99Us = std::strtod(next().c_str(), nullptr);
+            std::optional<double> slo = parseDouble(next());
+            if (!slo) {
+                usage(argv[0]);
+            }
+            args.sloP99Us = *slo;
         } else {
-            std::cerr << "unknown argument: " << a << "\n";
-            std::exit(2);
+            usage(argv[0]);
         }
     }
     if (args.telemetryOut.empty()) {

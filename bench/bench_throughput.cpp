@@ -29,11 +29,15 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.hh"
+#include "common/cli_parse.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "crypto/aes_backend.hh"
@@ -61,6 +65,16 @@ struct Args
     uint64_t seed = 0x7f4a7c15;
 };
 
+[[noreturn]] void
+usage(const char *argv0)
+{
+    std::cerr << "usage: " << argv0
+              << " [--writes <n>] [--pool <lines>] [--schemes <a,b>]"
+                 " [--batches <n[,n...]>] [--all-backends]"
+                 " [--json <path>] [--seed <n>]\n";
+    std::exit(2);
+}
+
 std::vector<std::string>
 splitCsv(const std::string &s)
 {
@@ -70,42 +84,60 @@ splitCsv(const std::string &s)
     while (std::getline(ss, item, ',')) {
         out.push_back(item);
     }
-    deuce_assert(!out.empty());
     return out;
 }
 
 Args
 parseArgs(int argc, char **argv)
 {
+    constexpr uint64_t kUintMax = std::numeric_limits<unsigned>::max();
     Args args;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        auto next = [&]() -> std::string {
-            deuce_assert(i + 1 < argc);
+        auto next = [&]() -> const char * {
+            if (i + 1 >= argc) {
+                usage(argv[0]);
+            }
             return argv[++i];
         };
+        // A count in [1, max]; anything else exits through usage().
+        auto count = [&](const char *text, uint64_t max) {
+            std::optional<uint64_t> v = parseUnsigned(text, max);
+            if (!v || *v == 0) {
+                usage(argv[0]);
+            }
+            return *v;
+        };
         if (a == "--writes") {
-            args.writes = std::strtoull(next().c_str(), nullptr, 10);
+            args.writes = count(next(), std::numeric_limits<uint64_t>::max());
         } else if (a == "--pool") {
-            args.pool = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            args.pool = static_cast<unsigned>(count(next(), kUintMax));
         } else if (a == "--schemes") {
             args.schemes = splitCsv(next());
+            if (args.schemes.empty()) {
+                usage(argv[0]);
+            }
         } else if (a == "--batches") {
             args.batches.clear();
             for (const std::string &b : splitCsv(next())) {
-                args.batches.push_back(static_cast<unsigned>(
-                    std::strtoul(b.c_str(), nullptr, 10)));
+                args.batches.push_back(
+                    static_cast<unsigned>(count(b.c_str(), kUintMax)));
+            }
+            if (args.batches.empty()) {
+                usage(argv[0]);
             }
         } else if (a == "--all-backends") {
             args.allBackends = true;
         } else if (a == "--json") {
             args.json = next();
         } else if (a == "--seed") {
-            args.seed = std::strtoull(next().c_str(), nullptr, 10);
+            std::optional<uint64_t> seed = parseUnsigned(next());
+            if (!seed) {
+                usage(argv[0]);
+            }
+            args.seed = *seed;
         } else {
-            std::cerr << "unknown argument: " << a << "\n";
-            std::exit(2);
+            usage(argv[0]);
         }
     }
     return args;
@@ -250,9 +282,7 @@ int
 main(int argc, char **argv)
 {
     Args args = parseArgs(argc, argv);
-    if (const char *env = std::getenv("DEUCE_BENCH_WB")) {
-        args.writes = std::strtoull(env, nullptr, 10);
-    }
+    args.writes = benchutil::writebacksFromEnv(args.writes);
     obs::flightRecorderConfigureFromEnv();
 
     printBanner(std::cout, "Throughput",

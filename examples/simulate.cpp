@@ -77,18 +77,17 @@
  * configured so far are still written.
  */
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/cli_parse.hh"
 #include "common/line_kernels.hh"
 #include "common/logging.hh"
 #include "crypto/aes_backend.hh"
@@ -147,43 +146,27 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/**
- * Strict base-10 unsigned parse: digits only (no sign, no leading
- * space, no trailing junk) and at most @p max; anything else exits
- * through usage().
- */
+/** parseUnsigned(), or exit through usage() on a malformed value. */
 uint64_t
-parseUnsigned(const char *argv0, const char *text,
-              uint64_t max = std::numeric_limits<uint64_t>::max())
+unsignedArg(const char *argv0, const char *text,
+            uint64_t max = std::numeric_limits<uint64_t>::max())
 {
-    if (!std::isdigit(static_cast<unsigned char>(*text))) {
+    std::optional<uint64_t> v = parseUnsigned(text, max);
+    if (!v) {
         usage(argv0);
     }
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (*end != '\0' || errno == ERANGE || v > max) {
-        usage(argv0);
-    }
-    return v;
+    return *v;
 }
 
-/** Strict finite real parse: no leading space, no trailing junk, no
- *  overflow, no inf/nan; anything else exits through usage(). */
+/** parseDouble(), or exit through usage() on a malformed value. */
 double
-parseDouble(const char *argv0, const char *text)
+doubleArg(const char *argv0, const char *text)
 {
-    if (*text == '\0' ||
-        std::isspace(static_cast<unsigned char>(*text))) {
+    std::optional<double> v = parseDouble(text);
+    if (!v) {
         usage(argv0);
     }
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(text, &end);
-    if (*end != '\0' || errno == ERANGE || !std::isfinite(v)) {
-        usage(argv0);
-    }
-    return v;
+    return *v;
 }
 
 std::vector<std::string>
@@ -229,7 +212,7 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg == "--writebacks") {
-            cli.experiment.writebacks = parseUnsigned(argv[0], value());
+            cli.experiment.writebacks = unsignedArg(argv[0], value());
         } else if (arg == "--timing") {
             cli.experiment.timing = true;
         } else if (arg == "--hwl") {
@@ -264,20 +247,20 @@ parseArgs(int argc, char **argv)
             setLineBackend(*parsed);
         } else if (arg == "--batch") {
             cli.experiment.writeBatch = static_cast<unsigned>(
-                parseUnsigned(argv[0], value(), kUintMax));
+                unsignedArg(argv[0], value(), kUintMax));
             if (cli.experiment.writeBatch == 0) {
                 usage(argv[0]);
             }
         } else if (arg == "--seed") {
-            cli.experiment.otpSeed = parseUnsigned(argv[0], value());
+            cli.experiment.otpSeed = unsignedArg(argv[0], value());
         } else if (arg == "--fault") {
             cli.experiment.fault.enabled = true;
         } else if (arg == "--ecp") {
             cli.experiment.fault.ecpEntries = static_cast<unsigned>(
-                parseUnsigned(argv[0], value(), kUintMax));
+                unsignedArg(argv[0], value(), kUintMax));
         } else if (arg == "--endurance") {
             cli.experiment.fault.meanEndurance =
-                parseDouble(argv[0], value());
+                doubleArg(argv[0], value());
         } else if (arg == "--persist") {
             std::string policy = value();
             cli.experiment.persist.enabled = true;
@@ -295,10 +278,10 @@ parseArgs(int argc, char **argv)
             }
         } else if (arg == "--flush-epoch") {
             cli.experiment.persist.flushEpoch =
-                parseUnsigned(argv[0], value());
+                unsignedArg(argv[0], value());
         } else if (arg == "--persist-queue") {
             cli.experiment.persist.queueDepth = static_cast<unsigned>(
-                parseUnsigned(argv[0], value(), kUintMax));
+                unsignedArg(argv[0], value(), kUintMax));
         } else if (arg == "--no-persist-integrity") {
             cli.experiment.persist.integrity = false;
         } else if (arg == "--cell-tech") {
@@ -311,10 +294,10 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg == "--mlp") {
-            cli.experiment.timingCfg.mlp = parseDouble(argv[0], value());
+            cli.experiment.timingCfg.mlp = doubleArg(argv[0], value());
         } else if (arg == "--threads") {
             cli.threads = static_cast<unsigned>(
-                parseUnsigned(argv[0], value(), kUintMax));
+                unsignedArg(argv[0], value(), kUintMax));
         } else if (arg == "--csv") {
             cli.csv = true;
         } else if (arg == "--json") {
@@ -340,12 +323,12 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--telemetry-out") {
             cli.telemetryOut = value();
         } else if (arg == "--telemetry-period-ms") {
-            cli.telemetryPeriodMs = parseUnsigned(argv[0], value());
+            cli.telemetryPeriodMs = unsignedArg(argv[0], value());
             if (cli.telemetryPeriodMs == 0) {
                 usage(argv[0]);
             }
         } else if (arg == "--slo-p99-us") {
-            cli.sloP99Us = parseDouble(argv[0], value());
+            cli.sloP99Us = doubleArg(argv[0], value());
         } else {
             usage(argv[0]);
         }

@@ -303,18 +303,21 @@ python3 -c 'import json, sys; [json.load(open(p)) for p in sys.argv[1:]]' \
 echo "tier1: fatal exit OK (status 1, trace and flight dumps written)"
 
 # Hostile CLI values must be rejected, not coerced: junk after a
-# number, a sign on an unsigned flag, a non-number, a non-finite real
-# and removed backend names each print the usage line and exit 2.
-hostile_cli() {
+# number, a sign on an unsigned flag, a non-number, a non-finite real,
+# a missing value, a bad DEUCE_BENCH_WB and removed backend names each
+# print the usage line and exit 2.
+expect_usage() {
     local status=0
-    "$build/examples/simulate" --bench mcf --scheme deuce --fast-otp \
-        --writebacks 100 "$@" \
-        > /dev/null 2> "$build/tier1_hostile.log" || status=$?
+    "$@" > /dev/null 2> "$build/tier1_hostile.log" || status=$?
     if [[ "$status" != 2 ]] ||
         ! grep -q '^usage: ' "$build/tier1_hostile.log"; then
-        echo "tier1: FAIL — simulate $* exited $status (want 2 + usage)" >&2
+        echo "tier1: FAIL — $* exited $status (want 2 + usage)" >&2
         exit 1
     fi
+}
+hostile_cli() {
+    expect_usage "$build/examples/simulate" --bench mcf --scheme deuce \
+        --fast-otp --writebacks 100 "$@"
 }
 hostile_cli --writebacks 12x
 hostile_cli --seed -1
@@ -322,7 +325,15 @@ hostile_cli --batch abc
 hostile_cli --mlp nan
 hostile_cli --aes-backend ttable
 hostile_cli --line-backend sse2
-echo "tier1: hostile CLI OK (6 bad values rejected with status 2)"
+expect_usage "$build/bench/bench_throughput" --writes abc
+expect_usage "$build/bench/bench_throughput" --batches 16,x
+expect_usage "$build/bench/bench_serving" --ops 1e3x
+expect_usage "$build/bench/bench_serving" --shards
+expect_usage "$build/bench/bench_serving" --slo-p99-us inf
+expect_usage env DEUCE_BENCH_WB=abc "$build/bench/bench_throughput"
+expect_usage env DEUCE_BENCH_WB=12x "$build/bench/bench_fig10" \
+    --benchmark_filter=NONE
+echo "tier1: hostile CLI OK (13 bad values rejected with status 2)"
 
 # Trace overhead cell: the same sweep with tracing compiled in but
 # disabled vs enabled, appended as BENCH_MICRO rows. Informational

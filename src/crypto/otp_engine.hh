@@ -84,9 +84,9 @@ class OtpEngine
      * Generate pads for @p n (counter, block) pairs of one line in a
      * single batch. Bit-identical to n padForBlock() calls; engines
      * with a pipelined cipher override this to key-schedule once and
-     * run the blocks through the pipeline together (AES-NI keeps
-     * four AESENC chains in flight; the T-table backend interleaves
-     * rounds). The default loops over padForBlock().
+     * run the blocks through the pipeline together (AES-NI and NEON
+     * keep four blocks in flight, VAES sixteen). The default loops
+     * over padForBlock().
      */
     virtual void padForBlocks(uint64_t line_addr,
                               const PadRequest *requests,

@@ -130,12 +130,18 @@ CacheLine
 Deuce::decryptWith(uint64_t line_addr, const CacheLine &cipher,
                    uint64_t counter, uint64_t modified) const
 {
-    // Both pads are generated (in hardware: in parallel); the modified
-    // bit selects per word which decryption to keep (Figure 7).
-    CacheLine pad_lctr = otp_.padForLine(line_addr, counter);
-    CacheLine pad_tctr =
-        otp_.padForLine(line_addr, trailingCounter(counter));
-    return decryptWithPads(cipher, modified, pad_lctr, pad_tctr);
+    // Both pads are generated as one pad stream (in hardware: in
+    // parallel); the modified bit selects per word which decryption
+    // to keep (Figure 7).
+    LinePadRequest requests[8];
+    for (unsigned block = 0; block < 4; ++block) {
+        requests[block] = LinePadRequest{line_addr, counter, block};
+        requests[4 + block] =
+            LinePadRequest{line_addr, trailingCounter(counter), block};
+    }
+    CacheLine pads[2];
+    generateLinePads(otp_, requests, pads, 2);
+    return decryptWithPads(cipher, modified, pads[0], pads[1]);
 }
 
 CacheLine

@@ -38,6 +38,16 @@ assembleLinePads(const AesBlock *blocks, CacheLine *line_pads,
     }
 }
 
+void
+generateLinePads(const OtpEngine &otp, const LinePadRequest *requests,
+                 CacheLine *line_pads, unsigned lines)
+{
+    deuce_assert(lines <= kMaxWritePadLines);
+    AesBlock blocks[4 * kMaxWritePadLines];
+    otp.padForLines(requests, blocks, 4 * lines);
+    assembleLinePads(blocks, line_pads, lines);
+}
+
 WriteResult
 EncryptionScheme::write(uint64_t line_addr, const CacheLine &plaintext,
                         StoredLineState &state) const

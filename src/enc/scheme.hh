@@ -52,6 +52,15 @@ void assembleLinePads(const AesBlock *blocks, CacheLine *line_pads,
                       unsigned lines);
 
 /**
+ * Generate @p lines (at most kMaxWritePadLines) planned line pads as
+ * one padForLines() stream of 4 * @p lines blocks, then assemble them.
+ * The read path's counterpart of planWritePads() → generatePads().
+ */
+void generateLinePads(const OtpEngine &otp,
+                      const LinePadRequest *requests,
+                      CacheLine *line_pads, unsigned lines);
+
+/**
  * Persistent per-line state as stored in the PCM array.
  *
  * Every scheme uses a subset of the fields: counter-mode uses

@@ -20,6 +20,21 @@ namespace
 /** Largest candidate count the pad-plan arena admits (3N + 2 pads). */
 constexpr unsigned kMaxCandidates = (kMaxWritePadLines - 2) / 3;
 
+/** Line pads of the largest read plan (2N + 1). */
+constexpr unsigned kMaxReadPadLines = 2 * kMaxCandidates + 1;
+
+/** Append the four block requests of line pad (@p line_addr, @p vctr). */
+void
+addLinePad(LinePadRequest *requests, unsigned &lines, uint64_t line_addr,
+           uint64_t vctr)
+{
+    for (unsigned block = 0; block < 4; ++block) {
+        requests[lines * 4 + block] =
+            LinePadRequest{line_addr, vctr, block};
+    }
+    ++lines;
+}
+
 } // namespace
 
 Vcc::Vcc(const OtpEngine &otp, const VccConfig &cfg)
@@ -44,6 +59,10 @@ Vcc::Vcc(const OtpEngine &otp, const VccConfig &cfg)
     numWords_ = CacheLine::kBits / wordBits_;
     selBits_ = static_cast<unsigned>(std::countr_zero(cfg_.candidates));
     deuce_assert(numWords_ <= 64);
+    wordMask_ = wordBits_ == 64 ? ~uint64_t{0}
+                                : (uint64_t{1} << wordBits_) - 1;
+    allWords_ = numWords_ == 64 ? ~uint64_t{0}
+                                : (uint64_t{1} << numWords_) - 1;
     if (numWords_ * selBits_ > 64) {
         deuce_fatal("VCC selection bits exceed the 64-bit auxiliary "
                     "word; use fewer candidates or larger words");
@@ -86,32 +105,16 @@ Vcc::wordCost(uint64_t old_word, uint64_t new_word) const
     return cost;
 }
 
-void
-Vcc::genCandidates(uint64_t line_addr, uint64_t counter,
-                   CacheLine *cands) const
-{
-    for (unsigned j = 0; j < cfg_.candidates; ++j) {
-        cands[j] = otp_.padForLine(line_addr, virtualCounter(counter, j));
-    }
-}
-
-uint64_t
-Vcc::auxPad64(uint64_t line_addr, uint64_t counter) const
-{
-    return otp_
-        .padForLine(line_addr, virtualCounter(counter, cfg_.candidates))
-        .limbs()[0];
-}
-
 unsigned
 Vcc::selectCandidate(uint64_t old_word, uint64_t plain_word,
-                     const CacheLine *cands, unsigned lsb) const
+                     const CacheLine *cands, unsigned limb,
+                     unsigned shift) const
 {
     unsigned best_j = 0;
     double best_cost = 0.0;
     for (unsigned j = 0; j < cfg_.candidates; ++j) {
         uint64_t cipher_word =
-            plain_word ^ cands[j].field(lsb, wordBits_);
+            plain_word ^ ((cands[j].limb(limb) >> shift) & wordMask_);
         double cost = wordCost(old_word, cipher_word);
         // Strict < keeps ties on the lowest index: deterministic for
         // a given (line, counter, seed).
@@ -131,54 +134,39 @@ Vcc::encryptStep(const CacheLine &plaintext, const CacheLine &cur_plain,
                  uint64_t &modified_out, uint64_t &sel_out) const
 {
     const uint64_t sel_mask = (uint64_t{1} << selBits_) - 1;
-    CacheLine cipher;
-    uint64_t sel = 0;
 
-    if (isEpochStart(new_counter)) {
-        // Epoch start: full re-encryption with a fresh selection for
-        // every word; tracking bits reset.
-        for (unsigned w = 0; w < numWords_; ++w) {
-            unsigned lsb = w * wordBits_;
-            uint64_t plain_word = plaintext.field(lsb, wordBits_);
-            unsigned j = selectCandidate(
-                old_stored.field(lsb, wordBits_), plain_word, new_cands,
-                lsb);
-            cipher.setField(lsb, wordBits_,
-                            plain_word ^
-                                new_cands[j].field(lsb, wordBits_));
-            sel |= static_cast<uint64_t>(j) << (w * selBits_);
-        }
-        cipher_out = cipher;
-        modified_out = 0;
-        sel_out = sel;
-        return;
-    }
+    // Epoch start: full re-encryption with a fresh selection for
+    // every word; tracking bits reset. Otherwise DEUCE-style
+    // tracking: words changed since the epoch start take a fresh pad
+    // (min-cost among the new counter's candidates); unmodified words
+    // keep their epoch ciphertext — and their epoch-start selection
+    // value — at zero cell flips.
+    const bool epoch = isEpochStart(new_counter);
+    uint64_t modified = epoch
+        ? 0
+        : old_modified |
+            lineKernels().wordDiffMask(plaintext, cur_plain, wordBits_);
+    const uint64_t fresh = epoch ? allWords_ : modified & allWords_;
 
-    // DEUCE-style tracking: words changed since the epoch start take
-    // a fresh pad (min-cost among the new counter's candidates);
-    // unmodified words keep their epoch ciphertext — and their
-    // epoch-start selection value — at zero cell flips.
-    uint64_t modified =
-        old_modified |
-        lineKernels().wordDiffMask(plaintext, cur_plain, wordBits_);
-
-    for (unsigned w = 0; w < numWords_; ++w) {
+    // Every word size divides 64, so word w never straddles a limb:
+    // it sits in limb lsb / 64 at shift lsb % 64, lsb = w * wordBits.
+    CacheLine cipher = old_stored;
+    uint64_t sel = old_sel & auxMask_;
+    for (uint64_t todo = fresh; todo != 0; todo &= todo - 1) {
+        unsigned w = static_cast<unsigned>(std::countr_zero(todo));
         unsigned lsb = w * wordBits_;
-        if ((modified >> w) & 1) {
-            uint64_t plain_word = plaintext.field(lsb, wordBits_);
-            unsigned j = selectCandidate(
-                old_stored.field(lsb, wordBits_), plain_word, new_cands,
-                lsb);
-            cipher.setField(lsb, wordBits_,
-                            plain_word ^
-                                new_cands[j].field(lsb, wordBits_));
-            sel |= static_cast<uint64_t>(j) << (w * selBits_);
-        } else {
-            cipher.setField(lsb, wordBits_,
-                            old_stored.field(lsb, wordBits_));
-            sel |= ((old_sel >> (w * selBits_)) & sel_mask)
-                   << (w * selBits_);
-        }
+        unsigned l = lsb >> 6;
+        unsigned shift = lsb & 63;
+        uint64_t plain_word = (plaintext.limb(l) >> shift) & wordMask_;
+        uint64_t old_word = (old_stored.limb(l) >> shift) & wordMask_;
+        unsigned j =
+            selectCandidate(old_word, plain_word, new_cands, l, shift);
+        uint64_t pad_word = (new_cands[j].limb(l) >> shift) & wordMask_;
+        cipher.limb(l) = (cipher.limb(l) & ~(wordMask_ << shift)) |
+                         ((plain_word ^ pad_word) << shift);
+        unsigned sel_lsb = w * selBits_;
+        sel = (sel & ~(sel_mask << sel_lsb)) |
+              (static_cast<uint64_t>(j) << sel_lsb);
     }
     cipher_out = cipher;
     modified_out = modified;
@@ -190,19 +178,19 @@ Vcc::decryptWithPads(const CacheLine &cipher, uint64_t modified,
                      uint64_t sel, const CacheLine *lctr_cands,
                      const CacheLine *tctr_cands) const
 {
+    // Gather each word's selected pad into one line, then one XOR.
     const uint64_t sel_mask = (uint64_t{1} << selBits_) - 1;
-    CacheLine plain;
+    CacheLine pad;
     for (unsigned w = 0; w < numWords_; ++w) {
         unsigned lsb = w * wordBits_;
         unsigned j = static_cast<unsigned>((sel >> (w * selBits_)) &
                                            sel_mask);
-        const CacheLine &pad =
-            ((modified >> w) & 1) ? lctr_cands[j] : tctr_cands[j];
-        plain.setField(lsb, wordBits_,
-                       cipher.field(lsb, wordBits_) ^
-                           pad.field(lsb, wordBits_));
+        const CacheLine *cands =
+            ((modified >> w) & 1) ? lctr_cands : tctr_cands;
+        pad.limb(lsb >> 6) |=
+            cands[j].limb(lsb >> 6) & (wordMask_ << (lsb & 63));
     }
-    return plain;
+    return cipher ^ pad;
 }
 
 void
@@ -212,15 +200,21 @@ Vcc::install(uint64_t line_addr, const CacheLine &plaintext,
     state = StoredLineState{};
     // Counter 0 is an epoch boundary: every word takes a fresh
     // selection, minimized against the fresh (all-zero) cell array.
-    CacheLine cands[kMaxCandidates];
-    genCandidates(line_addr, 0, cands);
-    uint64_t aux = auxPad64(line_addr, 0);
+    // Its N candidates and auxiliary pad come from one pad stream.
+    LinePadRequest requests[4 * (kMaxCandidates + 1)];
+    unsigned lines = 0;
+    for (unsigned j = 0; j <= cfg_.candidates; ++j) {
+        addLinePad(requests, lines, line_addr, virtualCounter(0, j));
+    }
+    CacheLine pads[kMaxCandidates + 1];
+    generateLinePads(otp_, requests, pads, lines);
+    const uint64_t aux = pads[cfg_.candidates].limb(0);
 
     CacheLine cipher;
     uint64_t modified = 0;
     uint64_t sel = 0;
-    encryptStep(plaintext, plaintext, CacheLine{}, 0, 0, 0, cands,
-                cipher, modified, sel);
+    encryptStep(plaintext, plaintext, CacheLine{}, 0, 0, 0, pads, cipher,
+                modified, sel);
     state.data = cipher;
     state.modifiedBits = modified;
     state.cosetBits = (sel ^ aux) & auxMask_;
@@ -229,43 +223,47 @@ Vcc::install(uint64_t line_addr, const CacheLine &plaintext,
 CacheLine
 Vcc::read(uint64_t line_addr, const StoredLineState &state) const
 {
-    CacheLine lctr_cands[kMaxCandidates];
-    CacheLine tctr_cands[kMaxCandidates];
-    genCandidates(line_addr, state.counter, lctr_cands);
-    genCandidates(line_addr, trailingCounter(state.counter), tctr_cands);
-    uint64_t sel =
-        (state.cosetBits ^ auxPad64(line_addr, state.counter)) &
-        auxMask_;
-    return decryptWithPads(state.data, state.modifiedBits, sel,
-                           lctr_cands, tctr_cands);
+    LinePadRequest requests[4 * kMaxReadPadLines];
+    unsigned lines = planReadPads(line_addr, state, requests);
+    CacheLine pads[kMaxReadPadLines];
+    generateLinePads(otp_, requests, pads, lines);
+
+    const unsigned n = cfg_.candidates;
+    uint64_t sel = (state.cosetBits ^ pads[2 * n].limb(0)) & auxMask_;
+    return decryptWithPads(state.data, state.modifiedBits, sel, pads,
+                           pads + n);
+}
+
+unsigned
+Vcc::planReadPads(uint64_t line_addr, const StoredLineState &state,
+                  LinePadRequest *requests) const
+{
+    unsigned lines = 0;
+    for (unsigned j = 0; j < cfg_.candidates; ++j) {
+        addLinePad(requests, lines, line_addr,
+                   virtualCounter(state.counter, j));
+    }
+    for (unsigned j = 0; j < cfg_.candidates; ++j) {
+        addLinePad(requests, lines, line_addr,
+                   virtualCounter(trailingCounter(state.counter), j));
+    }
+    addLinePad(requests, lines, line_addr,
+               virtualCounter(state.counter, cfg_.candidates));
+    return lines;
 }
 
 unsigned
 Vcc::planWritePads(uint64_t line_addr, const StoredLineState &state,
                    LinePadRequest *requests) const
 {
-    unsigned n = 0;
-    auto addLine = [&](uint64_t vctr) {
-        for (unsigned block = 0; block < 4; ++block) {
-            requests[n * 4 + block] =
-                LinePadRequest{line_addr, vctr, block};
-        }
-        ++n;
-    };
-    // Read-back decryption of the current contents...
-    for (unsigned j = 0; j < cfg_.candidates; ++j) {
-        addLine(virtualCounter(state.counter, j));
+    // Read-back decryption of the current contents, then the new
+    // image: candidates and auxiliary pad of c+1.
+    unsigned lines = planReadPads(line_addr, state, requests);
+    for (unsigned j = 0; j <= cfg_.candidates; ++j) {
+        addLinePad(requests, lines, line_addr,
+                   virtualCounter(state.counter + 1, j));
     }
-    for (unsigned j = 0; j < cfg_.candidates; ++j) {
-        addLine(virtualCounter(trailingCounter(state.counter), j));
-    }
-    addLine(virtualCounter(state.counter, cfg_.candidates));
-    // ...then the new image: candidates and auxiliary pad of c+1.
-    for (unsigned j = 0; j < cfg_.candidates; ++j) {
-        addLine(virtualCounter(state.counter + 1, j));
-    }
-    addLine(virtualCounter(state.counter + 1, cfg_.candidates));
-    return n;
+    return lines;
 }
 
 void

@@ -127,10 +127,17 @@ class Vcc : public EncryptionScheme
     const VccConfig &config() const { return cfg_; }
 
     /**
-     * Pad plan: the N candidates of LCTR(c), the N candidates of
-     * TCTR(c) and the auxiliary pad of c for the read-back, then the
-     * N candidates of c+1 and the auxiliary pad of c+1 for the new
-     * image — 3N + 2 line pads.
+     * Read pad plan: the N candidates of LCTR(c), the N candidates of
+     * TCTR(c) and the auxiliary pad of c — the 2N + 1 line pads that
+     * decrypt the current contents. read() generates them as one pad
+     * stream.
+     */
+    unsigned planReadPads(uint64_t line_addr, const StoredLineState &state,
+                          LinePadRequest *requests) const;
+
+    /**
+     * Write pad plan: the read plan, then the N candidates and the
+     * auxiliary pad of c+1 for the new image — 3N + 2 line pads.
      */
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
@@ -143,21 +150,15 @@ class Vcc : public EncryptionScheme
                               const CacheLine *line_pads) const override;
 
   private:
-    /** Generate the N candidate pads of leading counter @p counter. */
-    void genCandidates(uint64_t line_addr, uint64_t counter,
-                       CacheLine *cands) const;
-
-    /** Low 64 bits of the auxiliary pad of leading counter @p c. */
-    uint64_t auxPad64(uint64_t line_addr, uint64_t counter) const;
-
     /**
      * Cheapest candidate for one word: index j minimizing
      * wordCost(old stored word, plaintext word ^ candidate pad word),
-     * ties broken toward the lowest index.
+     * ties broken toward the lowest index. The word sits at bit
+     * @p shift of limb @p limb in every candidate pad.
      */
     unsigned selectCandidate(uint64_t old_word, uint64_t plain_word,
-                             const CacheLine *cands,
-                             unsigned lsb) const;
+                             const CacheLine *cands, unsigned limb,
+                             unsigned shift) const;
 
     /**
      * Build the new ciphertext image, modified bits and (plaintext)
@@ -182,6 +183,8 @@ class Vcc : public EncryptionScheme
     unsigned wordBits_;
     unsigned numWords_;
     unsigned selBits_;
+    uint64_t wordMask_;
+    uint64_t allWords_;
     uint64_t auxMask_;
 };
 

@@ -395,5 +395,28 @@ TEST(DeucePadPlan, OneWritePlansEachPadOnce)
     }
 }
 
+TEST(DeucePadPlan, ReadIsOnePadBatch)
+{
+    // A read fetches its LCTR and TCTR pads as one 8-block stream:
+    // the same pads as two padForLine() calls, in one batch.
+    FastOtpEngine otp(7);
+    for (const char *id : {"deuce", "deuce-fnw", "dyndeuce"}) {
+        SCOPED_TRACE(id);
+        std::unique_ptr<EncryptionScheme> scheme = makeScheme(id, otp);
+        StoredLineState state;
+        CacheLine plain;
+        plain.limb(3) = 0x1234;
+        scheme->install(9, plain, state);
+        plain.limb(5) = 0x5678;
+        scheme->write(9, plain, state);
+
+        uint64_t batches = otp.padBatches();
+        uint64_t pads = otp.padsGenerated();
+        EXPECT_EQ(scheme->read(9, state), plain);
+        EXPECT_EQ(otp.padBatches() - batches, 1u);
+        EXPECT_EQ(otp.padsGenerated() - pads, 8u);
+    }
+}
+
 } // namespace
 } // namespace deuce

@@ -5,7 +5,9 @@
  * min-cost selection property against a brute-force shadow model (both
  * cost flavors), selection determinism per (line, counter, seed),
  * auxiliary-word re-randomization, counter edges near the top of the
- * virtual-counter range, and batched-pad vs sequential equivalence.
+ * virtual-counter range, batched-pad vs sequential equivalence, one
+ * pad stream per read and install, the limb loops against a per-word
+ * field() reference, and the MLC cost's summation order.
  */
 
 #include <gtest/gtest.h>
@@ -498,6 +500,291 @@ TEST_F(VccTest, MlcSelectionNotWorseThanHammingUnderMatrix)
         }
     }
     EXPECT_LT(mlc_cost, ham_cost);
+}
+
+TEST_F(VccTest, ReadAndInstallAreOnePadBatch)
+{
+    // A read fetches its 2N + 1 line pads (LCTR and TCTR candidates
+    // plus the auxiliary pad) and an install its N + 1 as one pad
+    // stream, on the default engine path and on the AES override.
+    std::unique_ptr<OtpEngine> aes = makeAesOtpEngine(2025);
+    for (OtpEngine *otp : {otp_.get(), aes.get()}) {
+        for (unsigned n : {2u, 4u}) {
+            Vcc vcc(*otp, VccConfig{2, 8, n});
+            Rng rng(37 + n);
+            StoredLineState state;
+
+            uint64_t batches = otp->padBatches();
+            uint64_t pads = otp->padsGenerated();
+            vcc.install(3, randomLine(rng), state);
+            EXPECT_EQ(otp->padBatches() - batches, 1u) << "n=" << n;
+            EXPECT_EQ(otp->padsGenerated() - pads, 4u * (n + 1))
+                << "n=" << n;
+
+            vcc.write(3, randomLine(rng), state);
+            batches = otp->padBatches();
+            pads = otp->padsGenerated();
+            vcc.read(3, state);
+            EXPECT_EQ(otp->padBatches() - batches, 1u) << "n=" << n;
+            EXPECT_EQ(otp->padsGenerated() - pads, 4u * (2 * n + 1))
+                << "n=" << n;
+        }
+    }
+}
+
+TEST_F(VccTest, MlcWordCostKeepsCellOrder)
+{
+    // The MLC cost is a per-cell sequential double sum. Exact 8-cell
+    // costs can round differently under another summation order, and
+    // the selector's tie-breaks (and so every pinned digest) follow
+    // the rounding: these two equal-in-exact-arithmetic costs must
+    // stay distinct doubles.
+    VccConfig cfg{2, 32, 4};
+    cfg.costModel = CellTech::MLC2;
+    Vcc vcc(*otp_, cfg);
+    EXPECT_EQ(std::bit_cast<uint64_t>(vcc.wordCost(0x7eed, 0x8d88)),
+              std::bit_cast<uint64_t>(457.59999999999997));
+    EXPECT_EQ(std::bit_cast<uint64_t>(vcc.wordCost(0xfe17, 0xb940)),
+              std::bit_cast<uint64_t>(457.6));
+    EXPECT_NE(vcc.wordCost(0x7eed, 0x8d88), vcc.wordCost(0xfe17, 0xb940));
+}
+
+/**
+ * Reference VCC built from per-word field()/setField() loops over
+ * pads fetched one line at a time: the form the scheme's limb loops
+ * and pooled pad streams replaced, kept to check them against.
+ */
+class ReferenceVcc
+{
+  public:
+    ReferenceVcc(const OtpEngine &otp, const Vcc &vcc)
+        : otp_(otp), vcc_(vcc), n_(vcc.config().candidates),
+          wb_(vcc.wordBits()), sb_(vcc.selectionBits())
+    {
+        unsigned bits = vcc.numWords() * sb_;
+        auxMask_ = bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+    }
+
+    void
+    install(uint64_t addr, const CacheLine &plaintext,
+            StoredLineState &state) const
+    {
+        state = StoredLineState{};
+        std::vector<CacheLine> cands = candidates(addr, 0);
+        uint64_t modified = 0;
+        uint64_t sel = 0;
+        encryptStep(plaintext, plaintext, CacheLine{}, 0, 0, 0, cands,
+                    state.data, modified, sel);
+        state.modifiedBits = modified;
+        state.cosetBits = (sel ^ aux(addr, 0)) & auxMask_;
+    }
+
+    CacheLine
+    read(uint64_t addr, const StoredLineState &state) const
+    {
+        uint64_t sel = (state.cosetBits ^ aux(addr, state.counter)) &
+                       auxMask_;
+        return decrypt(state.data, state.modifiedBits, sel,
+                       candidates(addr, state.counter),
+                       candidates(addr,
+                                  vcc_.trailingCounter(state.counter)));
+    }
+
+    void
+    write(uint64_t addr, const CacheLine &plaintext,
+          StoredLineState &state) const
+    {
+        uint64_t old_sel = (state.cosetBits ^ aux(addr, state.counter)) &
+                           auxMask_;
+        CacheLine cur_plain = read(addr, state);
+        uint64_t new_counter = state.counter + 1;
+        CacheLine cipher;
+        uint64_t modified = 0;
+        uint64_t sel = 0;
+        encryptStep(plaintext, cur_plain, state.data, new_counter,
+                    state.modifiedBits, old_sel,
+                    candidates(addr, new_counter), cipher, modified, sel);
+        state.counter = new_counter;
+        state.modifiedBits = modified;
+        state.data = cipher;
+        state.cosetBits = (sel ^ aux(addr, new_counter)) & auxMask_;
+    }
+
+  private:
+    std::vector<CacheLine>
+    candidates(uint64_t addr, uint64_t counter) const
+    {
+        std::vector<CacheLine> cands(n_);
+        for (unsigned j = 0; j < n_; ++j) {
+            cands[j] = otp_.padForLine(addr, vcc_.virtualCounter(counter, j));
+        }
+        return cands;
+    }
+
+    uint64_t
+    aux(uint64_t addr, uint64_t counter) const
+    {
+        return otp_.padForLine(addr, vcc_.virtualCounter(counter, n_))
+            .limbs()[0];
+    }
+
+    unsigned
+    selectCandidate(uint64_t old_word, uint64_t plain_word,
+                    const std::vector<CacheLine> &cands,
+                    unsigned lsb) const
+    {
+        unsigned best_j = 0;
+        double best_cost = 0.0;
+        for (unsigned j = 0; j < n_; ++j) {
+            uint64_t cipher_word = plain_word ^ cands[j].field(lsb, wb_);
+            double cost = vcc_.wordCost(old_word, cipher_word);
+            if (j == 0 || cost < best_cost) {
+                best_cost = cost;
+                best_j = j;
+            }
+        }
+        return best_j;
+    }
+
+    void
+    encryptStep(const CacheLine &plaintext, const CacheLine &cur_plain,
+                const CacheLine &old_stored, uint64_t new_counter,
+                uint64_t old_modified, uint64_t old_sel,
+                const std::vector<CacheLine> &new_cands,
+                CacheLine &cipher_out, uint64_t &modified_out,
+                uint64_t &sel_out) const
+    {
+        const uint64_t sel_mask = (uint64_t{1} << sb_) - 1;
+        const bool epoch = vcc_.isEpochStart(new_counter);
+        uint64_t modified = old_modified;
+        if (!epoch) {
+            for (unsigned w = 0; w < vcc_.numWords(); ++w) {
+                unsigned lsb = w * wb_;
+                if (plaintext.field(lsb, wb_) != cur_plain.field(lsb, wb_)) {
+                    modified |= uint64_t{1} << w;
+                }
+            }
+        }
+        CacheLine cipher;
+        uint64_t sel = 0;
+        for (unsigned w = 0; w < vcc_.numWords(); ++w) {
+            unsigned lsb = w * wb_;
+            if (epoch || ((modified >> w) & 1)) {
+                uint64_t plain_word = plaintext.field(lsb, wb_);
+                unsigned j = selectCandidate(old_stored.field(lsb, wb_),
+                                             plain_word, new_cands, lsb);
+                cipher.setField(lsb, wb_,
+                                plain_word ^ new_cands[j].field(lsb, wb_));
+                sel |= static_cast<uint64_t>(j) << (w * sb_);
+            } else {
+                cipher.setField(lsb, wb_, old_stored.field(lsb, wb_));
+                sel |= ((old_sel >> (w * sb_)) & sel_mask) << (w * sb_);
+            }
+        }
+        cipher_out = cipher;
+        modified_out = epoch ? 0 : modified;
+        sel_out = sel;
+    }
+
+    CacheLine
+    decrypt(const CacheLine &cipher, uint64_t modified, uint64_t sel,
+            const std::vector<CacheLine> &lctr_cands,
+            const std::vector<CacheLine> &tctr_cands) const
+    {
+        const uint64_t sel_mask = (uint64_t{1} << sb_) - 1;
+        CacheLine plain;
+        for (unsigned w = 0; w < vcc_.numWords(); ++w) {
+            unsigned lsb = w * wb_;
+            unsigned j = static_cast<unsigned>((sel >> (w * sb_)) &
+                                               sel_mask);
+            const CacheLine &pad =
+                ((modified >> w) & 1) ? lctr_cands[j] : tctr_cands[j];
+            plain.setField(lsb, wb_,
+                           cipher.field(lsb, wb_) ^ pad.field(lsb, wb_));
+        }
+        return plain;
+    }
+
+    const OtpEngine &otp_;
+    const Vcc &vcc_;
+    unsigned n_;
+    unsigned wb_;
+    unsigned sb_;
+    uint64_t auxMask_;
+};
+
+TEST_F(VccTest, LimbLoopsMatchFieldReference)
+{
+    // Every legal word size x candidate count x cost model, through
+    // installs, short epochs (every 4th write re-encrypts the whole
+    // line), partial, full and identical rewrites, and forged states
+    // with arbitrary counters, tracking bits and selection words.
+    unsigned configs = 0;
+    for (unsigned word_bytes : {1u, 2u, 4u, 8u}) {
+        for (unsigned n : {2u, 4u}) {
+            if ((64 / word_bytes) * std::countr_zero(n) > 64) {
+                continue; // selection bits exceed the auxiliary word
+            }
+            for (CellTech cost : {CellTech::SLC, CellTech::MLC2}) {
+                VccConfig cfg{word_bytes, 4, n};
+                cfg.costModel = cost;
+                Vcc vcc(*otp_, cfg);
+                ReferenceVcc ref(*otp_, vcc);
+                ++configs;
+                SCOPED_TRACE(vcc.name());
+                Rng rng(word_bytes * 1000 + n * 10 +
+                        (cost == CellTech::MLC2));
+                const uint64_t addr = 40 + word_bytes;
+
+                CacheLine plain = randomLine(rng);
+                StoredLineState got;
+                StoredLineState want;
+                vcc.install(addr, plain, got);
+                ref.install(addr, plain, want);
+                ASSERT_EQ(got, want);
+                for (unsigned i = 0; i < 24; ++i) {
+                    switch (i % 3) {
+                      case 0:
+                        plain = withModifiedWord(
+                            plain, rng.next() % vcc.numWords(),
+                            vcc.wordBits(), rng.next());
+                        break;
+                      case 1:
+                        plain = randomLine(rng);
+                        break;
+                      default:
+                        break; // identical rewrite
+                    }
+                    vcc.write(addr, plain, got);
+                    ref.write(addr, plain, want);
+                    ASSERT_EQ(got, want) << "write " << i;
+                    ASSERT_EQ(vcc.read(addr, got), plain) << "write " << i;
+                }
+
+                for (unsigned i = 0; i < 16; ++i) {
+                    StoredLineState forged;
+                    forged.data = randomLine(rng);
+                    forged.counter = rng.next() >> 8;
+                    forged.modifiedBits = rng.next();
+                    forged.cosetBits = rng.next();
+                    ASSERT_EQ(vcc.read(addr, forged),
+                              ref.read(addr, forged))
+                        << "forged " << i;
+                    CacheLine next = (i & 1)
+                        ? randomLine(rng)
+                        : withModifiedWord(ref.read(addr, forged),
+                                           rng.next() % vcc.numWords(),
+                                           vcc.wordBits(), rng.next());
+                    StoredLineState a = forged;
+                    StoredLineState b = forged;
+                    vcc.write(addr, next, a);
+                    ref.write(addr, next, b);
+                    ASSERT_EQ(a, b) << "forged " << i;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(configs, 14u);
 }
 
 /** Round trips across the (wordBytes, candidates) grid. */
