@@ -38,6 +38,7 @@
 #include "enc/scheme_factory.hh"
 #include "fault/cell_fault_map.hh"
 #include "obs/progress.hh"
+#include "obs/registry.hh"
 #include "obs/trace.hh"
 #include "sim/memory_system.hh"
 #include "trace/synthetic.hh"
@@ -152,13 +153,20 @@ regenerate()
     constexpr size_t necp = std::size(kEcpSizes);
 
     // These cells run to end-of-life and don't go through runSweep,
-    // so the heartbeat reporter is wired explicitly (DEUCE_PROGRESS).
+    // so the heartbeat reporter and the sampler thread that drives it
+    // are wired explicitly (DEUCE_PROGRESS).
     obs::traceConfigureFromEnv();
     std::unique_ptr<obs::ProgressReporter> reporter;
+    obs::StatRegistry no_stats;
+    std::unique_ptr<obs::TelemetrySampler> heartbeat;
     if (auto popt = obs::progressOptionsFromEnv()) {
         popt->label = "fault-lifetime";
         reporter = std::make_unique<obs::ProgressReporter>(
             necp * nschemes, ThreadPool::defaultThreadCount(), *popt);
+        heartbeat = std::make_unique<obs::TelemetrySampler>(
+            no_stats, obs::TelemetryConfig{});
+        heartbeat->attachProgress(*reporter);
+        heartbeat->start();
     }
 
     // One task per (ECP, scheme) cell, each writing its pre-assigned
@@ -189,7 +197,7 @@ regenerate()
             reporter->cellFinished(label, took.count());
         }
     });
-    reporter.reset();
+    heartbeat.reset(); // emits the summary record
 
     std::vector<std::string> headers = {"ECP entries"};
     for (const SchemeVariant &v : kSchemes) {

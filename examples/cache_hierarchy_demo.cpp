@@ -13,9 +13,9 @@
  *   $ ./cache_hierarchy_demo [accesses]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/cli_parse.hh"
 #include "cache/cache.hh"
 #include "core/secure_memory.hh"
 #include "pcm/address_map.hh"
@@ -43,9 +43,14 @@ hierarchy()
 int
 main(int argc, char **argv)
 {
+    const char *synopsis = "[accesses]";
+    if (argc > 2) {
+        usageExit(argv[0], synopsis);
+    }
     uint64_t accesses = 2'000'000;
     if (argc > 1) {
-        accesses = std::strtoull(argv[1], nullptr, 10);
+        accesses =
+            valueOrUsage(parseUnsigned(argv[1]), argv[0], synopsis);
     }
 
     CacheHierarchy caches(hierarchy());

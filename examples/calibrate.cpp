@@ -13,9 +13,9 @@
  * Each grid is one parallel sweep (sim/sweep.hh).
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/cli_parse.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
@@ -26,9 +26,14 @@ using namespace deuce;
 int
 main(int argc, char **argv)
 {
+    const char *synopsis = "[writebacks]";
+    if (argc > 2) {
+        usageExit(argv[0], synopsis);
+    }
     uint64_t writebacks = 30000;
     if (argc > 1) {
-        writebacks = std::strtoull(argv[1], nullptr, 10);
+        writebacks =
+            valueOrUsage(parseUnsigned(argv[1]), argv[0], synopsis);
     }
 
     ExperimentOptions opt;

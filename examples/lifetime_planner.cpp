@@ -11,10 +11,10 @@
  *   $ ./lifetime_planner [benchmark] [writes_per_second]
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "common/cli_parse.hh"
 #include "crypto/otp_engine.hh"
 #include "enc/scheme_factory.hh"
 #include "sim/memory_system.hh"
@@ -60,9 +60,19 @@ profileWear(const BenchmarkProfile &profile,
 int
 main(int argc, char **argv)
 {
+    const char *synopsis = "[benchmark] [writes_per_second]";
+    if (argc > 3) {
+        usageExit(argv[0], synopsis);
+    }
     std::string bench = argc > 1 ? argv[1] : "mcf";
-    double writes_per_second = argc > 2 ? std::strtod(argv[2], nullptr)
-                                        : 50e6; // 50M writebacks/s
+    double writes_per_second = 50e6; // 50M writebacks/s
+    if (argc > 2) {
+        writes_per_second =
+            valueOrUsage(parseDouble(argv[2]), argv[0], synopsis);
+        if (writes_per_second <= 0) {
+            usageExit(argv[0], synopsis);
+        }
+    }
 
     BenchmarkProfile profile = profileByName(bench);
     PcmConfig pcm;

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli_parse.hh"
 #include "common/rng.hh"
 #include "serve/sharded_memory_system.hh"
 
@@ -248,9 +249,13 @@ runWorkload(const std::string &scheme, uint64_t ops, bool verbose)
 int
 main(int argc, char **argv)
 {
+    const char *synopsis = "[ops]";
+    if (argc > 2) {
+        usageExit(argv[0], synopsis);
+    }
     uint64_t ops = 20000;
     if (argc > 1) {
-        ops = std::strtoull(argv[1], nullptr, 10);
+        ops = valueOrUsage(parseUnsigned(argv[1]), argv[0], synopsis);
     }
 
     std::cout << "KV store: " << ops << " put() ops across "

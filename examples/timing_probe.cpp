@@ -10,11 +10,11 @@
  *   0.72, EDP 0.57; NoEncr+FNW EDP 0.44
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <vector>
 
+#include "common/cli_parse.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "trace/profile.hh"
@@ -29,14 +29,21 @@ main(int argc, char **argv)
     opt.fastOtp = true;
     opt.timing = true;
     opt.wl.verticalEnabled = false;
+    const char *synopsis = "[writebacks] [mlp] [cpi-base]";
+    if (argc > 4) {
+        usageExit(argv[0], synopsis);
+    }
     if (argc > 1) {
-        opt.writebacks = std::strtoull(argv[1], nullptr, 10);
+        opt.writebacks =
+            valueOrUsage(parseUnsigned(argv[1]), argv[0], synopsis);
     }
     if (argc > 2) {
-        opt.timingCfg.mlp = std::strtod(argv[2], nullptr);
+        opt.timingCfg.mlp =
+            valueOrUsage(parseDouble(argv[2]), argv[0], synopsis);
     }
     if (argc > 3) {
-        opt.timingCfg.cpiBase = std::strtod(argv[3], nullptr);
+        opt.timingCfg.cpiBase =
+            valueOrUsage(parseDouble(argv[3]), argv[0], synopsis);
     }
 
     std::vector<std::string> ids = {"encr", "encr-fnw", "deuce",

@@ -8,10 +8,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "common/cli_parse.hh"
 #include "crypto/otp_engine.hh"
 #include "enc/scheme_factory.hh"
 #include "sim/memory_system.hh"
@@ -29,9 +29,14 @@ using namespace deuce;
 int
 main(int argc, char **argv)
 {
+    const char *synopsis = "[benchmark] [writebacks] [trace_path]";
+    if (argc > 4) {
+        usageExit(argv[0], synopsis);
+    }
     std::string bench = argc > 1 ? argv[1] : "omnetpp";
     uint64_t writebacks =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 30000;
+        argc > 2 ? valueOrUsage(parseUnsigned(argv[2]), argv[0], synopsis)
+                 : 30000;
     std::string path = argc > 3 ? argv[3] : "/tmp/deuce_replay.trc";
 
     BenchmarkProfile profile = profileByName(bench);

@@ -302,10 +302,29 @@ python3 -c 'import json, sys; [json.load(open(p)) for p in sys.argv[1:]]' \
     "$build/tier1_fatal_trace.json" "$build/tier1_fatal_flight.json"
 echo "tier1: fatal exit OK (status 1, trace and flight dumps written)"
 
+# A malformed numeric environment variable is a fatal configuration
+# error naming the variable, not a silently coerced value.
+expect_fatal() {
+    local status=0
+    "$@" > /dev/null 2> "$build/tier1_fatal_env.log" || status=$?
+    if [[ "$status" != 1 ]] ||
+        ! grep -q '^deuce: fatal: ' "$build/tier1_fatal_env.log"; then
+        echo "tier1: FAIL — $* exited $status (want 1 + fatal)" >&2
+        exit 1
+    fi
+}
+expect_fatal env DEUCE_BENCH_THREADS=4x "$build/examples/simulate" \
+    --bench mcf --scheme deuce --fast-otp --writebacks 100
+expect_fatal env DEUCE_TELEMETRY="$build/tier1_fatal_env" \
+    DEUCE_TELEMETRY_PERIOD_MS=10ms "$build/examples/simulate" \
+    --bench mcf --scheme deuce --fast-otp --writebacks 100
+echo "tier1: malformed env OK (2 variables rejected with status 1)"
+
 # Hostile CLI values must be rejected, not coerced: junk after a
 # number, a sign on an unsigned flag, a non-number, a non-finite real,
-# a missing value, a bad DEUCE_BENCH_WB and removed backend names each
-# print the usage line and exit 2.
+# a missing value, a bad DEUCE_BENCH_WB, removed backend names and a
+# bad positional argument of each example each print the usage line
+# and exit 2.
 expect_usage() {
     local status=0
     "$@" > /dev/null 2> "$build/tier1_hostile.log" || status=$?
@@ -333,7 +352,13 @@ expect_usage "$build/bench/bench_serving" --slo-p99-us inf
 expect_usage env DEUCE_BENCH_WB=abc "$build/bench/bench_throughput"
 expect_usage env DEUCE_BENCH_WB=12x "$build/bench/bench_fig10" \
     --benchmark_filter=NONE
-echo "tier1: hostile CLI OK (13 bad values rejected with status 2)"
+expect_usage "$build/examples/calibrate" 2000x
+expect_usage "$build/examples/timing_probe" 2000 nan
+expect_usage "$build/examples/trace_replay" mcf -1
+expect_usage "$build/examples/secure_kvstore" 1e3
+expect_usage "$build/examples/lifetime_planner" mcf 50M
+expect_usage "$build/examples/cache_hierarchy_demo" 2,000
+echo "tier1: hostile CLI OK (19 bad values rejected with status 2)"
 
 # Trace overhead cell: the same sweep with tracing compiled in but
 # disabled vs enabled, appended as BENCH_MICRO rows. Informational
@@ -515,7 +540,8 @@ if [[ "${DEUCE_TSAN:-0}" == "1" ]]; then
         --target test_thread_pool test_sweep test_spsc_queue \
                  test_serving test_persist test_write_batch \
                  test_vcc test_telemetry test_flight_recorder \
-                 test_obs_trace stolen_dimm_attack bench_serving
+                 test_obs_trace test_obs_progress stolen_dimm_attack \
+                 bench_serving
     "$tsan/tests/test_thread_pool"
     "$tsan/tests/test_sweep"
     "$tsan/tests/test_spsc_queue"
@@ -528,6 +554,9 @@ if [[ "${DEUCE_TSAN:-0}" == "1" ]]; then
     "$tsan/tests/test_telemetry"
     "$tsan/tests/test_flight_recorder"
     "$tsan/tests/test_obs_trace"
+    # The sampler thread reads the progress reporter for its heartbeat
+    # while workers record cells into it.
+    "$tsan/tests/test_obs_progress"
     # The batch pipeline itself is single-threaded per shard, but the
     # serving workers drive it concurrently — run its bit-identity
     # suite under TSan alongside the worker tests.

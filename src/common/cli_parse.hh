@@ -3,7 +3,8 @@
  * Strict numeric parsing of command-line values and environment
  * variables. A malformed value is rejected, never coerced: each
  * parser returns nullopt, and the caller prints its usage line and
- * exits 2.
+ * exits 2 (valueOrUsage() for a positional argument), or raises
+ * deuce_fatal naming the environment variable.
  */
 
 #ifndef DEUCE_COMMON_CLI_PARSE_HH
@@ -13,6 +14,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <optional>
@@ -58,6 +60,26 @@ parseDouble(const char *text)
         return std::nullopt;
     }
     return v;
+}
+
+/** Print "usage: <argv0> <synopsis>" on stderr and exit 2. */
+[[noreturn]] inline void
+usageExit(const char *argv0, const char *synopsis)
+{
+    std::fprintf(stderr, "usage: %s %s\n", argv0, synopsis);
+    std::exit(2);
+}
+
+/** @p value, or usageExit() when it is nullopt (a malformed value). */
+template <typename T>
+T
+valueOrUsage(std::optional<T> value, const char *argv0,
+             const char *synopsis)
+{
+    if (!value) {
+        usageExit(argv0, synopsis);
+    }
+    return *value;
 }
 
 } // namespace deuce

@@ -80,54 +80,4 @@ RunningStat::stddev() const
     return std::sqrt(variance());
 }
 
-Histogram::Histogram(double lo, double hi, unsigned num_bins)
-    : lo_(lo), hi_(hi), bins_(num_bins, 0)
-{
-    deuce_assert(num_bins >= 1);
-    deuce_assert(hi > lo);
-    width_ = (hi - lo) / num_bins;
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-    } else if (x >= hi_) {
-        ++overflow_;
-    } else {
-        auto bin = static_cast<unsigned>((x - lo_) / width_);
-        bin = std::min(bin, numBins() - 1);
-        ++bins_[bin];
-    }
-}
-
-double
-Histogram::binLo(unsigned i) const
-{
-    return lo_ + width_ * i;
-}
-
-double
-Histogram::quantile(double q) const
-{
-    deuce_assert(q >= 0.0 && q <= 1.0);
-    if (total_ == 0) {
-        return lo_;
-    }
-    auto target = static_cast<uint64_t>(q * static_cast<double>(total_));
-    uint64_t seen = underflow_;
-    if (seen > target) {
-        return lo_;
-    }
-    for (unsigned i = 0; i < numBins(); ++i) {
-        seen += bins_[i];
-        if (seen > target) {
-            return binLo(i) + width_ * 0.5;
-        }
-    }
-    return hi_;
-}
-
 } // namespace deuce

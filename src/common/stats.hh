@@ -1,13 +1,13 @@
 /**
  * @file
- * Lightweight statistics accumulators used throughout the simulator.
+ * RunningStat, the streaming summary accumulator used throughout the
+ * simulator. Distributions are obs::Log2Histogram (obs/stat.hh).
  */
 
 #ifndef DEUCE_COMMON_STATS_HH
 #define DEUCE_COMMON_STATS_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace deuce
 {
@@ -71,48 +71,6 @@ class RunningStat
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/** Fixed-width histogram over [lo, hi) with overflow/underflow bins. */
-class Histogram
-{
-  public:
-    /**
-     * @param lo       lower edge of the first bin
-     * @param hi       upper edge of the last bin
-     * @param num_bins number of interior bins (>= 1)
-     */
-    Histogram(double lo, double hi, unsigned num_bins);
-
-    /** Add a sample (out-of-range samples land in edge bins). */
-    void add(double x);
-
-    /** Count in interior bin @p i. */
-    uint64_t binCount(unsigned i) const { return bins_[i]; }
-
-    /** Samples below lo. */
-    uint64_t underflow() const { return underflow_; }
-
-    /** Samples at or above hi. */
-    uint64_t overflow() const { return overflow_; }
-
-    uint64_t totalCount() const { return total_; }
-    unsigned numBins() const { return static_cast<unsigned>(bins_.size()); }
-
-    /** Lower edge of bin @p i. */
-    double binLo(unsigned i) const;
-
-    /** Value below which fraction @p q of samples fall (approximate). */
-    double quantile(double q) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<uint64_t> bins_;
-    uint64_t underflow_ = 0;
-    uint64_t overflow_ = 0;
-    uint64_t total_ = 0;
 };
 
 } // namespace deuce

@@ -6,6 +6,12 @@
 #include "common/thread_pool.hh"
 
 #include <cstdlib>
+#include <limits>
+#include <optional>
+#include <string>
+
+#include "common/cli_parse.hh"
+#include "common/logging.hh"
 
 namespace deuce
 {
@@ -13,10 +19,16 @@ namespace deuce
 unsigned
 ThreadPool::defaultThreadCount()
 {
-    if (const char *env = std::getenv("DEUCE_BENCH_THREADS")) {
-        unsigned long n = std::strtoul(env, nullptr, 10);
-        if (n > 0) {
-            return static_cast<unsigned>(n);
+    const char *env = std::getenv("DEUCE_BENCH_THREADS");
+    if (env != nullptr && *env != '\0') {
+        std::optional<uint64_t> n =
+            parseUnsigned(env, std::numeric_limits<unsigned>::max());
+        if (!n) {
+            deuce_fatal("DEUCE_BENCH_THREADS must be a base-10 worker "
+                        "count, got \"" + std::string(env) + "\"");
+        }
+        if (*n > 0) {
+            return static_cast<unsigned>(*n);
         }
     }
     unsigned hw = std::thread::hardware_concurrency();

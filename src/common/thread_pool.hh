@@ -82,7 +82,8 @@ class ThreadPool
     /**
      * Worker count used when a caller passes 0: the
      * DEUCE_BENCH_THREADS environment variable if set and positive,
-     * otherwise std::thread::hardware_concurrency().
+     * otherwise std::thread::hardware_concurrency(). A malformed
+     * value (see parseUnsigned()) is a fatal error.
      */
     static unsigned defaultThreadCount();
 

@@ -11,8 +11,6 @@
 #include <fstream>
 #include <string_view>
 
-#include "common/logging.hh"
-
 namespace deuce
 {
 namespace obs
@@ -40,25 +38,13 @@ ProgressReporter::ProgressReporter(uint64_t total, unsigned workers,
       workers_(std::max(workers, 1u)),
       start_(std::chrono::steady_clock::now())
 {
-    deuce_assert(opts_.enabled);
-    thread_ = std::thread([this] { heartbeatLoop(); });
-}
-
-ProgressReporter::~ProgressReporter()
-{
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    emit(snapshot(), "summary");
 }
 
 void
 ProgressReporter::cellStarted(const std::string &label)
 {
     std::lock_guard<std::mutex> lk(mu_);
+    ++started_;
     running_.push_back(label);
 }
 
@@ -68,7 +54,7 @@ ProgressReporter::cellFinished(const std::string &label,
 {
     std::lock_guard<std::mutex> lk(mu_);
     ++done_;
-    durations_.add(seconds);
+    durationsNs_.add(static_cast<uint64_t>(seconds * 1e9));
     auto it = std::find(running_.begin(), running_.end(), label);
     if (it != running_.end()) {
         running_.erase(it);
@@ -76,8 +62,9 @@ ProgressReporter::cellFinished(const std::string &label,
 }
 
 ProgressSnapshot
-ProgressReporter::snapshotLocked() const
+ProgressReporter::snapshot() const
 {
+    std::lock_guard<std::mutex> lk(mu_);
     ProgressSnapshot snap;
     snap.done = done_;
     snap.total = total_;
@@ -86,10 +73,8 @@ ProgressReporter::snapshotLocked() const
             std::chrono::steady_clock::now() - start_)
             .count();
     snap.running = running_;
-    // The empty accumulator has no min/mean to speak of — emptiness
-    // is explicit (RunningStat::empty()), never a fake zero sample.
-    if (!durations_.empty() && total_ >= done_) {
-        snap.meanCellSeconds = durations_.mean();
+    if (done_ > 0 && total_ >= done_) {
+        snap.meanCellSeconds = durationsNs_.snapshot().mean() / 1e9;
         uint64_t remaining = total_ - done_;
         snap.etaSeconds = snap.meanCellSeconds *
                           static_cast<double>(remaining) /
@@ -98,18 +83,30 @@ ProgressReporter::snapshotLocked() const
     return snap;
 }
 
-ProgressSnapshot
-ProgressReporter::snapshot() const
+uint64_t
+ProgressReporter::started() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return snapshotLocked();
+    return started_;
 }
 
 uint64_t
-ProgressReporter::heartbeats() const
+ProgressReporter::done() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return heartbeats_;
+    return done_;
+}
+
+void
+ProgressReporter::heartbeat()
+{
+    emit(snapshot(), "progress");
+}
+
+void
+ProgressReporter::summary()
+{
+    emit(snapshot(), "summary");
 }
 
 void
@@ -169,24 +166,6 @@ ProgressReporter::emit(const ProgressSnapshot &snap, const char *type)
         os << '"' << snap.running[i] << '"';
     }
     os << "]}\n";
-}
-
-void
-ProgressReporter::heartbeatLoop()
-{
-    auto interval = std::chrono::duration<double>(
-        std::max(opts_.intervalSeconds, 0.05));
-    std::unique_lock<std::mutex> lk(mu_);
-    while (!stop_) {
-        if (cv_.wait_for(lk, interval, [this] { return stop_; })) {
-            return;
-        }
-        ProgressSnapshot snap = snapshotLocked();
-        ++heartbeats_;
-        lk.unlock();
-        emit(snap, "progress");
-        lk.lock();
-    }
 }
 
 } // namespace obs

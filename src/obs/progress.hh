@@ -2,9 +2,9 @@
  * @file
  * Progress/heartbeat reporting for long-running cell grids.
  *
- * A ProgressReporter watches a fixed population of work cells
- * (sweep cells, lifetime runs) complete across worker threads and
- * periodically emits:
+ * A ProgressReporter records a fixed population of work cells
+ * (sweep cells, lifetime runs) starting and completing across worker
+ * threads, and formats two records:
  *
  *  - a human heartbeat line on stderr:
  *      [sweep] 12/39 cells (30.8%) elapsed 4.2s eta 9.8s | mcf/deuce +3
@@ -12,30 +12,31 @@
  *    (JSON Lines), for dashboards tailing a long bench run:
  *      {"type":"progress","label":"sweep","done":12,"total":39,...}
  *
- * The ETA comes from a RunningStat of completed-cell durations
- * scaled by the remaining count and the worker parallelism — cells
- * vary in cost, so the estimate tightens as the mean converges. With
- * zero completed cells the ETA is unknown and reported as -1.
+ * The ETA is the mean completed-cell duration scaled by the remaining
+ * count and the worker parallelism — cells vary in cost, so the
+ * estimate tightens as the mean converges. With zero completed cells
+ * the ETA is unknown and reported as -1.
  *
- * Reporting runs on a dedicated heartbeat thread so a single long
- * cell cannot starve the output; cellStarted()/cellFinished() take a
- * mutex once per cell, which is noise against millisecond-plus cell
- * runtimes.
+ * The reporter owns no thread: attach it to a TelemetrySampler
+ * (obs/telemetry.hh), whose thread calls heartbeat() every
+ * kHeartbeatInterval, so a single long cell cannot starve the output,
+ * and whose stop() calls summary(). The cell counts and the duration
+ * histogram double as the sweep's live telemetry sources.
+ * cellStarted()/cellFinished() take a mutex once per cell, which is
+ * noise against millisecond-plus cell runtimes.
  */
 
 #ifndef DEUCE_OBS_PROGRESS_HH
 #define DEUCE_OBS_PROGRESS_HH
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/stats.hh"
+#include "obs/telemetry.hh"
 
 namespace deuce
 {
@@ -47,9 +48,6 @@ struct ProgressOptions
 {
     /** Master switch; everything below is ignored when false. */
     bool enabled = false;
-
-    /** Seconds between heartbeats. */
-    double intervalSeconds = 2.0;
 
     /** Append JSON-lines heartbeat records to this path ("" = none). */
     std::string jsonlPath;
@@ -83,20 +81,20 @@ struct ProgressSnapshot
     std::vector<std::string> running;
 };
 
-/** Heartbeat reporter for one grid of cells. */
+/** Progress record of one grid of cells. */
 class ProgressReporter
 {
   public:
+    /** Heartbeat cadence of an attached TelemetrySampler. */
+    static constexpr std::chrono::seconds kHeartbeatInterval{2};
+
     /**
      * @param total   cells in the grid
      * @param workers worker parallelism, for the ETA (>= 1)
-     * @param options reporting knobs (must have enabled == true)
+     * @param options where and under what label records go
      */
     ProgressReporter(uint64_t total, unsigned workers,
                      ProgressOptions options);
-
-    /** Stops the heartbeat and emits a final summary record. */
-    ~ProgressReporter();
 
     ProgressReporter(const ProgressReporter &) = delete;
     ProgressReporter &operator=(const ProgressReporter &) = delete;
@@ -109,28 +107,37 @@ class ProgressReporter
 
     ProgressSnapshot snapshot() const;
 
-    /** Heartbeat records emitted so far (stderr lines). */
-    uint64_t heartbeats() const;
+    /** Cells started so far. */
+    uint64_t started() const;
+
+    /** Cells finished so far. */
+    uint64_t done() const;
+
+    /** Finished-cell durations in nanoseconds. */
+    const AtomicLog2Histogram &cellDurationsNs() const
+    {
+        return durationsNs_;
+    }
+
+    /** Emit one "progress" record (stderr line + JSON line). */
+    void heartbeat();
+
+    /** Emit the final "summary" record. */
+    void summary();
 
   private:
-    void heartbeatLoop();
-    ProgressSnapshot snapshotLocked() const;
     void emit(const ProgressSnapshot &snap, const char *type);
 
     ProgressOptions opts_;
     uint64_t total_;
     unsigned workers_;
     std::chrono::steady_clock::time_point start_;
+    AtomicLog2Histogram durationsNs_;
 
     mutable std::mutex mu_;
-    std::condition_variable cv_;
-    bool stop_ = false;
+    uint64_t started_ = 0;
     uint64_t done_ = 0;
-    uint64_t heartbeats_ = 0;
-    RunningStat durations_;
     std::vector<std::string> running_;
-
-    std::thread thread_;
 };
 
 } // namespace obs

@@ -101,19 +101,11 @@ StatRegistry::addFormula(const std::string &name,
 
 Histogram &
 StatRegistry::addHistogram(const std::string &name,
-                           const std::string &desc)
-{
-    return static_cast<Histogram &>(
-        add(std::make_unique<Histogram>(name, desc)));
-}
-
-Histogram &
-StatRegistry::addHistogram(const std::string &name,
                            const std::string &desc,
-                           const Log2Histogram &external)
+                           const Log2Histogram &data)
 {
     return static_cast<Histogram &>(
-        add(std::make_unique<Histogram>(name, desc, external)));
+        add(std::make_unique<Histogram>(name, desc, data)));
 }
 
 Stat &

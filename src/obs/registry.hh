@@ -63,14 +63,10 @@ class StatRegistry
                         const std::string &desc,
                         std::function<double()> fn);
 
-    /** Register an owning histogram. */
-    Histogram &addHistogram(const std::string &name,
-                            const std::string &desc);
-
-    /** Register a histogram over component-owned accumulation. */
+    /** Register a view over a component-owned histogram. */
     Histogram &addHistogram(const std::string &name,
                             const std::string &desc,
-                            const Log2Histogram &external);
+                            const Log2Histogram &data);
 
     /** Register any stat; fatal on a duplicate name. */
     Stat &add(std::unique_ptr<Stat> stat);

@@ -5,6 +5,7 @@
 
 #include "obs/stat.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <ostream>
@@ -159,35 +160,65 @@ Formula::jsonValue() const
 }
 
 void
-Log2Histogram::add(double x)
+Log2Histogram::add(uint64_t x)
 {
-    stat_.add(x);
-    unsigned bucket = 0;
-    if (x >= 1.0) {
-        bucket = 1 + static_cast<unsigned>(std::floor(std::log2(x)));
-    }
-    if (bucket >= buckets_.size()) {
-        buckets_.resize(bucket + 1, 0);
-    }
-    ++buckets_[bucket];
+    ++buckets_[std::min(bucketIndex(x), kBuckets - 1)];
+    ++count_;
+    sum_ += x;
+    min_ = hasMinMax_ ? std::min(min_, x) : x;
+    max_ = hasMinMax_ ? std::max(max_, x) : x;
+    hasMinMax_ = true;
 }
 
 void
 Log2Histogram::mergeFrom(const Log2Histogram &other)
 {
-    stat_.merge(other.stat_);
-    if (other.buckets_.size() > buckets_.size()) {
-        buckets_.resize(other.buckets_.size(), 0);
-    }
-    for (size_t i = 0; i < other.buckets_.size(); ++i) {
+    for (unsigned i = 0; i < kBuckets; ++i) {
         buckets_[i] += other.buckets_[i];
+    }
+    count_ += other.count_;
+    sum_ += other.sum_;
+    if (other.hasMinMax_) {
+        min_ = hasMinMax_ ? std::min(min_, other.min_) : other.min_;
+        max_ = hasMinMax_ ? std::max(max_, other.max_) : other.max_;
+        hasMinMax_ = true;
     }
 }
 
-uint64_t
-Log2Histogram::bucketCount(unsigned i) const
+Log2Histogram
+Log2Histogram::deltaSince(const Log2Histogram &older) const
 {
-    return i < buckets_.size() ? buckets_[i] : 0;
+    Log2Histogram d;
+    for (unsigned i = 0; i < kBuckets; ++i) {
+        d.buckets_[i] = buckets_[i] >= older.buckets_[i]
+                            ? buckets_[i] - older.buckets_[i]
+                            : 0;
+        d.count_ += d.buckets_[i];
+    }
+    d.sum_ = sum_ >= older.sum_ ? sum_ - older.sum_ : 0;
+    return d;
+}
+
+double
+Log2Histogram::mean() const
+{
+    return count_ == 0 ? 0.0
+                       : static_cast<double>(sum_) /
+                             static_cast<double>(count_);
+}
+
+uint64_t
+Log2Histogram::min() const
+{
+    deuce_assert(hasMinMax_);
+    return min_;
+}
+
+uint64_t
+Log2Histogram::max() const
+{
+    deuce_assert(hasMinMax_);
+    return max_;
 }
 
 double
@@ -202,6 +233,16 @@ Log2Histogram::bucketHi(unsigned i)
     return std::ldexp(1.0, static_cast<int>(i));
 }
 
+unsigned
+Log2Histogram::numBuckets() const
+{
+    unsigned n = kBuckets;
+    while (n > 0 && buckets_[n - 1] == 0) {
+        --n;
+    }
+    return n;
+}
+
 double
 Log2Histogram::percentile(double q) const
 {
@@ -211,62 +252,68 @@ Log2Histogram::percentile(double q) const
     }
     // Index of the target sample in sorted order, then linear
     // interpolation inside the bucket that contains it.
-    double target = q * static_cast<double>(count());
+    double target = q * static_cast<double>(count_);
     double seen = 0.0;
-    for (unsigned i = 0; i < buckets_.size(); ++i) {
+    for (unsigned i = 0; i < kBuckets; ++i) {
         double c = static_cast<double>(buckets_[i]);
         if (c == 0.0) {
             continue;
         }
         if (seen + c >= target) {
-            double frac = c > 0.0 ? (target - seen) / c : 0.0;
-            double lo = std::max(bucketLo(i), min());
-            double hi = std::min(bucketHi(i), max());
+            double frac = (target - seen) / c;
+            double lo = bucketLo(i);
+            double hi = bucketHi(i);
+            if (hasMinMax_) {
+                lo = std::max(lo, static_cast<double>(min_));
+                hi = std::min(hi, static_cast<double>(max_));
+            }
             return lo + frac * (hi - lo);
         }
         seen += c;
     }
-    return max();
+    // Not reached: the buckets always sum to count_.
+    return hasMinMax_ ? static_cast<double>(max_)
+                      : bucketHi(numBuckets() - 1);
 }
 
-void
-Log2Histogram::clear()
+double
+Log2Histogram::fractionAbove(double threshold) const
 {
-    buckets_.clear();
-    stat_.clear();
-}
-
-Histogram::Histogram(std::string name, std::string desc)
-    : Stat(std::move(name), std::move(desc))
-{
+    if (empty()) {
+        return 0.0;
+    }
+    double above = 0;
+    for (unsigned i = 0; i < kBuckets; ++i) {
+        double c = static_cast<double>(buckets_[i]);
+        double lo = bucketLo(i), hi = bucketHi(i);
+        if (threshold < lo) {
+            above += c;
+        } else if (threshold < hi) {
+            above += c * (hi - threshold) / (hi - lo);
+        }
+    }
+    return above / static_cast<double>(count_);
 }
 
 Histogram::Histogram(std::string name, std::string desc,
-                     const Log2Histogram &external)
-    : Stat(std::move(name), std::move(desc)), external_(&external)
+                     const Log2Histogram &data)
+    : Stat(std::move(name), std::move(desc)), data_(data)
 {
-}
-
-void
-Histogram::add(double x)
-{
-    deuce_assert(external_ == nullptr);
-    owned_.add(x);
 }
 
 void
 Histogram::dumpText(std::ostream &os) const
 {
-    const Log2Histogram &h = data();
+    const Log2Histogram &h = data_;
     detail::statLine(os, name() + ".count", h.count(),
                      desc() + " (samples)");
     detail::statLine(os, name() + ".mean", h.mean(),
                      desc() + " (mean)");
     if (!h.empty()) {
-        detail::statLine(os, name() + ".min", h.min(),
-                         desc() + " (min)");
-        detail::statLine(os, name() + ".max", h.max(),
-                         desc() + " (max)");
+        detail::statLine(os, name() + ".min",
+                         static_cast<double>(h.min()), desc() + " (min)");
+        detail::statLine(os, name() + ".max",
+                         static_cast<double>(h.max()), desc() + " (max)");
         detail::statLine(os, name() + ".p50", h.percentile(0.50),
                          desc() + " (median)");
         detail::statLine(os, name() + ".p95", h.percentile(0.95),
@@ -279,13 +326,15 @@ Histogram::dumpText(std::ostream &os) const
 std::string
 Histogram::jsonValue() const
 {
-    const Log2Histogram &h = data();
+    const Log2Histogram &h = data_;
     std::ostringstream os;
     os << "{\"count\":" << detail::jsonNumber(h.count())
        << ",\"mean\":" << detail::jsonNumber(h.mean());
     if (!h.empty()) {
-        os << ",\"min\":" << detail::jsonNumber(h.min())
-           << ",\"max\":" << detail::jsonNumber(h.max())
+        os << ",\"min\":"
+           << detail::jsonNumber(static_cast<double>(h.min()))
+           << ",\"max\":"
+           << detail::jsonNumber(static_cast<double>(h.max()))
            << ",\"p50\":" << detail::jsonNumber(h.percentile(0.50))
            << ",\"p95\":" << detail::jsonNumber(h.percentile(0.95))
            << ",\"p99\":" << detail::jsonNumber(h.percentile(0.99));

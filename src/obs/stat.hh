@@ -14,10 +14,11 @@
  *              their exact pre-registry text formatting.
  *  - Formula   a float computed on demand from other state (ratios,
  *              percentages, means).
- *  - Histogram log2-bucketed distribution with exact count/mean/
- *              min/max and approximate percentiles. Accumulation
- *              lives in Log2Histogram so hot components can own the
- *              data without owning a name.
+ *  - Histogram a view over a component-owned Log2Histogram, the one
+ *              log2-bucketed distribution type: exact count/sum/
+ *              mean/min/max and bucket-interpolated percentiles.
+ *              obs::AtomicLog2Histogram (obs/telemetry.hh) is its
+ *              concurrent recorder; its snapshot() is a Log2Histogram.
  *
  * Text output of every stat is the classic gem5 line
  *   name                    value  # description
@@ -32,9 +33,6 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
-#include <vector>
-
-#include "common/stats.hh"
 
 namespace deuce
 {
@@ -137,38 +135,72 @@ class Formula : public Stat
 };
 
 /**
- * Log2-bucketed accumulator: bucket 0 counts samples in [0, 1),
- * bucket i >= 1 counts [2^(i-1), 2^i). Negative samples clamp to
- * bucket 0. Exact count/sum/min/max ride along in a RunningStat;
- * percentiles interpolate linearly inside the winning bucket.
+ * The log2-bucketed distribution: bucket 0 counts samples in [0, 1),
+ * bucket i >= 1 counts [2^(i-1), 2^i). 64 fixed buckets cover the
+ * uint64_t range (samples >= 2^63 land in the last one). Exact count,
+ * sum, min and max ride along; min/max are unknown in a deltaSince()
+ * window, and percentiles then interpolate between bucket edges only.
  *
- * This is the nameless data half; Histogram (below) is the
- * registrable stat that reads one of these (owned or external).
+ * A plain value: components own one and add to it on their thread;
+ * AtomicLog2Histogram records concurrently and snapshots into one.
  */
 class Log2Histogram
 {
   public:
+    static constexpr unsigned kBuckets = 64;
+
+    /** Bucket sample @p x falls in, before add()'s clamp to 63. */
+    static unsigned bucketIndex(uint64_t x)
+    {
+        return x == 0 ? 0u
+                      : static_cast<unsigned>(64 - __builtin_clzll(x));
+    }
+
     /** Add one sample. */
-    void add(double x);
+    void add(uint64_t x);
 
     /**
-     * Fold another histogram's samples into this one: bucket counts
-     * add exactly (order-independent); the summary RunningStat merges
-     * per RunningStat::merge().
+     * Fold another histogram's samples into this one. Every field
+     * adds exactly, so the result is independent of merge order.
      */
     void mergeFrom(const Log2Histogram &other);
 
-    uint64_t count() const { return stat_.count(); }
-    double mean() const { return stat_.mean(); }
-    double min() const { return stat_.min(); } ///< panics when empty
-    double max() const { return stat_.max(); } ///< panics when empty
-    bool empty() const { return stat_.empty(); }
+    /**
+     * The samples recorded since @p older, an earlier state of the
+     * same source(s). The window's min/max are unknown.
+     */
+    Log2Histogram deltaSince(const Log2Histogram &older) const;
 
-    /** Approximate value below which fraction @p q of samples fall. */
+    uint64_t count() const { return count_; }
+    uint64_t sum() const { return sum_; }
+    bool empty() const { return count_ == 0; }
+
+    /** sum / count; 0 when empty. */
+    double mean() const;
+
+    /** Are min() and max() known (non-empty and not a window)? */
+    bool hasMinMax() const { return hasMinMax_; }
+    uint64_t min() const; ///< panics unless hasMinMax()
+    uint64_t max() const; ///< panics unless hasMinMax()
+
+    /**
+     * Approximate value below which fraction @p q of samples fall:
+     * the bucket holding the target sample, its edges clamped to
+     * [min, max] when known, interpolated linearly. 0 when empty.
+     */
     double percentile(double q) const;
 
-    /** Count in bucket @p i (0 when never touched). */
-    uint64_t bucketCount(unsigned i) const;
+    /**
+     * Fraction of samples strictly above @p threshold, samples
+     * spread uniformly inside the bucket holding it. 0 when empty.
+     */
+    double fractionAbove(double threshold) const;
+
+    /** Count in bucket @p i (0 for i >= kBuckets). */
+    uint64_t bucketCount(unsigned i) const
+    {
+        return i < kBuckets ? buckets_[i] : 0;
+    }
 
     /** Lower edge of bucket @p i (0, 1, 2, 4, 8, ...). */
     static double bucketLo(unsigned i);
@@ -177,51 +209,41 @@ class Log2Histogram
     static double bucketHi(unsigned i);
 
     /** Highest touched bucket index + 1 (0 when empty). */
-    unsigned numBuckets() const
-    {
-        return static_cast<unsigned>(buckets_.size());
-    }
+    unsigned numBuckets() const;
 
-    void clear();
+    void clear() { *this = Log2Histogram(); }
 
   private:
-    std::vector<uint64_t> buckets_; ///< grown on demand
-    RunningStat stat_;
+    friend class AtomicLog2Histogram;
+
+    uint64_t buckets_[kBuckets] = {};
+    uint64_t count_ = 0;
+    uint64_t sum_ = 0;
+    uint64_t min_ = 0;
+    uint64_t max_ = 0;
+    bool hasMinMax_ = false;
 };
 
 /**
- * Registrable histogram stat. Text dump emits one line per summary
- * field (name.count, name.mean, name.min, name.max, name.p50,
- * name.p95, name.p99); the JSON value is an object carrying the
- * summary plus the non-empty buckets.
+ * Registrable histogram stat: a view over a component-owned
+ * Log2Histogram, which must outlive every dump of the stat. Text dump
+ * emits one line per summary field (name.count, name.mean, name.min,
+ * name.max, name.p50, name.p95, name.p99); the JSON value is an
+ * object carrying the summary plus the non-empty buckets.
  */
 class Histogram : public Stat
 {
   public:
-    /** Owning: the registry allocates the accumulator. */
-    Histogram(std::string name, std::string desc);
-
-    /**
-     * External: reads a component-owned Log2Histogram (which must
-     * outlive every dump of this stat).
-     */
     Histogram(std::string name, std::string desc,
-              const Log2Histogram &external);
+              const Log2Histogram &data);
 
-    /** Add a sample (owning mode only; panics in external mode). */
-    void add(double x);
-
-    const Log2Histogram &data() const
-    {
-        return external_ ? *external_ : owned_;
-    }
+    const Log2Histogram &data() const { return data_; }
 
     void dumpText(std::ostream &os) const override;
     std::string jsonValue() const override;
 
   private:
-    Log2Histogram owned_;
-    const Log2Histogram *external_ = nullptr;
+    const Log2Histogram &data_;
 };
 
 namespace detail

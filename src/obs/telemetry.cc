@@ -10,12 +10,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
-#include <sstream>
 
+#include "common/cli_parse.hh"
 #include "common/logging.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/output.hh"
+#include "obs/progress.hh"
 #include "obs/registry.hh"
 
 namespace deuce
@@ -26,38 +26,12 @@ namespace obs
 // ---------------------------------------------------------------------
 // AtomicLog2Histogram
 
-AtomicLog2Histogram::AtomicLog2Histogram()
-{
-    for (auto &b : buckets_) {
-        b.store(0, std::memory_order_relaxed);
-    }
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    min_.store(std::numeric_limits<uint64_t>::max(),
-               std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-}
-
-unsigned
-AtomicLog2Histogram::bucketIndex(uint64_t x)
-{
-    if (x == 0) {
-        return 0;
-    }
-    // Same geometry as Log2Histogram: bucket i >= 1 holds
-    // [2^(i-1), 2^i), so x lands in floor(log2(x)) + 1.
-    return static_cast<unsigned>(64 - __builtin_clzll(x));
-}
-
 void
 AtomicLog2Histogram::add(uint64_t x)
 {
-    unsigned i = bucketIndex(x);
-    if (i >= kBuckets) {
-        i = kBuckets - 1;
-    }
+    unsigned i = std::min(Log2Histogram::bucketIndex(x),
+                          Log2Histogram::kBuckets - 1);
     buckets_[i].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(x, std::memory_order_relaxed);
     uint64_t cur = min_.load(std::memory_order_relaxed);
     while (x < cur &&
@@ -71,142 +45,21 @@ AtomicLog2Histogram::add(uint64_t x)
     }
 }
 
-// ---------------------------------------------------------------------
-// HistogramSnapshot
-
-HistogramSnapshot::HistogramSnapshot()
-    : count_(0), sum_(0), min_(std::numeric_limits<uint64_t>::max()),
-      max_(0), hasMinMax_(false)
+Log2Histogram
+AtomicLog2Histogram::snapshot() const
 {
-    std::fill(std::begin(buckets_), std::end(buckets_), 0);
-}
-
-HistogramSnapshot
-HistogramSnapshot::of(const AtomicLog2Histogram &h)
-{
-    HistogramSnapshot s;
-    // Relaxed loads: each field is individually coherent; a snapshot
-    // taken concurrently with writers may be mid-update by one sample
-    // (count vs. bucket off by one), which percentile interpolation
-    // tolerates.
-    for (unsigned i = 0; i < AtomicLog2Histogram::kBuckets; ++i) {
-        s.buckets_[i] = h.buckets_[i].load(std::memory_order_relaxed);
+    Log2Histogram s;
+    for (unsigned i = 0; i < Log2Histogram::kBuckets; ++i) {
+        s.buckets_[i] = buckets_[i].load(std::memory_order_relaxed);
+        s.count_ += s.buckets_[i];
     }
-    s.count_ = h.count_.load(std::memory_order_relaxed);
-    s.sum_ = h.sum_.load(std::memory_order_relaxed);
-    s.min_ = h.min_.load(std::memory_order_relaxed);
-    s.max_ = h.max_.load(std::memory_order_relaxed);
-    s.hasMinMax_ = s.count_ > 0;
+    s.sum_ = sum_.load(std::memory_order_relaxed);
+    s.min_ = min_.load(std::memory_order_relaxed);
+    s.max_ = max_.load(std::memory_order_relaxed);
+    // The first sample's min/max land after its bucket; until both
+    // have, the sentinels (min > max) say "unknown".
+    s.hasMinMax_ = s.count_ > 0 && s.min_ <= s.max_;
     return s;
-}
-
-void
-HistogramSnapshot::merge(const HistogramSnapshot &other)
-{
-    for (unsigned i = 0; i < AtomicLog2Histogram::kBuckets; ++i) {
-        buckets_[i] += other.buckets_[i];
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-    if (other.hasMinMax_) {
-        min_ = hasMinMax_ ? std::min(min_, other.min_) : other.min_;
-        max_ = hasMinMax_ ? std::max(max_, other.max_) : other.max_;
-        hasMinMax_ = true;
-    }
-}
-
-HistogramSnapshot
-HistogramSnapshot::deltaSince(const HistogramSnapshot &older) const
-{
-    HistogramSnapshot d;
-    for (unsigned i = 0; i < AtomicLog2Histogram::kBuckets; ++i) {
-        d.buckets_[i] =
-            buckets_[i] >= older.buckets_[i]
-                ? buckets_[i] - older.buckets_[i]
-                : 0;
-        d.count_ += d.buckets_[i];
-    }
-    d.sum_ = sum_ >= older.sum_ ? sum_ - older.sum_ : 0;
-    d.hasMinMax_ = false; // window extremes are unknowable
-    return d;
-}
-
-double
-HistogramSnapshot::mean() const
-{
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) /
-                             static_cast<double>(count_);
-}
-
-namespace
-{
-
-double
-bucketLo(unsigned i)
-{
-    return i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i) - 1);
-}
-
-double
-bucketHi(unsigned i)
-{
-    return std::ldexp(1.0, static_cast<int>(i));
-}
-
-} // namespace
-
-double
-HistogramSnapshot::percentile(double q) const
-{
-    if (count_ == 0) {
-        return 0.0;
-    }
-    q = std::min(1.0, std::max(0.0, q));
-    double target = q * static_cast<double>(count_);
-    uint64_t seen = 0;
-    for (unsigned i = 0; i < AtomicLog2Histogram::kBuckets; ++i) {
-        if (buckets_[i] == 0) {
-            continue;
-        }
-        double before = static_cast<double>(seen);
-        seen += buckets_[i];
-        if (static_cast<double>(seen) >= target) {
-            double frac =
-                (target - before) / static_cast<double>(buckets_[i]);
-            double v = bucketLo(i) + frac * (bucketHi(i) - bucketLo(i));
-            if (hasMinMax_) {
-                v = std::min(std::max(v, static_cast<double>(min_)),
-                             static_cast<double>(max_));
-            }
-            return v;
-        }
-    }
-    return hasMinMax_ ? static_cast<double>(max_)
-                      : bucketHi(AtomicLog2Histogram::kBuckets - 1);
-}
-
-double
-HistogramSnapshot::fractionAbove(double threshold) const
-{
-    if (count_ == 0) {
-        return 0.0;
-    }
-    double above = 0;
-    for (unsigned i = 0; i < AtomicLog2Histogram::kBuckets; ++i) {
-        if (buckets_[i] == 0) {
-            continue;
-        }
-        double lo = bucketLo(i), hi = bucketHi(i);
-        if (threshold < lo) {
-            above += static_cast<double>(buckets_[i]);
-        } else if (threshold < hi) {
-            // Samples spread uniformly inside the bucket.
-            above += static_cast<double>(buckets_[i]) *
-                     (hi - threshold) / (hi - lo);
-        }
-    }
-    return above / static_cast<double>(count_);
 }
 
 // ---------------------------------------------------------------------
@@ -228,7 +81,7 @@ SloMonitor::hasTarget(uint16_t tenant) const
 }
 
 SloMonitor::Verdict
-SloMonitor::observe(uint16_t tenant, const HistogramSnapshot &window)
+SloMonitor::observe(uint16_t tenant, const Log2Histogram &window)
 {
     Verdict v;
     auto it = states_.find(tenant);
@@ -275,10 +128,16 @@ telemetryConfigFromEnv(TelemetryConfig &config)
     }
     config.promPath = std::string(base) + ".prom";
     config.jsonlPath = std::string(base) + ".jsonl";
-    if (const char *p = std::getenv("DEUCE_TELEMETRY_PERIOD_MS")) {
-        unsigned long long ms = std::strtoull(p, nullptr, 10);
-        if (ms > 0) {
-            config.periodMs = ms;
+    const char *p = std::getenv("DEUCE_TELEMETRY_PERIOD_MS");
+    if (p != nullptr && *p != '\0') {
+        std::optional<uint64_t> ms = parseUnsigned(p);
+        if (!ms) {
+            deuce_fatal("DEUCE_TELEMETRY_PERIOD_MS must be a base-10 "
+                        "millisecond count, got \"" + std::string(p) +
+                        "\"");
+        }
+        if (*ms > 0) {
+            config.periodMs = *ms;
         }
     }
     return true;
@@ -331,6 +190,13 @@ TelemetrySampler::addLatencySource(
     src.parts = std::move(parts);
     src.tenant = tenant;
     latencySources_.push_back(std::move(src));
+}
+
+void
+TelemetrySampler::attachProgress(ProgressReporter &reporter)
+{
+    deuce_assert(!running_);
+    progress_ = &reporter;
 }
 
 void
@@ -387,11 +253,11 @@ TelemetrySampler::sampleOnce()
 
     // Latency sources: merge shards, window = delta since last tick.
     for (LatencySource &src : latencySources_) {
-        HistogramSnapshot merged;
+        Log2Histogram merged;
         for (const AtomicLog2Histogram *h : src.parts) {
-            merged.merge(HistogramSnapshot::of(*h));
+            merged.mergeFrom(h->snapshot());
         }
-        HistogramSnapshot window = merged.deltaSince(src.prev);
+        Log2Histogram window = merged.deltaSince(src.prev);
         src.prev = merged;
 
         SampledLatency lat;
@@ -603,20 +469,36 @@ TelemetrySampler::stop()
         running_ = false;
     }
     sampleOnce(); // final sample so short runs still export
+    if (progress_ != nullptr) {
+        progress_->summary();
+    }
 }
 
 void
 TelemetrySampler::threadLoop()
 {
+    using Clock = std::chrono::steady_clock;
+    const auto period = std::chrono::milliseconds(config_.periodMs);
+    Clock::time_point nextSample = Clock::now() + period;
+    Clock::time_point nextBeat =
+        Clock::now() + ProgressReporter::kHeartbeatInterval;
     std::unique_lock<std::mutex> lk(mu_);
-    while (!stopRequested_) {
-        cv_.wait_for(lk, std::chrono::milliseconds(config_.periodMs),
-                     [this] { return stopRequested_; });
-        if (stopRequested_) {
-            break;
+    while (true) {
+        Clock::time_point wake =
+            progress_ ? std::min(nextSample, nextBeat) : nextSample;
+        if (cv_.wait_until(lk, wake, [this] { return stopRequested_; })) {
+            return;
         }
         lk.unlock();
-        sampleOnce();
+        Clock::time_point now = Clock::now();
+        if (now >= nextSample) {
+            sampleOnce();
+            nextSample = Clock::now() + period;
+        }
+        if (progress_ && now >= nextBeat) {
+            progress_->heartbeat();
+            nextBeat = Clock::now() + ProgressReporter::kHeartbeatInterval;
+        }
         lk.lock();
     }
 }

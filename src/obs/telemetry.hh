@@ -7,28 +7,28 @@
  * dump the registry once. The serving core needs the opposite — a
  * low-overhead view of the system *while it runs*:
  *
- *  - AtomicLog2Histogram  the hot-path accumulator. Fixed 64 atomic
- *    log2 buckets plus count/sum/min/max; a worker thread records a
+ *  - AtomicLog2Histogram  the hot-path recorder. Fixed 64 atomic
+ *    log2 buckets plus sum/min/max; a worker thread records a
  *    completion latency with a handful of relaxed fetch_adds, and the
- *    sampler thread snapshots it concurrently without locks.
- *  - HistogramSnapshot    a plain (non-atomic) copy of one or more
- *    atomic histograms, supporting merge (across shards), delta
- *    (between sampling ticks), interpolated percentiles, and
- *    fraction-above-threshold — the primitive the SLO monitor runs
- *    on. No sample vectors anywhere: memory is O(64) per histogram
- *    regardless of request count.
+ *    sampler thread snapshots it concurrently without locks into a
+ *    plain Log2Histogram (obs/stat.hh), which merges shards, takes
+ *    the delta between ticks, and gives percentiles and the
+ *    fraction above a threshold. No sample vectors anywhere: memory
+ *    is O(64) per histogram regardless of request count.
  *  - SloMonitor           per-tenant p99 targets with error-budget
  *    burn-rate alerting. Each sampling window, the fraction of
  *    requests slower than the target is divided by the allowed budget
  *    fraction; a burn rate at or above the alert threshold fires, and
  *    it must fall below the (lower) clear threshold to clear —
  *    hysteresis, so a rate hovering at the edge does not flap.
- *  - TelemetrySampler     the thread. Every period it walks the
- *    scalar stats of a caller-provided StatRegistry, computes deltas
- *    and rates, snapshots the registered latency sources and queue
- *    depths, evaluates the SLO monitor, rewrites a Prometheus
- *    text-exposition file (atomically: temp + rename), and appends
- *    one JSON line to a time-series sink.
+ *  - TelemetrySampler     the one periodic thread in obs/. Every
+ *    period it walks the scalar stats of a caller-provided
+ *    StatRegistry, computes deltas and rates, snapshots the
+ *    registered latency sources and queue depths, evaluates the SLO
+ *    monitor, rewrites a Prometheus text-exposition file
+ *    (atomically: temp + rename), and appends one JSON line to a
+ *    time-series sink. With a ProgressReporter attached, the same
+ *    thread emits its heartbeat every 2 s and stop() its summary.
  *
  * Thread-safety contract: the sampler reads the registry from its own
  * thread while workers run, so callers must hand it a registry whose
@@ -54,101 +54,42 @@
 #include <thread>
 #include <vector>
 
+#include "obs/stat.hh"
+
 namespace deuce
 {
 namespace obs
 {
 
+class ProgressReporter;
 class StatRegistry;
 
 /**
- * Lock-free log2 latency accumulator: bucket 0 counts samples in
- * [0, 1), bucket i >= 1 counts [2^(i-1), 2^i), same geometry as
- * Log2Histogram but over fixed storage (64 buckets covers the full
- * uint64_t range) so a concurrent reader needs no growth
- * coordination. Writers use relaxed fetch_add; typically one writer
- * per instance (a shard worker), but multiple writers are safe — the
- * min/max CAS loops and bucket adds commute.
+ * Lock-free recorder for a Log2Histogram: the same 64 buckets and
+ * sum/min/max over atomics (the count is the buckets' sum), so a
+ * concurrent reader needs no coordination. Writers use relaxed RMWs;
+ * typically one writer per instance (a shard worker), but multiple
+ * writers are safe — the min/max CAS loops and bucket adds commute.
  */
 class AtomicLog2Histogram
 {
   public:
-    static constexpr unsigned kBuckets = 64;
-
-    AtomicLog2Histogram();
-
-    /** Record one sample (hot path: 3 relaxed RMWs + 2 CAS loops). */
+    /** Record one sample (hot path: 2 relaxed RMWs + 2 CAS loops). */
     void add(uint64_t x);
 
-    uint64_t count() const
-    {
-        return count_.load(std::memory_order_relaxed);
-    }
-
-    /** Bucket index sample @p x lands in. */
-    static unsigned bucketIndex(uint64_t x);
+    /**
+     * The recorded samples as a plain histogram (safe against
+     * concurrent writers). Relaxed loads: the copy may miss a sample
+     * still in flight in some fields; min/max read as unknown until
+     * the first sample has set both.
+     */
+    Log2Histogram snapshot() const;
 
   private:
-    friend class HistogramSnapshot;
-
-    std::atomic<uint64_t> buckets_[kBuckets];
-    std::atomic<uint64_t> count_;
-    std::atomic<uint64_t> sum_;
-    std::atomic<uint64_t> min_;
-    std::atomic<uint64_t> max_;
-};
-
-/**
- * A plain copy of atomic-histogram state: what the sampler works
- * with. Supports merging shards, subtracting a previous tick's
- * snapshot to get a window, and bucket-interpolated percentiles.
- */
-class HistogramSnapshot
-{
-  public:
-    HistogramSnapshot();
-
-    /** Snapshot @p h's current state (concurrent-writer safe). */
-    static HistogramSnapshot of(const AtomicLog2Histogram &h);
-
-    /** Fold @p other's samples into this snapshot (cross-shard). */
-    void merge(const HistogramSnapshot &other);
-
-    /**
-     * The samples recorded since @p older was taken, assuming @p
-     * older is an earlier snapshot of the same source(s). The delta
-     * has no exact min/max (percentiles use bucket edges only).
-     */
-    HistogramSnapshot deltaSince(const HistogramSnapshot &older) const;
-
-    uint64_t count() const { return count_; }
-    double sum() const { return static_cast<double>(sum_); }
-    double mean() const;
-
-    /**
-     * Approximate value below which fraction @p q of samples fall:
-     * linear interpolation inside the winning bucket, clamped to the
-     * exact min/max when this snapshot has them. 0 when empty.
-     */
-    double percentile(double q) const;
-
-    /** Fraction of samples strictly above @p threshold (the SLO
-     *  monitor's "bad request" fraction), interpolated inside the
-     *  bucket containing the threshold. 0 when empty. */
-    double fractionAbove(double threshold) const;
-
-    uint64_t bucketCount(unsigned i) const
-    {
-        return i < AtomicLog2Histogram::kBuckets ? buckets_[i] : 0;
-    }
-
-  private:
-    uint64_t buckets_[AtomicLog2Histogram::kBuckets];
-    uint64_t count_;
-    uint64_t sum_;
-    uint64_t min_;     ///< exact only when hasMinMax_
-    uint64_t max_;
-    bool hasMinMax_;
+    std::atomic<uint64_t> buckets_[Log2Histogram::kBuckets] = {};
+    std::atomic<uint64_t> sum_{0};
+    std::atomic<uint64_t> min_{UINT64_MAX};
+    std::atomic<uint64_t> max_{0};
 };
 
 /** One tenant's SLO: a latency target plus an error budget. Units of
@@ -191,7 +132,7 @@ class SloMonitor
     bool hasTarget(uint16_t tenant) const;
 
     /** Evaluate one window of @p tenant's latency. */
-    Verdict observe(uint16_t tenant, const HistogramSnapshot &window);
+    Verdict observe(uint16_t tenant, const Log2Histogram &window);
 
     /** Is @p tenant's alert currently firing? */
     bool firing(uint16_t tenant) const;
@@ -316,12 +257,20 @@ class TelemetrySampler
     /** The SLO monitor (configure targets before start()). */
     SloMonitor &slo() { return slo_; }
 
+    /**
+     * Drive @p reporter from this sampler: the thread emits its
+     * heartbeat every ProgressReporter::kHeartbeatInterval, and stop()
+     * emits its summary record. @p reporter must outlive the sampler.
+     */
+    void attachProgress(ProgressReporter &reporter);
+
     /** Launch the sampling thread. No-op when already running. */
     void start();
 
     /**
-     * Stop the thread after one final sample, flushing both sinks.
-     * Idempotent; also called by the destructor.
+     * Stop the thread after one final sample, flushing both sinks,
+     * and emit the attached reporter's summary. Idempotent; also
+     * called by the destructor.
      */
     void stop();
 
@@ -354,7 +303,7 @@ class TelemetrySampler
         std::string name;
         std::vector<const AtomicLog2Histogram *> parts;
         uint16_t tenant = kNoTenant;
-        HistogramSnapshot prev;
+        Log2Histogram prev;
     };
 
     struct QueueSource
@@ -371,6 +320,7 @@ class TelemetrySampler
     const StatRegistry &registry_;
     TelemetryConfig config_;
     SloMonitor slo_;
+    ProgressReporter *progress_ = nullptr;
 
     std::vector<LatencySource> latencySources_;
     std::vector<QueueSource> queueSources_;

@@ -341,7 +341,7 @@ ShardedMemorySystem::workerLoop(unsigned s)
             if (depth == 0) {
                 continue;
             }
-            shard.sqDepth.add(static_cast<double>(depth));
+            shard.sqDepth.add(depth);
 
             // Drain the whole burst first, then apply: runs of
             // consecutive writes go through the batch pipeline (one
@@ -402,7 +402,7 @@ ShardedMemorySystem::workerLoop(unsigned s)
                     } while (!port->cq.tryPush(std::move(c)));
                 }
             }
-            shard.burst.add(static_cast<double>(burst.size()));
+            shard.burst.add(burst.size());
             shard.telemetry->served.fetch_add(
                 burst.size(), std::memory_order_relaxed);
             any = true;

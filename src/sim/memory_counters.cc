@@ -42,8 +42,8 @@ MemoryCounters::noteWriteNoWear(uint64_t line_addr,
                                                 : result.metaFlips);
     flipStat_.add(flip_fraction);
     slotStat_.add(static_cast<double>(slots));
-    slotHist_.add(static_cast<double>(slots));
-    flipHist_.add(static_cast<double>(result.totalFlips()));
+    slotHist_.add(slots);
+    flipHist_.add(result.totalFlips());
 
     // Same address interleave the timing model uses (lineAddr % banks).
     BankCounters &bank = banks_[line_addr % banks_.size()];

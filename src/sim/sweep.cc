@@ -5,7 +5,6 @@
 
 #include "sim/sweep.hh"
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -135,51 +134,47 @@ runSweep(const SweepSpec &spec)
             progress = *env;
         }
     }
-    std::unique_ptr<obs::ProgressReporter> reporter;
-    if (progress.enabled) {
-        unsigned workers = spec.threads
-                               ? spec.threads
-                               : ThreadPool::defaultThreadCount();
-        reporter = std::make_unique<obs::ProgressReporter>(
-            cells, workers, progress);
-    }
-
-    // Live telemetry over the run: sweep-level counters plus a
-    // cell-duration histogram, armed by the spec or DEUCE_TELEMETRY.
-    // The sources are atomics owned by this frame, so the sampler is
-    // stopped (joined) before they go out of scope.
     obs::TelemetryConfig telemetryCfg = spec.telemetry;
     bool telemetryOn = !telemetryCfg.promPath.empty() ||
                        !telemetryCfg.jsonlPath.empty();
     if (!telemetryOn) {
         telemetryOn = obs::telemetryConfigFromEnv(telemetryCfg);
     }
-    std::atomic<uint64_t> cellsStarted{0};
-    std::atomic<uint64_t> cellsFinished{0};
-    obs::AtomicLog2Histogram cellDurationNs;
+
+    // With progress or telemetry on, the reporter is the one record
+    // of each cell starting and finishing: its heartbeat and the live
+    // counters and cell-duration histogram ("sweep.cell", ns) all
+    // read it, on one sampler thread. The registry's sources read
+    // this frame's reporter, so the sampler stops (joins) first.
+    std::unique_ptr<obs::ProgressReporter> reporter;
     obs::StatRegistry telemetryReg;
     std::unique_ptr<obs::TelemetrySampler> sampler;
-    if (telemetryOn) {
-        telemetryReg.addIntValue(
-            "sweep.cells_started", "cells a worker has picked up",
-            [&cellsStarted] {
-                return cellsStarted.load(std::memory_order_relaxed);
-            });
-        telemetryReg.addIntValue(
-            "sweep.cells_finished", "cells completed",
-            [&cellsFinished] {
-                return cellsFinished.load(std::memory_order_relaxed);
-            });
+    if (progress.enabled || telemetryOn) {
+        unsigned workers = spec.threads
+                               ? spec.threads
+                               : ThreadPool::defaultThreadCount();
+        reporter = std::make_unique<obs::ProgressReporter>(
+            cells, workers, progress);
+        const obs::ProgressReporter &rep = *reporter;
+        telemetryReg.addIntValue("sweep.cells_started",
+                                 "cells a worker has picked up",
+                                 [&rep] { return rep.started(); });
+        telemetryReg.addIntValue("sweep.cells_finished",
+                                 "cells completed",
+                                 [&rep] { return rep.done(); });
         sampler = std::make_unique<obs::TelemetrySampler>(
             telemetryReg, telemetryCfg);
         bool slo = spec.cellP99Ns > 0;
         sampler->addLatencySource(
-            "sweep.cell", {&cellDurationNs},
+            "sweep.cell", {&rep.cellDurationsNs()},
             slo ? uint16_t{0} : obs::TelemetrySampler::kNoTenant);
         if (slo) {
             obs::SloTarget target;
             target.p99Target = spec.cellP99Ns;
             sampler->slo().setTarget(0, target);
+        }
+        if (progress.enabled) {
+            sampler->attachProgress(*reporter);
         }
         sampler->start();
     }
@@ -199,7 +194,6 @@ runSweep(const SweepSpec &spec)
             if (reporter) {
                 reporter->cellStarted(cell_label);
             }
-            cellsStarted.fetch_add(1, std::memory_order_relaxed);
             auto cell_start = std::chrono::steady_clock::now();
 
             ExperimentOptions options = spec.options;
@@ -215,22 +209,17 @@ runSweep(const SweepSpec &spec)
             grid[s][b] =
                 runExperiment(benchmarks[b], factories[s], options);
 
-            std::chrono::duration<double> took =
-                std::chrono::steady_clock::now() - cell_start;
-            cellDurationNs.add(static_cast<uint64_t>(
-                took.count() * 1e9));
-            cellsFinished.fetch_add(1, std::memory_order_relaxed);
             if (reporter) {
+                std::chrono::duration<double> took =
+                    std::chrono::steady_clock::now() - cell_start;
                 reporter->cellFinished(cell_label, took.count());
             }
         },
         spec.threads);
 
-    // Join the sampler (one final sample flushes both sinks) and the
-    // heartbeat thread (emits the final summary record) before the
-    // JSON emission below.
+    // Join the sampler (one final sample flushes both sinks, then the
+    // summary record) before the JSON emission below.
     sampler.reset();
-    reporter.reset();
 
     SweepResult result(std::move(benchmarks), std::move(ids),
                        std::move(keys), std::move(grid));

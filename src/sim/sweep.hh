@@ -98,7 +98,8 @@ struct SweepSpec
     bool deriveCellSeeds = true;
 
     /**
-     * Progress/heartbeat reporting (obs/progress.hh). Disabled by
+     * Progress/heartbeat reporting (obs/progress.hh), emitted by the
+     * same sampler thread as the telemetry below. Disabled by
      * default; when left disabled, the DEUCE_PROGRESS environment
      * variable can still switch it on for any sweep.
      */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for RunningStat and Histogram.
+ * Unit tests for RunningStat.
  */
 
 #include <gtest/gtest.h>
@@ -125,44 +125,6 @@ TEST(RunningStat, MergeWithEmptySides)
 
     empty.merge(RunningStat{}); // empty.merge(empty) stays empty
     EXPECT_TRUE(empty.empty());
-}
-
-TEST(Histogram, BinsAndEdges)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.0);   // bin 0
-    h.add(0.99);  // bin 0
-    h.add(5.0);   // bin 5
-    h.add(9.99);  // bin 9
-    h.add(-1.0);  // underflow
-    h.add(10.0);  // overflow (hi is exclusive)
-    h.add(42.0);  // overflow
-
-    EXPECT_EQ(h.totalCount(), 7u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_DOUBLE_EQ(h.binLo(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.binLo(5), 5.0);
-}
-
-TEST(Histogram, QuantileApproximation)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i) {
-        h.add(i + 0.5);
-    }
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.0), 0.5, 1.0);
-}
-
-TEST(Histogram, InvalidConstruction)
-{
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), PanicError);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), PanicError);
 }
 
 } // namespace

@@ -9,8 +9,10 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 
 namespace deuce
@@ -112,8 +114,25 @@ TEST(ThreadPool, DefaultThreadCountHonorsEnv)
     EXPECT_EQ(ThreadPool::defaultThreadCount(), 3u);
     ::setenv("DEUCE_BENCH_THREADS", "0", 1);
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+    ::setenv("DEUCE_BENCH_THREADS", "", 1);
+    EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
     ::unsetenv("DEUCE_BENCH_THREADS");
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+}
+
+TEST(ThreadPool, DefaultThreadCountRejectsMalformedEnv)
+{
+    for (const char *bad : {"4x", "-5", " 2", "two", "99999999999"}) {
+        ::setenv("DEUCE_BENCH_THREADS", bad, 1);
+        try {
+            ThreadPool::defaultThreadCount();
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("DEUCE_BENCH_THREADS"),
+                      std::string::npos);
+        }
+    }
+    ::unsetenv("DEUCE_BENCH_THREADS");
 }
 
 } // namespace

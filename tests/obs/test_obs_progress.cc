@@ -1,17 +1,23 @@
 /**
  * @file
- * Unit tests for the progress/heartbeat reporter.
+ * Unit tests for the progress/heartbeat reporter, alone and driven by
+ * a TelemetrySampler thread.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "obs/progress.hh"
+#include "obs/registry.hh"
+#include "obs/telemetry.hh"
 
 namespace deuce
 {
@@ -25,10 +31,15 @@ quietOptions()
 {
     ProgressOptions opt;
     opt.enabled = true;
-    // Long interval: tests drive snapshots directly; the heartbeat
-    // thread just sleeps until the destructor joins it.
-    opt.intervalSeconds = 3600.0;
     return opt;
+}
+
+std::string
+readAll(const std::string &path)
+{
+    std::ifstream in(path);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
 }
 
 TEST(ProgressReporter, SnapshotTracksDoneAndRunning)
@@ -67,24 +78,85 @@ TEST(ProgressReporter, EtaScalesWithMeanAndWorkers)
 
 TEST(ProgressReporter, JsonlSummaryWrittenOnDestruction)
 {
+    // The reporter owns no thread: destroying the sampler that drives
+    // it (stop()) writes the summary record.
     std::string path = ::testing::TempDir() + "progress_test.jsonl";
     std::remove(path.c_str());
+    ProgressOptions opt = quietOptions();
+    opt.jsonlPath = path;
+    opt.label = "unit";
+    ProgressReporter rep(2, 1, opt);
     {
-        ProgressOptions opt = quietOptions();
-        opt.jsonlPath = path;
-        opt.label = "unit";
-        ProgressReporter rep(2, 1, opt);
+        StatRegistry reg;
+        TelemetrySampler sampler(reg, TelemetryConfig{});
+        sampler.attachProgress(rep);
+        sampler.start();
         rep.cellStarted("one");
         rep.cellFinished("one", 0.5);
     }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string all((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+    std::string all = readAll(path);
     EXPECT_NE(all.find("\"type\":\"summary\""), std::string::npos);
     EXPECT_NE(all.find("\"label\":\"unit\""), std::string::npos);
     EXPECT_NE(all.find("\"done\":1"), std::string::npos);
     EXPECT_NE(all.find("\"total\":2"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(ProgressReporter, SamplerThreadEmitsHeartbeats)
+{
+    std::string path = ::testing::TempDir() + "progress_beat.jsonl";
+    std::remove(path.c_str());
+    ProgressOptions opt = quietOptions();
+    opt.jsonlPath = path;
+    ProgressReporter rep(4, 2, opt);
+    StatRegistry reg;
+    TelemetrySampler sampler(reg, TelemetryConfig{});
+    sampler.attachProgress(rep);
+    sampler.start();
+
+    // Workers record cells while the sampler thread reads the
+    // reporter for its heartbeat.
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 2; ++w) {
+        workers.emplace_back([&rep, w] {
+            std::string label = "cell" + std::to_string(w);
+            rep.cellStarted(label);
+            rep.cellFinished(label, 0.25);
+        });
+    }
+    for (std::thread &t : workers) {
+        t.join();
+    }
+    rep.cellStarted("slow");
+    std::this_thread::sleep_for(ProgressReporter::kHeartbeatInterval +
+                                std::chrono::milliseconds(300));
+    sampler.stop();
+
+    std::istringstream lines(readAll(path));
+    std::string line, beat, summary;
+    while (std::getline(lines, line)) {
+        if (line.find("\"type\":\"progress\"") != std::string::npos) {
+            beat = line;
+        } else if (line.find("\"type\":\"summary\"") !=
+                   std::string::npos) {
+            summary = line;
+        }
+    }
+    // The heartbeat record keeps its fields.
+    ASSERT_FALSE(beat.empty()) << "no heartbeat after one interval";
+    EXPECT_EQ(beat.rfind("{\"type\":\"progress\",\"label\":\"sweep\","
+                         "\"done\":2,\"total\":4,\"elapsed_s\":",
+                         0),
+              0u)
+        << beat;
+    for (const char *field :
+         {",\"eta_s\":", ",\"mean_cell_s\":0.25,",
+          ",\"running\":[\"slow\"]}"}) {
+        EXPECT_NE(beat.find(field), std::string::npos) << field;
+    }
+    EXPECT_FALSE(summary.empty());
+    EXPECT_EQ(rep.started(), 3u);
+    EXPECT_EQ(rep.done(), 2u);
     std::remove(path.c_str());
 }
 

@@ -73,32 +73,42 @@ TEST(Formula, EvaluatesOnDemand)
 TEST(Log2Histogram, BucketEdges)
 {
     Log2Histogram h;
-    h.add(0.0);  // bucket 0: [0, 1)
-    h.add(0.5);  // bucket 0
-    h.add(1.0);  // bucket 1: [1, 2)
-    h.add(2.0);  // bucket 2: [2, 4)
-    h.add(3.9);  // bucket 2
-    h.add(4.0);  // bucket 3: [4, 8)
-    h.add(100.0);
+    h.add(0);   // bucket 0: [0, 1)
+    h.add(0);   // bucket 0
+    h.add(1);   // bucket 1: [1, 2)
+    h.add(2);   // bucket 2: [2, 4)
+    h.add(3);   // bucket 2
+    h.add(4);   // bucket 3: [4, 8)
+    h.add(7);   // bucket 3
+    h.add(8);   // bucket 4: [8, 16)
+    h.add(100); // bucket 7: [64, 128)
 
-    EXPECT_EQ(h.count(), 7u);
+    EXPECT_EQ(h.count(), 9u);
     EXPECT_EQ(h.bucketCount(0), 2u);
     EXPECT_EQ(h.bucketCount(1), 1u);
     EXPECT_EQ(h.bucketCount(2), 2u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
+    EXPECT_EQ(h.bucketCount(3), 2u);
+    EXPECT_EQ(h.bucketCount(4), 1u);
+    EXPECT_EQ(h.bucketCount(7), 1u);
+    EXPECT_EQ(h.numBuckets(), 8u);
     EXPECT_DOUBLE_EQ(Log2Histogram::bucketLo(0), 0.0);
     EXPECT_DOUBLE_EQ(Log2Histogram::bucketHi(0), 1.0);
     EXPECT_DOUBLE_EQ(Log2Histogram::bucketLo(3), 4.0);
     EXPECT_DOUBLE_EQ(Log2Histogram::bucketHi(3), 8.0);
-    EXPECT_DOUBLE_EQ(h.min(), 0.0);
-    EXPECT_DOUBLE_EQ(h.max(), 100.0);
+    EXPECT_EQ(h.min(), 0u);
+    EXPECT_EQ(h.max(), 100u);
+
+    // The top of the uint64_t range clamps into the last bucket.
+    h.add(~0ull);
+    EXPECT_EQ(h.bucketCount(Log2Histogram::kBuckets - 1), 1u);
+    EXPECT_EQ(h.numBuckets(), Log2Histogram::kBuckets);
 }
 
 TEST(Log2Histogram, PercentilesBracketTheDistribution)
 {
     Log2Histogram h;
-    for (int i = 1; i <= 100; ++i) {
-        h.add(static_cast<double>(i));
+    for (uint64_t i = 1; i <= 100; ++i) {
+        h.add(i);
     }
     // Log2 buckets are coarse; the interpolated percentile must land
     // within the bucket containing the exact order statistic.
@@ -114,7 +124,8 @@ TEST(Log2Histogram, EmptyAndClear)
     Log2Histogram h;
     EXPECT_TRUE(h.empty());
     EXPECT_EQ(h.percentile(0.5), 0.0);
-    h.add(5.0);
+    EXPECT_THROW(h.min(), PanicError);
+    h.add(5);
     EXPECT_FALSE(h.empty());
     h.clear();
     EXPECT_TRUE(h.empty());
@@ -124,11 +135,11 @@ TEST(Log2Histogram, EmptyAndClear)
 TEST(Log2Histogram, MergeFromAddsBucketsExactly)
 {
     Log2Histogram a, b, whole;
-    for (double x : {0.5, 1.0, 3.0, 3.0}) {
+    for (uint64_t x : {0, 1, 3, 3}) {
         a.add(x);
         whole.add(x);
     }
-    for (double x : {2.0, 100.0}) {
+    for (uint64_t x : {2, 100}) {
         b.add(x);
         whole.add(x);
     }
@@ -140,6 +151,7 @@ TEST(Log2Histogram, MergeFromAddsBucketsExactly)
         EXPECT_EQ(a.bucketCount(i), whole.bucketCount(i));
     }
     EXPECT_EQ(a.count(), whole.count());
+    EXPECT_EQ(a.sum(), whole.sum());
     EXPECT_EQ(a.min(), whole.min());
     EXPECT_EQ(a.max(), whole.max());
 
@@ -156,10 +168,11 @@ TEST(Log2Histogram, MergeFromAddsBucketsExactly)
 
 TEST(Histogram, TextDumpEmitsSummaryLines)
 {
-    Histogram h("x.slots", "write slots per write");
-    h.add(1.0);
-    h.add(2.0);
-    h.add(4.0);
+    Log2Histogram data;
+    data.add(1);
+    data.add(2);
+    data.add(4);
+    Histogram h("x.slots", "write slots per write", data);
     std::ostringstream os;
     h.dumpText(os);
     std::string out = os.str();
@@ -169,26 +182,22 @@ TEST(Histogram, TextDumpEmitsSummaryLines)
     EXPECT_NE(out.find("x.slots.max"), std::string::npos);
     EXPECT_NE(out.find("x.slots.p50"), std::string::npos);
     EXPECT_NE(out.find("x.slots.p99"), std::string::npos);
+
+    // A view: samples added after registration show in the dump.
+    data.add(8);
+    EXPECT_EQ(h.data().count(), 4u);
 }
 
 TEST(Histogram, EmptyOmitsMinMaxPercentiles)
 {
-    Histogram h("x.empty", "never sampled");
+    Log2Histogram data;
+    Histogram h("x.empty", "never sampled", data);
     std::ostringstream os;
     h.dumpText(os);
     std::string out = os.str();
     EXPECT_NE(out.find("x.empty.count"), std::string::npos);
     EXPECT_EQ(out.find("x.empty.min"), std::string::npos);
     EXPECT_EQ(out.find("x.empty.p50"), std::string::npos);
-}
-
-TEST(Histogram, ExternalModeRefusesAdd)
-{
-    Log2Histogram data;
-    data.add(3.0);
-    Histogram h("x.ext", "external view", data);
-    EXPECT_EQ(h.data().count(), 1u);
-    EXPECT_THROW(h.add(1.0), PanicError);
 }
 
 TEST(StatRegistry, DumpsInRegistrationOrder)

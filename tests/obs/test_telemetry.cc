@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for the live-telemetry layer: the atomic log2 histogram
- * and its snapshots, the SLO burn-rate monitor, and the sampler's
- * snapshot/delta arithmetic and Prometheus export under concurrent
- * writers, plus the atomic file writer the export rewrites through.
+ * Unit tests for the live-telemetry layer: the atomic log2 recorder
+ * against the plain Log2Histogram, the SLO burn-rate monitor, the
+ * sampler's snapshot/delta arithmetic and Prometheus export under
+ * concurrent writers, its env config, and the atomic file writer the
+ * export rewrites through.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "obs/output.hh"
 #include "obs/registry.hh"
 #include "obs/telemetry.hh"
@@ -31,28 +33,35 @@ namespace
 
 TEST(AtomicLog2Histogram, BucketGeometryMatchesLog2)
 {
-    EXPECT_EQ(AtomicLog2Histogram::bucketIndex(0), 0u);
-    EXPECT_EQ(AtomicLog2Histogram::bucketIndex(1), 1u);
-    EXPECT_EQ(AtomicLog2Histogram::bucketIndex(2), 2u);
-    EXPECT_EQ(AtomicLog2Histogram::bucketIndex(3), 2u);
-    EXPECT_EQ(AtomicLog2Histogram::bucketIndex(4), 3u);
-    EXPECT_EQ(AtomicLog2Histogram::bucketIndex(1023), 10u);
-    EXPECT_EQ(AtomicLog2Histogram::bucketIndex(1024), 11u);
+    EXPECT_EQ(Log2Histogram::bucketIndex(0), 0u);
+    EXPECT_EQ(Log2Histogram::bucketIndex(1), 1u);
+    EXPECT_EQ(Log2Histogram::bucketIndex(2), 2u);
+    EXPECT_EQ(Log2Histogram::bucketIndex(3), 2u);
+    EXPECT_EQ(Log2Histogram::bucketIndex(4), 3u);
+    EXPECT_EQ(Log2Histogram::bucketIndex(1023), 10u);
+    EXPECT_EQ(Log2Histogram::bucketIndex(1024), 11u);
     // add() clamps the top of the range into the last stored bucket.
-    EXPECT_EQ(AtomicLog2Histogram::bucketIndex(~0ull), 64u);
+    EXPECT_EQ(Log2Histogram::bucketIndex(~0ull), 64u);
+    AtomicLog2Histogram h;
+    h.add(~0ull);
+    EXPECT_EQ(h.snapshot().bucketCount(Log2Histogram::kBuckets - 1), 1u);
 }
 
 TEST(AtomicLog2Histogram, SnapshotCountsSumsAndBounds)
 {
     AtomicLog2Histogram h;
+    EXPECT_TRUE(h.snapshot().empty());
+    EXPECT_FALSE(h.snapshot().hasMinMax());
     for (uint64_t x : {5ull, 9ull, 9ull, 300ull}) {
         h.add(x);
     }
-    HistogramSnapshot s = HistogramSnapshot::of(h);
+    Log2Histogram s = h.snapshot();
     EXPECT_EQ(s.count(), 4u);
-    EXPECT_EQ(s.sum(), 323.0);
+    EXPECT_EQ(s.sum(), 323u);
     EXPECT_DOUBLE_EQ(s.mean(), 323.0 / 4);
     // Exact min/max clamp the interpolated extremes.
+    EXPECT_EQ(s.min(), 5u);
+    EXPECT_EQ(s.max(), 300u);
     EXPECT_DOUBLE_EQ(s.percentile(0.0), 5.0);
     EXPECT_DOUBLE_EQ(s.percentile(1.0), 300.0);
     double p50 = s.percentile(0.5);
@@ -60,57 +69,139 @@ TEST(AtomicLog2Histogram, SnapshotCountsSumsAndBounds)
     EXPECT_LE(p50, 16.0); // both 9s land in [8,16)
 }
 
-TEST(HistogramSnapshot, MergeAndDeltaCommute)
+/** Both recorders fed the same samples. */
+struct Recorders
 {
-    AtomicLog2Histogram a, b;
+    Log2Histogram plain;
+    AtomicLog2Histogram atomic;
+
+    void add(uint64_t x)
+    {
+        plain.add(x);
+        atomic.add(x);
+    }
+};
+
+/**
+ * Every read of @p a equals that of @p b: buckets, count, sum, mean,
+ * min/max, percentiles, and the fraction above every bucket edge.
+ */
+void
+expectSameHistogram(const Log2Histogram &a, const Log2Histogram &b)
+{
+    for (unsigned i = 0; i < Log2Histogram::kBuckets; ++i) {
+        EXPECT_EQ(a.bucketCount(i), b.bucketCount(i)) << "bucket " << i;
+    }
+    EXPECT_EQ(a.numBuckets(), b.numBuckets());
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.sum(), b.sum());
+    EXPECT_EQ(a.mean(), b.mean());
+    ASSERT_EQ(a.hasMinMax(), b.hasMinMax());
+    if (a.hasMinMax()) {
+        EXPECT_EQ(a.min(), b.min());
+        EXPECT_EQ(a.max(), b.max());
+    }
+    for (double q : {0.0, 0.5, 0.95, 0.99, 0.999, 1.0}) {
+        EXPECT_EQ(a.percentile(q), b.percentile(q)) << "q " << q;
+    }
+    for (unsigned i = 0; i < Log2Histogram::kBuckets; ++i) {
+        for (double edge : {Log2Histogram::bucketLo(i),
+                            Log2Histogram::bucketHi(i)}) {
+            EXPECT_EQ(a.fractionAbove(edge), b.fractionAbove(edge))
+                << "edge " << edge;
+        }
+    }
+}
+
+TEST(Log2Histogram, AtomicRecorderMatchesPlainOnSeededSamples)
+{
+    Recorders r;
+    expectSameHistogram(r.plain, r.atomic.snapshot());
+    // Magnitudes from 0 to the clamped top bucket, so every bucket
+    // edge and the min/max clamps are exercised.
+    uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (int i = 0; i < 5000; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        r.add((x >> 1) >> ((x >> 58) & 63));
+    }
+    r.add(0);
+    r.add(~0ull);
+    expectSameHistogram(r.plain, r.atomic.snapshot());
+}
+
+TEST(Log2Histogram, MergeAndDeltaMatchAcrossRecorders)
+{
+    Recorders a, b;
     for (int i = 0; i < 10; ++i) {
         a.add(100);
     }
-    HistogramSnapshot before = HistogramSnapshot::of(a);
+    Log2Histogram plainBefore = a.plain;
+    Log2Histogram atomicBefore = a.atomic.snapshot();
     for (int i = 0; i < 5; ++i) {
         a.add(100000);
         b.add(7);
     }
 
-    HistogramSnapshot after = HistogramSnapshot::of(a);
-    HistogramSnapshot window = after.deltaSince(before);
+    Log2Histogram window = a.plain.deltaSince(plainBefore);
+    expectSameHistogram(window,
+                        a.atomic.snapshot().deltaSince(atomicBefore));
     EXPECT_EQ(window.count(), 5u);
-    EXPECT_EQ(window.sum(), 5.0 * 100000);
+    EXPECT_EQ(window.sum(), 5u * 100000);
+    EXPECT_FALSE(window.hasMinMax()); // window extremes are unknowable
+    // The window's samples all sit in [65536, 131072): its median
+    // interpolates between bucket edges only.
+    EXPECT_DOUBLE_EQ(window.percentile(0.5), 65536.0 * 1.5);
 
-    HistogramSnapshot merged = HistogramSnapshot::of(a);
-    merged.merge(HistogramSnapshot::of(b));
+    Log2Histogram merged = a.plain;
+    merged.mergeFrom(b.plain);
+    Log2Histogram atomicMerged = a.atomic.snapshot();
+    atomicMerged.mergeFrom(b.atomic.snapshot());
+    expectSameHistogram(merged, atomicMerged);
     EXPECT_EQ(merged.count(), 20u);
-    EXPECT_EQ(merged.sum(), 10.0 * 100 + 5.0 * 100000 + 5.0 * 7);
+    EXPECT_EQ(merged.sum(), 10u * 100 + 5u * 100000 + 5u * 7);
+    EXPECT_EQ(merged.min(), 7u);
+    EXPECT_EQ(merged.max(), 100000u);
+
+    // Merge and delta commute: (a + b) - a_before == window + b.
+    Log2Histogram windowPlusB = window;
+    windowPlusB.mergeFrom(b.plain);
+    Log2Histogram mergedWindow = merged.deltaSince(plainBefore);
+    for (unsigned i = 0; i < Log2Histogram::kBuckets; ++i) {
+        EXPECT_EQ(mergedWindow.bucketCount(i),
+                  windowPlusB.bucketCount(i));
+    }
+    EXPECT_EQ(mergedWindow.sum(), windowPlusB.sum());
 }
 
-TEST(HistogramSnapshot, FractionAboveAtBucketEdgesIsExact)
+TEST(Log2Histogram, FractionAboveAtBucketEdgesMatchesAcrossRecorders)
 {
-    AtomicLog2Histogram h;
+    Recorders r;
     for (int i = 0; i < 17; ++i) {
-        h.add(1); // bucket [1,2)
+        r.add(1); // bucket [1,2)
     }
     for (int i = 0; i < 3; ++i) {
-        h.add(1024); // bucket [1024,2048)
+        r.add(1024); // bucket [1024,2048)
     }
-    HistogramSnapshot s = HistogramSnapshot::of(h);
+    expectSameHistogram(r.plain, r.atomic.snapshot());
     // 512 falls in an empty bucket, so no interpolation error: the
     // fraction above is exactly the 1024-sample share.
-    EXPECT_DOUBLE_EQ(s.fractionAbove(512.0), 3.0 / 20.0);
-    EXPECT_DOUBLE_EQ(s.fractionAbove(1e9), 0.0);
+    EXPECT_DOUBLE_EQ(r.plain.fractionAbove(512.0), 3.0 / 20.0);
+    EXPECT_DOUBLE_EQ(r.plain.fractionAbove(1e9), 0.0);
+    EXPECT_DOUBLE_EQ(r.plain.fractionAbove(0.0), 1.0);
 }
 
 /** A window with @p bad of @p total samples above 512. */
-HistogramSnapshot
+Log2Histogram
 windowWithBadFraction(unsigned bad, unsigned total)
 {
-    AtomicLog2Histogram h;
+    Log2Histogram h;
     for (unsigned i = 0; i < total - bad; ++i) {
         h.add(1);
     }
     for (unsigned i = 0; i < bad; ++i) {
         h.add(1024);
     }
-    return HistogramSnapshot::of(h);
+    return h;
 }
 
 TEST(SloMonitor, BurnRateTriggerAndClearEdges)
@@ -151,7 +242,7 @@ TEST(SloMonitor, BurnRateTriggerAndClearEdges)
     EXPECT_EQ(mon.alertsFired(), 1u);
 
     // An empty window leaves the state unchanged.
-    v = mon.observe(3, HistogramSnapshot());
+    v = mon.observe(3, Log2Histogram());
     EXPECT_TRUE(v.firing);
     EXPECT_FALSE(v.cleared);
 
@@ -414,6 +505,38 @@ TEST(TelemetrySampler, QueueWatermarkBreachesAreCounted)
     EXPECT_EQ(s.queues[0].depth, 90u);
     EXPECT_EQ(s.queues[0].capacity, 100u);
     EXPECT_EQ(sampler.watermarkBreaches(), 1u);
+}
+
+TEST(TelemetryConfig, FromEnvRejectsMalformedPeriod)
+{
+    ::setenv("DEUCE_TELEMETRY", "/tmp/deuce_tel_env", 1);
+    ::setenv("DEUCE_TELEMETRY_PERIOD_MS", "250", 1);
+    TelemetryConfig cfg;
+    ASSERT_TRUE(telemetryConfigFromEnv(cfg));
+    EXPECT_EQ(cfg.periodMs, 250u);
+    EXPECT_EQ(cfg.jsonlPath, "/tmp/deuce_tel_env.jsonl");
+
+    // 0 and "" keep the default period.
+    for (const char *keep : {"0", ""}) {
+        ::setenv("DEUCE_TELEMETRY_PERIOD_MS", keep, 1);
+        TelemetryConfig d;
+        ASSERT_TRUE(telemetryConfigFromEnv(d));
+        EXPECT_EQ(d.periodMs, TelemetryConfig{}.periodMs) << keep;
+    }
+    for (const char *bad : {"10ms", "-5", " 7", "1e3", "x"}) {
+        ::setenv("DEUCE_TELEMETRY_PERIOD_MS", bad, 1);
+        TelemetryConfig d;
+        try {
+            telemetryConfigFromEnv(d);
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "DEUCE_TELEMETRY_PERIOD_MS"),
+                      std::string::npos);
+        }
+    }
+    ::unsetenv("DEUCE_TELEMETRY_PERIOD_MS");
+    ::unsetenv("DEUCE_TELEMETRY");
 }
 
 TEST(PrometheusName, SanitizesDottedNames)

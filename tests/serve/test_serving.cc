@@ -499,15 +499,15 @@ TEST(ShardedMemorySystemTest, TelemetryObservesWithoutPerturbing)
     // through the per-tenant view.
     uint64_t shardSamples = 0;
     for (unsigned s = 0; s < cfg.shards; ++s) {
-        shardSamples += srv.latencyHistogram(s).count();
+        shardSamples += srv.latencyHistogram(s).snapshot().count();
     }
     EXPECT_EQ(shardSamples, trace.size());
     uint64_t tenantSamples = 0;
     for (uint16_t t = 0; t < cfg.tenants; ++t) {
-        obs::HistogramSnapshot merged;
+        obs::Log2Histogram merged;
         for (const obs::AtomicLog2Histogram *h :
              srv.tenantLatencyParts(t)) {
-            merged.merge(obs::HistogramSnapshot::of(*h));
+            merged.mergeFrom(h->snapshot());
         }
         tenantSamples += merged.count();
     }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the sweep engine: declarative grids, deterministic
- * parallel execution, lookup, and the JSON emission path.
+ * parallel execution, lookup, the JSON emission path, and the
+ * progress and telemetry records of a run.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "enc/counter_mode.hh"
@@ -201,6 +204,83 @@ TEST(Sweep, JsonEnvKnobAppendsEveryCell)
     }
     EXPECT_EQ(lines, 12u); // 2 runs x 2 schemes x 3 benchmarks
     std::remove(path.c_str());
+}
+
+/** The lines of @p path. */
+std::vector<std::string>
+readLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(in, line)) {
+        lines.push_back(line);
+    }
+    return lines;
+}
+
+/** The integer after @p key in @p text (-1 when absent). */
+long long
+intAfter(const std::string &text, const std::string &key)
+{
+    size_t at = text.find(key);
+    return at == std::string::npos
+               ? -1
+               : std::stoll(text.substr(at + key.size()));
+}
+
+TEST(Sweep, ProgressAndTelemetryRecordEachCellOnce)
+{
+    std::string progressPath =
+        ::testing::TempDir() + "sweep_progress.jsonl";
+    std::string telemetryPath =
+        ::testing::TempDir() + "sweep_telemetry.jsonl";
+    std::remove(progressPath.c_str());
+    std::remove(telemetryPath.c_str());
+
+    SweepSpec spec = quickSpec();
+    spec.threads = 2;
+    spec.progress.enabled = true;
+    spec.progress.jsonlPath = progressPath;
+    spec.telemetry.jsonlPath = telemetryPath;
+    spec.telemetry.periodMs = 5;
+    ::testing::internal::CaptureStderr();
+    runSweep(spec);
+    std::string err = ::testing::internal::GetCapturedStderr();
+
+    // The progress summary and the final telemetry tick read the
+    // same record of the six cells.
+    std::vector<std::string> progress = readLines(progressPath);
+    ASSERT_FALSE(progress.empty());
+    const std::string &summary = progress.back();
+    EXPECT_EQ(summary.rfind("{\"type\":\"summary\",\"label\":\"sweep\","
+                            "\"done\":6,\"total\":6,\"elapsed_s\":",
+                            0),
+              0u)
+        << summary;
+    EXPECT_NE(summary.find(",\"eta_s\":0,\"mean_cell_s\":"),
+              std::string::npos)
+        << summary;
+    EXPECT_NE(summary.find(",\"running\":[]}"), std::string::npos)
+        << summary;
+
+    std::vector<std::string> ticks = readLines(telemetryPath);
+    ASSERT_FALSE(ticks.empty());
+    const std::string &last = ticks.back();
+    EXPECT_EQ(intAfter(last, "\"sweep.cells_finished\":{\"v\":"),
+              intAfter(summary, "\"done\":"));
+    EXPECT_EQ(intAfter(last, "\"sweep.cells_started\":{\"v\":"), 6);
+    EXPECT_EQ(intAfter(last, "\"sweep.cell\":{\"count\":"), 6);
+
+    // The stderr line keeps its format.
+    ASSERT_NE(err.rfind("[sweep] "), std::string::npos) << err;
+    std::string line = err.substr(err.rfind("[sweep] "));
+    EXPECT_EQ(line.rfind("[sweep] 6/6 cells (100.0%) elapsed ", 0), 0u)
+        << line;
+    EXPECT_NE(line.find("s eta 0.0s\n"), std::string::npos) << line;
+
+    std::remove(progressPath.c_str());
+    std::remove(telemetryPath.c_str());
 }
 
 } // namespace
