@@ -19,7 +19,8 @@
  * one endurance seed, so every scheme faces the identical cell-budget
  * map.
  *
- * Micro section: CellFaultMap::recordWrite throughput.
+ * Micro section: CellFaultMap::recordWrite throughput over a hot and a
+ * cold line set.
  */
 
 #include <benchmark/benchmark.h>
@@ -237,9 +238,16 @@ regenerate()
     }
 }
 
+/**
+ * One recordWrite per iteration, cycling over state.range(0) lines: 64
+ * stay hot in cache; 2^15 is timed-mlc's line set, whose records miss.
+ * Every line is written once before timing, so first touches stay out
+ * of the loop.
+ */
 void
 BM_FaultMapRecordWrite(benchmark::State &state)
 {
+    const uint64_t line_mask = static_cast<uint64_t>(state.range(0)) - 1;
     FaultConfig cfg;
     cfg.enabled = true;
     cfg.meanEndurance = 1e6;
@@ -249,16 +257,19 @@ BM_FaultMapRecordWrite(benchmark::State &state)
     for (unsigned i = 0; i < CacheLine::kLimbs; ++i) {
         image.limb(i) = rng.next();
     }
+    for (uint64_t line = 0; line <= line_mask; ++line) {
+        map.recordWrite(line, flips, image);
+    }
     uint64_t line = 0;
     for (auto _ : state) {
         for (unsigned i = 0; i < CacheLine::kLimbs; ++i) {
             flips.limb(i) = rng.next() & rng.next();
         }
         benchmark::DoNotOptimize(
-            map.recordWrite(line++ & 63, flips, image));
+            map.recordWrite(line++ & line_mask, flips, image));
     }
 }
-BENCHMARK(BM_FaultMapRecordWrite);
+BENCHMARK(BM_FaultMapRecordWrite)->Arg(64)->Arg(1 << 15);
 
 } // namespace
 

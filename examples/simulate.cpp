@@ -33,8 +33,9 @@
  *   --seed <n>              pad key seed
  *   --fault                 enable the end-of-life fault model
  *   --ecp <n>               ECP entries per line (with --fault)
- *   --endurance <flips>     mean cell endurance (with --fault;
- *                           scaled down from 1e8 for tractable runs)
+ *   --endurance <flips>     mean cell endurance, in [1, 2^32)
+ *                           (with --fault; scaled down from 1e8 for
+ *                           tractable runs)
  *   --persist <policy>      enable the counter-persistence model:
  *                           wt (write-through), lazy, or battery
  *   --flush-epoch <n>       writes between lazy counter flushes
@@ -259,8 +260,12 @@ parseArgs(int argc, char **argv)
             cli.experiment.fault.ecpEntries = static_cast<unsigned>(
                 unsignedArg(argv[0], value(), kUintMax));
         } else if (arg == "--endurance") {
-            cli.experiment.fault.meanEndurance =
-                doubleArg(argv[0], value());
+            // Flip counts are 32-bit, so a mean must lie in [1, 2^32).
+            double mean = doubleArg(argv[0], value());
+            if (!(mean >= 1.0 && mean < 0x1p32)) {
+                usage(argv[0]);
+            }
+            cli.experiment.fault.meanEndurance = mean;
         } else if (arg == "--persist") {
             std::string policy = value();
             cli.experiment.persist.enabled = true;

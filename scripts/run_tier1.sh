@@ -13,8 +13,8 @@
 #                        recovery tests under it
 #   DEUCE_UBSAN=1        additionally build with UBSan alone (traps
 #                        fatal) and run the line-kernel differential,
-#                        fuzz-consistency, Merkle-tree and persist
-#                        tests under it
+#                        fuzz-consistency, Merkle-tree, persist and
+#                        fault-model tests under it
 
 set -euo pipefail
 
@@ -322,9 +322,9 @@ echo "tier1: malformed env OK (2 variables rejected with status 1)"
 
 # Hostile CLI values must be rejected, not coerced: junk after a
 # number, a sign on an unsigned flag, a non-number, a non-finite real,
-# a missing value, a bad DEUCE_BENCH_WB, removed backend names and a
-# bad positional argument of each example each print the usage line
-# and exit 2.
+# a missing value, a mean endurance outside [1, 2^32), a bad
+# DEUCE_BENCH_WB, removed backend names and a bad positional argument
+# of each example each print the usage line and exit 2.
 expect_usage() {
     local status=0
     "$@" > /dev/null 2> "$build/tier1_hostile.log" || status=$?
@@ -344,6 +344,8 @@ hostile_cli --batch abc
 hostile_cli --mlp nan
 hostile_cli --aes-backend ttable
 hostile_cli --line-backend sse2
+hostile_cli --fault --endurance 0.5
+hostile_cli --fault --endurance 1e12
 expect_usage "$build/bench/bench_throughput" --writes abc
 expect_usage "$build/bench/bench_throughput" --batches 16,x
 expect_usage "$build/bench/bench_serving" --ops 1e3x
@@ -358,7 +360,7 @@ expect_usage "$build/examples/trace_replay" mcf -1
 expect_usage "$build/examples/secure_kvstore" 1e3
 expect_usage "$build/examples/lifetime_planner" mcf 50M
 expect_usage "$build/examples/cache_hierarchy_demo" 2,000
-echo "tier1: hostile CLI OK (19 bad values rejected with status 2)"
+echo "tier1: hostile CLI OK (21 bad values rejected with status 2)"
 
 # Trace overhead cell: the same sweep with tracing compiled in but
 # disabled vs enabled, appended as BENCH_MICRO rows. Informational
@@ -602,7 +604,8 @@ if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
     cmake --build "$ubsan" -j "$(nproc)" \
         --target test_line_kernels test_fuzz_consistency \
                  test_persist test_write_batch test_otp test_vcc \
-                 test_integrity test_persist_fault stolen_dimm_attack
+                 test_integrity test_persist_fault test_fault \
+                 test_fault_sweep stolen_dimm_attack
     "$ubsan/tests/test_line_kernels"
     "$ubsan/tests/test_fuzz_consistency"
     "$ubsan/tests/test_persist"
@@ -619,8 +622,13 @@ if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
     # cipher and kernel TUs do unaligned loads behind intrinsics).
     "$ubsan/tests/test_otp"
     "$ubsan/tests/test_write_batch"
+    # The fault map's bit-plane counters: the ripple-carry, the plane
+    # shifts of the unpack into exact counts and the wrap of a 32-bit
+    # count, against the eager reference model.
+    "$ubsan/tests/test_fault"
+    "$ubsan/tests/test_fault_sweep"
     "$ubsan/examples/stolen_dimm_attack" > /dev/null
-    echo "tier1: UBSan line-kernel and persist tests passed"
+    echo "tier1: UBSan line-kernel, persist and fault tests passed"
 fi
 
 echo "tier1: OK"

@@ -5,6 +5,7 @@
 
 #include "fault/cell_fault_map.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/line_kernels.hh"
@@ -49,6 +50,23 @@ sampleEndurance(uint64_t seed, uint64_t line, unsigned cell,
     return std::max(1.0, std::exp(mu_log + sigma * z));
 }
 
+/**
+ * The smallest budget sampleEndurance() can yield, rounded down. u1
+ * is at least 2^-53, so z >= -sqrt(106 ln 2) ~ -8.572: no sample is
+ * below exp(mu - 8.572 sigma). Using 9 sigma and shaving 2^-20 covers
+ * the rounding of the double arithmetic and of the cast to float.
+ * Without variation every budget is the same float.
+ */
+double
+lowestBudget(double mu_log, double sigma)
+{
+    if (sigma <= 0.0) {
+        return static_cast<float>(std::exp(mu_log));
+    }
+    return std::max(1.0, std::exp(mu_log - 9.0 * sigma) *
+                             (1.0 - 0x1p-20));
+}
+
 } // namespace
 
 CellFaultMap::CellFaultMap(const FaultConfig &cfg) : cfg_(cfg)
@@ -57,26 +75,17 @@ CellFaultMap::CellFaultMap(const FaultConfig &cfg) : cfg_(cfg)
     // Mean-preserving lognormal: E[exp(mu + sigma Z)] = meanEndurance.
     muLog_ = std::log(cfg_.meanEndurance) -
              0.5 * cfg_.enduranceSigma * cfg_.enduranceSigma;
-}
+    floor_ = lowestBudget(muLog_, cfg_.enduranceSigma);
 
-CellFaultMap::LineState &
-CellFaultMap::stateFor(uint64_t line)
-{
-    auto it = lines_.find(line);
-    if (it != lines_.end()) {
-        return *it->second;
-    }
-    auto state = std::make_unique<LineState>();
-    sampleBudgets(line, *state);
-    return *lines_.emplace(line, std::move(state)).first->second;
-}
-
-void
-CellFaultMap::sampleBudgets(uint64_t line, LineState &state) const
-{
-    for (unsigned cell = 0; cell < CacheLine::kBits; ++cell) {
-        state.budget[cell] = static_cast<float>(sampleEndurance(
-            cfg_.seed, line, cell, muLog_, cfg_.enduranceSigma));
+    // The most planes whose largest count, 2^K - 1, still compares
+    // (as a float, like the exact check) below every budget. Counts
+    // are 32-bit on both paths: a carry out of plane 31 wraps to 0
+    // exactly as an exact count's increment does.
+    maxPlanes_ = 0;
+    while (maxPlanes_ < 32 &&
+           static_cast<float>((uint64_t{1} << (maxPlanes_ + 1)) - 1) <
+               floor_) {
+        ++maxPlanes_;
     }
 }
 
@@ -84,49 +93,122 @@ CellFaultMap::WriteEffect
 CellFaultMap::recordWrite(uint64_t line, const CacheLine &flips,
                           const CacheLine &image)
 {
-    LineState &state = stateFor(line);
+    LineState &state = lines_[line];
     WriteEffect effect;
+    if (state.exact) {
+        chargeExact(*state.exact, flips, image, effect);
+        return effect;
+    }
 
+    // No cell of a line on the planes has died, so every flip counts:
+    // add one to each flipped cell's count as a ripple-carry down the
+    // planes, up to the first plane that carries nothing out.
+    CacheLine carry = flips;
+    uint64_t carried = 0;
+    for (unsigned limb = 0; limb < CacheLine::kLimbs; ++limb) {
+        carried |= carry.limb(limb);
+    }
+    for (CacheLine &plane : state.planes) {
+        if (carried == 0) {
+            return effect;
+        }
+        carried = 0;
+        for (unsigned limb = 0; limb < CacheLine::kLimbs; ++limb) {
+            uint64_t &bits = plane.limb(limb);
+            uint64_t out = bits & carry.limb(limb);
+            bits ^= carry.limb(limb);
+            carry.limb(limb) = out;
+            carried |= out;
+        }
+    }
+    if (carried == 0) {
+        return effect;
+    }
+    if (state.planes.size() < maxPlanes_) {
+        state.planes.reserve(state.planes.size() + 1);
+        state.planes.push_back(carry);
+        return effect;
+    }
+    // A count reached 2^maxPlanes_, where a budget may lie.
+    toExact(line, state, flips, carry);
+    chargeExact(*state.exact, flips, image, effect);
+    return effect;
+}
+
+void
+CellFaultMap::toExact(uint64_t line, LineState &state,
+                      const CacheLine &flips, const CacheLine &carry) const
+{
+    auto exact = std::make_unique<ExactWear>();
+    for (unsigned cell = 0; cell < CacheLine::kBits; ++cell) {
+        unsigned limb = cell / 64;
+        unsigned bit = cell % 64;
+        uint32_t n = 0;
+        for (unsigned p = 0; p < state.planes.size(); ++p) {
+            n |= static_cast<uint32_t>(
+                     (state.planes[p].limb(limb) >> bit) & 1)
+                 << p;
+        }
+        // A carried cell's planes are all zero: its count is 2^K.
+        n += static_cast<uint32_t>(uint64_t{carry.bit(cell)}
+                                   << maxPlanes_);
+        // Back out this write's flip; chargeExact() charges it again.
+        n -= flips.bit(cell);
+        exact->flips[cell] = n;
+        exact->budget[cell] = static_cast<float>(sampleEndurance(
+            cfg_.seed, line, cell, muLog_, cfg_.enduranceSigma));
+    }
+    state.exact = std::move(exact);
+    std::vector<CacheLine>().swap(state.planes);
+}
+
+void
+CellFaultMap::chargeExact(ExactWear &wear, const CacheLine &flips,
+                          const CacheLine &image, WriteEffect &effect)
+{
     // Conflicts are judged against the cells that were stuck *before*
     // this write: a cell dying on this very write freezes at the value
     // the write leaves behind, so it cannot conflict yet.
-    lineKernels().maskedXorInto(image, state.stuckValue, state.stuck,
+    lineKernels().maskedXorInto(image, wear.stuckValue, wear.stuck,
                                 effect.conflicts);
 
     // Stuck cells no longer flip; their wear is complete.
     CacheLine live;
-    lineKernels().andNotInto(flips, state.stuck, live);
+    lineKernels().andNotInto(flips, wear.stuck, live);
     for (unsigned limb = 0; limb < CacheLine::kLimbs; ++limb) {
         uint64_t bits = live.limb(limb);
         while (bits) {
             unsigned bit = static_cast<unsigned>(__builtin_ctzll(bits));
             bits &= bits - 1;
             unsigned cell = limb * 64 + bit;
-            if (static_cast<float>(++state.flips[cell]) <
-                state.budget[cell]) {
+            if (static_cast<float>(++wear.flips[cell]) <
+                wear.budget[cell]) {
                 continue;
             }
-            state.stuck.setBit(cell, true);
-            state.stuckValue.setBit(cell, image.bit(cell));
+            wear.stuck.setBit(cell, true);
+            wear.stuckValue.setBit(cell, image.bit(cell));
             effect.newlyStuck.setBit(cell, true);
             ++stuckCells_;
         }
     }
-    return effect;
 }
 
 CacheLine
 CellFaultMap::stuckMask(uint64_t line) const
 {
     auto it = lines_.find(line);
-    return it != lines_.end() ? it->second->stuck : CacheLine{};
+    return it != lines_.end() && it->second.exact
+               ? it->second.exact->stuck
+               : CacheLine{};
 }
 
 CacheLine
 CellFaultMap::stuckValues(uint64_t line) const
 {
     auto it = lines_.find(line);
-    return it != lines_.end() ? it->second->stuckValue : CacheLine{};
+    return it != lines_.end() && it->second.exact
+               ? it->second.exact->stuckValue
+               : CacheLine{};
 }
 
 void
@@ -136,7 +218,9 @@ CellFaultMap::retire(uint64_t line)
     if (it == lines_.end()) {
         return;
     }
-    stuckCells_ -= it->second->stuck.popcount();
+    if (it->second.exact) {
+        stuckCells_ -= it->second.exact->stuck.popcount();
+    }
     lines_.erase(it);
 }
 
@@ -144,12 +228,7 @@ double
 CellFaultMap::enduranceOf(uint64_t line, unsigned cell) const
 {
     deuce_assert(cell < CacheLine::kBits);
-    auto it = lines_.find(line);
-    if (it != lines_.end()) {
-        return it->second->budget[cell];
-    }
-    // Round through float so the answer matches the stored budget a
-    // later touch of the line would sample.
+    // Round through float: the budget an exact line keeps is a float.
     return static_cast<float>(sampleEndurance(cfg_.seed, line, cell,
                                               muLog_,
                                               cfg_.enduranceSigma));

@@ -11,6 +11,13 @@
  * next write that needs the cell to hold the *other* value
  * (write-verify semantics, as in the ECP paper).
  *
+ * No budget can be below budgetFloor(), so a line counts its flips in
+ * bit-planes (plane p holds bit p of every cell's count) while every
+ * count the planes can hold is below the floor, and samples its
+ * budgets only when a count outgrows the planes. From then on the
+ * line keeps exact per-cell counts. Outcomes are identical to
+ * sampling every budget at first touch (DESIGN.md §14).
+ *
  * Only the 512 data cells are modeled; counter/tracking metadata cells
  * are assumed to sit in a separately provisioned (and ECC'd) region,
  * as the hard-error literature does.
@@ -23,6 +30,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "common/cache_line.hh"
 #include "fault/fault_config.hh"
@@ -70,7 +78,7 @@ class CellFaultMap
     /** Cells currently stuck across all tracked lines. */
     uint64_t stuckCells() const { return stuckCells_; }
 
-    /** Lines with at least one charged flip. */
+    /** Lines written at least once and not retired since. */
     uint64_t trackedLines() const { return lines_.size(); }
 
     /** Drop a decommissioned line's state (its cells are retired). */
@@ -83,26 +91,62 @@ class CellFaultMap
      */
     double enduranceOf(uint64_t line, unsigned cell) const;
 
+    /**
+     * A lower bound on every enduranceOf() sample of this
+     * configuration, fixed at construction. A cell whose count is
+     * below it cannot die, so its budget is never sampled.
+     */
+    double budgetFloor() const { return floor_; }
+
   private:
-    /** Lazily allocated wear state of one line. */
-    struct LineState
+    /**
+     * Exact wear of a line whose counts outgrew the planes: only such
+     * a line can hold stuck cells.
+     */
+    struct ExactWear
     {
         /** Flips charged so far, per cell. */
         std::array<uint32_t, CacheLine::kBits> flips{};
 
-        /** Endurance budgets sampled at first touch, per cell. */
+        /** Endurance budgets, per cell. */
         std::array<float, CacheLine::kBits> budget{};
 
         CacheLine stuck;
         CacheLine stuckValue;
     };
 
-    LineState &stateFor(uint64_t line);
-    void sampleBudgets(uint64_t line, LineState &state) const;
+    /** Lazily allocated wear state of one line. */
+    struct LineState
+    {
+        /**
+         * Flip counts as bit-planes: limb l of plane p holds bit p of
+         * the counts of cells 64l..64l+63. Grows one plane at a time,
+         * to at most maxPlanes_; empty once exact is set.
+         */
+        std::vector<CacheLine> planes;
+
+        /** Set when a count outgrew the planes. */
+        std::unique_ptr<ExactWear> exact;
+    };
+
+    /**
+     * Unpack @p state's planes into exact counts and sample its
+     * budgets, on the write whose @p carry left the top plane. The
+     * counts leave out that write's @p flips, which chargeExact()
+     * then charges.
+     */
+    void toExact(uint64_t line, LineState &state,
+                 const CacheLine &flips, const CacheLine &carry) const;
+
+    /** Charge @p flips to an exact line, checking each budget. */
+    void chargeExact(ExactWear &wear, const CacheLine &flips,
+                     const CacheLine &image, WriteEffect &effect);
 
     FaultConfig cfg_;
     double muLog_; ///< mean of the underlying normal (mean-preserving)
-    std::unordered_map<uint64_t, std::unique_ptr<LineState>> lines_;
+    double floor_; ///< no budget is below this
+    unsigned maxPlanes_; ///< counts below 2^maxPlanes_ cannot kill
+    std::unordered_map<uint64_t, LineState> lines_;
     uint64_t stuckCells_ = 0;
 };
 

@@ -1,11 +1,18 @@
 /**
  * @file
  * Unit tests for the end-of-life fault subsystem: endurance sampling,
- * stuck-at transitions, ECP correction, line decommissioning, the
- * FaultDomain pipeline, and the MemorySystem integration.
+ * the budget floor, stuck-at transitions, the bit-plane counters
+ * against an eager reference model, ECP correction, line
+ * decommissioning, the FaultDomain pipeline, and the MemorySystem
+ * integration.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <unordered_map>
 
 #include "common/rng.hh"
 #include "crypto/otp_engine.hh"
@@ -160,6 +167,281 @@ TEST(CellFaultMap, RetireDropsLineState)
     EXPECT_EQ(map.stuckCells(), 0u);
     EXPECT_EQ(map.stuckMask(4).popcount(), 0u);
     EXPECT_EQ(map.trackedLines(), 0u);
+}
+
+TEST(CellFaultMap, BudgetFloorBoundsEverySample)
+{
+    // sampleEndurance's u1 is at least 2^-53, so z >= -sqrt(106 ln 2).
+    const double z_min = -std::sqrt(106.0 * std::log(2.0));
+    for (double sigma : {0.1, 0.25, 0.5, 1.0, 2.0}) {
+        for (double mean : {1.0, 40.0, 1e4, 1e8}) {
+            FaultConfig cfg;
+            cfg.meanEndurance = mean;
+            cfg.enduranceSigma = sigma;
+            CellFaultMap map(cfg);
+            double mu = std::log(mean) - 0.5 * sigma * sigma;
+            EXPECT_LE(map.budgetFloor(),
+                      std::max(1.0, std::exp(mu + sigma * z_min)))
+                << "mean " << mean << " sigma " << sigma;
+
+            double lowest = map.enduranceOf(0, 0);
+            for (uint64_t line = 0; line < 2048; ++line) {
+                for (unsigned cell = 0; cell < CacheLine::kBits;
+                     ++cell) {
+                    lowest = std::min(lowest,
+                                      map.enduranceOf(line, cell));
+                }
+            }
+            EXPECT_LE(map.budgetFloor(), lowest)
+                << "mean " << mean << " sigma " << sigma;
+            EXPECT_GE(map.budgetFloor(), 1.0);
+        }
+    }
+}
+
+TEST(CellFaultMap, CellDiesOnTheWriteThatCarriesOutOfThePlanes)
+{
+    // Every budget is 1024 = 2^10: the planes count up to 1023, and
+    // the 1024th flip both leaves them and spends the budget.
+    CellFaultMap map(uniformConfig(1024.0, 0));
+    ASSERT_EQ(map.budgetFloor(), 1024.0);
+    CacheLine flips;
+    flips.setBit(200, true);
+    flips.setBit(201, true);
+    CacheLine image;
+    image.setBit(201, true);
+    for (int i = 1; i < 1024; ++i) {
+        ASSERT_EQ(map.recordWrite(5, flips, image).newlyStuck,
+                  CacheLine{})
+            << "write " << i;
+    }
+    CellFaultMap::WriteEffect effect = map.recordWrite(5, flips, image);
+    EXPECT_EQ(effect.newlyStuck, flips);
+    EXPECT_EQ(map.stuckValues(5), image);
+    EXPECT_EQ(map.stuckCells(), 2u);
+}
+
+TEST(CellFaultMap, FloatRoundingKillsOneFlipEarlyAtTwoToThe25)
+{
+    // Budget 2^25: the float check rounds count 2^25 - 1 up to 2^25,
+    // so the cell dies one flip before its budget. Planes holding
+    // counts up to 2^25 - 1 would miss that write.
+    CellFaultMap map(uniformConfig(0x1p25, 0));
+    ASSERT_EQ(map.budgetFloor(), 0x1p25);
+    CacheLine flips;
+    flips.setBit(77, true);
+    constexpr uint32_t kDeath = (uint32_t{1} << 25) - 1;
+    for (uint32_t i = 1; i < kDeath; ++i) {
+        if (map.recordWrite(9, flips, CacheLine{}).newlyStuck.bit(77)) {
+            FAIL() << "died early at flip " << i;
+        }
+    }
+    EXPECT_TRUE(map.recordWrite(9, flips, CacheLine{}).newlyStuck.bit(77));
+}
+
+/**
+ * The eager model the map must reproduce: every budget of a line read
+ * from enduranceOf() at its first touch, and plain 32-bit counts
+ * checked on every flip.
+ */
+class ReferenceFaultMap
+{
+  public:
+    explicit ReferenceFaultMap(const CellFaultMap &sampler)
+        : sampler_(sampler)
+    {}
+
+    CellFaultMap::WriteEffect
+    recordWrite(uint64_t line, const CacheLine &flips,
+                const CacheLine &image)
+    {
+        auto [it, fresh] = lines_.try_emplace(line);
+        Line &state = it->second;
+        if (fresh) {
+            for (unsigned cell = 0; cell < CacheLine::kBits; ++cell) {
+                state.budget[cell] = static_cast<float>(
+                    sampler_.enduranceOf(line, cell));
+            }
+        }
+        CellFaultMap::WriteEffect effect;
+        for (unsigned cell = 0; cell < CacheLine::kBits; ++cell) {
+            if (state.stuck.bit(cell)) {
+                if (state.value.bit(cell) != image.bit(cell)) {
+                    effect.conflicts.setBit(cell, true);
+                }
+                continue;
+            }
+            if (!flips.bit(cell) ||
+                static_cast<float>(++state.flips[cell]) <
+                    state.budget[cell]) {
+                continue;
+            }
+            state.stuck.setBit(cell, true);
+            state.value.setBit(cell, image.bit(cell));
+            effect.newlyStuck.setBit(cell, true);
+            ++stuckCells_;
+        }
+        return effect;
+    }
+
+    void
+    retire(uint64_t line)
+    {
+        auto it = lines_.find(line);
+        if (it != lines_.end()) {
+            stuckCells_ -= it->second.stuck.popcount();
+            lines_.erase(it);
+        }
+    }
+
+    CacheLine
+    stuckMask(uint64_t line) const
+    {
+        auto it = lines_.find(line);
+        return it != lines_.end() ? it->second.stuck : CacheLine{};
+    }
+
+    CacheLine
+    stuckValues(uint64_t line) const
+    {
+        auto it = lines_.find(line);
+        return it != lines_.end() ? it->second.value : CacheLine{};
+    }
+
+    /** Highest flip count of any cell of @p line. */
+    uint32_t
+    maxFlips(uint64_t line) const
+    {
+        auto it = lines_.find(line);
+        if (it == lines_.end()) {
+            return 0;
+        }
+        return *std::max_element(it->second.flips.begin(),
+                                 it->second.flips.end());
+    }
+
+    uint64_t stuckCells() const { return stuckCells_; }
+    uint64_t trackedLines() const { return lines_.size(); }
+
+  private:
+    struct Line
+    {
+        std::array<uint32_t, CacheLine::kBits> flips{};
+        std::array<float, CacheLine::kBits> budget{};
+        CacheLine stuck;
+        CacheLine value;
+    };
+
+    const CellFaultMap &sampler_;
+    std::unordered_map<uint64_t, Line> lines_;
+    uint64_t stuckCells_ = 0;
+};
+
+/** The plane count the map must use: counts below 2^K cannot kill. */
+unsigned
+planeCap(double floor)
+{
+    unsigned k = 0;
+    while (k < 32 &&
+           static_cast<float>((uint64_t{1} << (k + 1)) - 1) < floor) {
+        ++k;
+    }
+    return k;
+}
+
+/**
+ * Drive the map and the reference with one seeded stream of flip
+ * masks and images over a few lines, with random retires (and so
+ * re-touches), comparing everything observable after every write.
+ * Sets @p overflowed when some count reached 2^K, i.e. some line left
+ * the bit-plane path.
+ */
+void
+runDifferential(double mean, double sigma, uint64_t seed,
+                bool &overflowed)
+{
+    FaultConfig cfg;
+    cfg.meanEndurance = mean;
+    cfg.enduranceSigma = sigma;
+    cfg.seed = seed;
+    CellFaultMap map(cfg);
+    ReferenceFaultMap ref(map);
+    const uint64_t overflow_count = uint64_t{1} << planeCap(
+                                        map.budgetFloor());
+
+    constexpr uint64_t kLines[] = {3, 1ull << 40, 77};
+    constexpr unsigned kMaxWrites = 60000;
+    constexpr unsigned kWritesPastOverflow = 3000;
+    Rng rng(seed * 31 + 1);
+    overflowed = false;
+    unsigned stop_at = kMaxWrites;
+    for (unsigned w = 0; w < stop_at; ++w) {
+        // Line 0 takes most writes so its counts climb fast; it is
+        // retired (as a decommission would) once cells die in bulk,
+        // the others at random.
+        uint64_t line = kLines[rng.nextBounded(5) < 3
+                                   ? 0
+                                   : 1 + rng.nextBounded(2)];
+        if (line == kLines[0] ? ref.stuckMask(line).popcount() > 64
+                              : rng.nextBounded(1500) == 0) {
+            map.retire(line);
+            ref.retire(line);
+        }
+        CacheLine flips, image;
+        unsigned shape = static_cast<unsigned>(rng.nextBounded(8));
+        for (unsigned l = 0; l < CacheLine::kLimbs; ++l) {
+            uint64_t bits = rng.next();
+            flips.limb(l) = shape == 0   ? ~uint64_t{0}
+                            : shape == 1 ? bits & rng.next()
+                            : shape == 2 ? 0
+                                         : bits;
+            image.limb(l) = rng.next();
+        }
+        CellFaultMap::WriteEffect got = map.recordWrite(line, flips,
+                                                        image);
+        CellFaultMap::WriteEffect want = ref.recordWrite(line, flips,
+                                                         image);
+        ASSERT_EQ(got.newlyStuck, want.newlyStuck) << "write " << w;
+        ASSERT_EQ(got.conflicts, want.conflicts) << "write " << w;
+        ASSERT_EQ(map.stuckMask(line), ref.stuckMask(line))
+            << "write " << w;
+        ASSERT_EQ(map.stuckValues(line), ref.stuckValues(line))
+            << "write " << w;
+        ASSERT_EQ(map.stuckCells(), ref.stuckCells()) << "write " << w;
+        ASSERT_EQ(map.trackedLines(), ref.trackedLines())
+            << "write " << w;
+        if (!overflowed && ref.maxFlips(line) >= overflow_count) {
+            overflowed = true;
+            stop_at = std::min(kMaxWrites, w + kWritesPastOverflow);
+        }
+    }
+}
+
+TEST(CellFaultMap, MatchesEagerReferenceModel)
+{
+    for (double mean : {1.0, 2.0, 40.0, 1500.0, 1e4, 1e8}) {
+        for (double sigma : {0.0, 0.25, 1.0}) {
+            SCOPED_TRACE(testing::Message()
+                         << "mean " << mean << " sigma " << sigma);
+            bool overflowed = false;
+            ASSERT_NO_FATAL_FAILURE(
+                runDifferential(mean, sigma, 0xfa117, overflowed));
+            // Floors up to 1e4 (2^13 flips) are within the stream's
+            // reach; 1e8 at sigma <= 0.25 stays on the planes.
+            if (mean <= 1e4 || sigma >= 1.0) {
+                EXPECT_TRUE(overflowed);
+            }
+        }
+    }
+}
+
+TEST(CellFaultMap, MatchesEagerReferenceAtPowerOfTwoFloor)
+{
+    // Floor exactly 1024: the carry out of the top plane and the
+    // first deaths land on the same write.
+    bool overflowed = false;
+    ASSERT_NO_FATAL_FAILURE(runDifferential(1024.0, 0.0, 5, overflowed));
+    EXPECT_TRUE(overflowed);
 }
 
 TEST(EcpCorrector, AllocatesUpToCapacityThenRefuses)
