@@ -28,7 +28,6 @@
 #include "common/rng.hh"
 #include "crypto/otp_engine.hh"
 #include "enc/scheme_factory.hh"
-#include "integrity/authenticated_memory.hh"
 #include "sim/memory_system.hh"
 #include "sim/report.hh"
 #include "trace/synthetic.hh"
@@ -172,7 +171,15 @@ act3Tampering()
     std::cout << "\n--- Act 3: counter rollback vs the Merkle tree ---\n";
     auto otp = makeAesOtpEngine(21);
     auto scheme = makeScheme("deuce", *otp);
-    AuthenticatedMemory memory(*scheme, 256);
+    PersistConfig persist;
+    persist.enabled = true;
+    persist.policy = PersistConfig::Policy::WriteThrough;
+    persist.integrity = true;
+    persist.numLines = 256;
+    WearLevelingConfig wl;
+    wl.verticalEnabled = false;
+    MemorySystem memory(*scheme, wl, PcmConfig{}, {}, FaultConfig{},
+                        persist);
 
     CacheLine v1, v2;
     v1.setField(0, 64, 0x1111);
@@ -183,7 +190,7 @@ act3Tampering()
 
     memory.replaySnapshot(9, old_snapshot);
     CacheLine out;
-    ReadStatus status = memory.read(9, out);
+    ReadStatus status = memory.readVerified(9, out);
     std::cout << "  replayed old (ciphertext, counter, MAC) triple: "
               << (status == ReadStatus::CounterTampered
                       ? "DETECTED (root mismatch)"

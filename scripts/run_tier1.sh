@@ -9,12 +9,19 @@
 #   DEUCE_TSAN=1         additionally build with ThreadSanitizer and
 #                        run the concurrency tests under it
 #   DEUCE_ASAN=1         additionally build with ASan+UBSan and run
-#                        the fault, sweep, Merkle-tree and persist
-#                        recovery tests under it
+#                        the fault, sweep, Merkle-tree, persist,
+#                        verified-read and recovery tests and the
+#                        endurance_attack example under it
 #   DEUCE_UBSAN=1        additionally build with UBSan alone (traps
 #                        fatal) and run the line-kernel differential,
 #                        fuzz-consistency, Merkle-tree, persist and
-#                        fault-model tests under it
+#                        fault-model tests and the stolen_dimm_attack
+#                        and endurance_attack examples under it
+#
+# Besides ctest, the default run drives the example/bench smokes:
+# the sweep grid, fault and MLC cells, the backend and batch
+# equivalence gates, serving, crash/recovery and the tamper smoke
+# (endurance_attack must detect its counter replay).
 
 set -euo pipefail
 
@@ -503,6 +510,16 @@ DEUCE_BENCH_WB=4000 "$build/bench/bench_crash" \
 rows=$(wc -l < "$build/bench_results.json")
 echo "tier1: crash/recovery smoke OK (now $rows rows)"
 
+# Tamper smoke: endurance_attack's Act 3 replays an old (ciphertext,
+# counter, MAC) snapshot into a MemorySystem with write-through
+# persistence and integrity on; the verified read must catch it.
+attack_out=$("$build/examples/endurance_attack")
+if ! grep -q 'DETECTED (root mismatch)' <<< "$attack_out"; then
+    echo "tier1: FAIL — endurance_attack missed the counter replay" >&2
+    exit 1
+fi
+echo "tier1: tamper smoke OK (replay detected)"
+
 # Flight-recorder smoke: re-run a tiny crash bench with the recorder
 # armed. Every injected crash dumps the rings, so the file must be
 # valid Chrome-trace JSON whose final events include the pre-crash
@@ -585,7 +602,8 @@ if [[ "${DEUCE_ASAN:-0}" == "1" ]]; then
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDEUCE_ASAN=ON
     cmake --build "$asan" -j "$(nproc)" \
         --target test_fault test_fault_sweep test_sweep \
-                 test_integrity test_persist_fault
+                 test_integrity test_persist test_persist_fault \
+                 endurance_attack
     "$asan/tests/test_fault"
     "$asan/tests/test_fault_sweep"
     "$asan/tests/test_sweep"
@@ -594,7 +612,11 @@ if [[ "${DEUCE_ASAN:-0}" == "1" ]]; then
     # recovery cycles that batch-adopt lines cover that indexing.
     "$asan/tests/test_integrity"
     "$asan/tests/test_persist_fault"
-    echo "tier1: ASan fault/sweep/integrity tests passed"
+    # Verified reads and the tamper hooks reach into the line store,
+    # the per-line records and the tree's stored counters.
+    "$asan/tests/test_persist"
+    "$asan/examples/endurance_attack" > /dev/null
+    echo "tier1: ASan fault/sweep/integrity/persist tests passed"
 fi
 
 if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
@@ -605,7 +627,7 @@ if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
         --target test_line_kernels test_fuzz_consistency \
                  test_persist test_write_batch test_otp test_vcc \
                  test_integrity test_persist_fault test_fault \
-                 test_fault_sweep stolen_dimm_attack
+                 test_fault_sweep stolen_dimm_attack endurance_attack
     "$ubsan/tests/test_line_kernels"
     "$ubsan/tests/test_fuzz_consistency"
     "$ubsan/tests/test_persist"
@@ -628,6 +650,7 @@ if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
     "$ubsan/tests/test_fault"
     "$ubsan/tests/test_fault_sweep"
     "$ubsan/examples/stolen_dimm_attack" > /dev/null
+    "$ubsan/examples/endurance_attack" > /dev/null
     echo "tier1: UBSan line-kernel, persist and fault tests passed"
 fi
 

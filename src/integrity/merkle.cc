@@ -45,7 +45,31 @@ messageBlock(const uint8_t *msg, size_t len, size_t b)
     return m;
 }
 
+AesKey
+keyFromSeed(uint64_t seed)
+{
+    AesKey key{};
+    for (unsigned i = 0; i < 8; ++i) {
+        key[i] = static_cast<uint8_t>(seed >> (8 * i));
+        key[8 + i] = static_cast<uint8_t>((seed * 0x9e3779b97f4a7c15ull)
+                                          >> (8 * i));
+    }
+    return key;
+}
+
 } // namespace
+
+AesKey
+macKey(uint64_t key_seed)
+{
+    return keyFromSeed(key_seed);
+}
+
+AesKey
+treeKey(uint64_t key_seed)
+{
+    return keyFromSeed(key_seed ^ 0x7ee7);
+}
 
 void
 hashMany(const Aes128 &cipher, const uint8_t *data, size_t len,

@@ -53,6 +53,16 @@ Digest hashBytes(const Aes128 &cipher, const uint8_t *data,
 void hashMany(const Aes128 &cipher, const uint8_t *data, size_t len,
               size_t count, Digest *out);
 
+/**
+ * The per-line MAC key derived from a fused integrity key seed
+ * (PersistConfig::keySeed). The MAC and the counter tree share one
+ * seed but never one key: treeKey() derives the tree's from it.
+ */
+AesKey macKey(uint64_t key_seed);
+
+/** The counter-tree hash key derived from the same seed. */
+AesKey treeKey(uint64_t key_seed);
+
 /** 64-bit MAC binding a line's (address, counter, ciphertext). */
 uint64_t macLine(const Aes128 &cipher, uint64_t line_addr,
                  uint64_t counter, const CacheLine &ciphertext);

@@ -14,18 +14,6 @@ namespace deuce
 namespace
 {
 
-AesKey
-keyFromSeed(uint64_t seed)
-{
-    AesKey key{};
-    for (unsigned i = 0; i < 8; ++i) {
-        key[i] = static_cast<uint8_t>(seed >> (8 * i));
-        key[8 + i] = static_cast<uint8_t>((seed * 0x9e3779b97f4a7c15ull)
-                                          >> (8 * i));
-    }
-    return key;
-}
-
 /** Counters per 64-byte metadata line (28-bit counters, packed). */
 constexpr uint64_t kCountersPerMetaLine = 16;
 
@@ -33,13 +21,17 @@ constexpr uint64_t kCountersPerMetaLine = 16;
 
 PersistDomain::PersistDomain(const PersistConfig &cfg)
     : cfg_(cfg), policy_(makePersistencePolicy(cfg)),
-      macCipher_(keyFromSeed(cfg.keySeed))
+      macCipher_(macKey(cfg.keySeed)), tree_(freshTree())
+{}
+
+std::unique_ptr<MerkleCounterTree>
+PersistDomain::freshTree() const
 {
-    if (cfg_.integrity) {
-        tree_ = std::make_unique<MerkleCounterTree>(
-            cfg_.numLines, keyFromSeed(cfg_.keySeed ^ 0x7ee7),
-            cfg_.treeArity);
+    if (!cfg_.integrity) {
+        return nullptr;
     }
+    return std::make_unique<MerkleCounterTree>(
+        cfg_.numLines, treeKey(cfg_.keySeed), cfg_.treeArity);
 }
 
 uint64_t
@@ -214,11 +206,7 @@ PersistDomain::crash(
     // fresh tree (rebuilt as recovery adopts lines). Stats persist —
     // they are host-side measurement, not device state.
     policy_ = makePersistencePolicy(cfg_);
-    if (cfg_.integrity) {
-        tree_ = std::make_unique<MerkleCounterTree>(
-            cfg_.numLines, keyFromSeed(cfg_.keySeed ^ 0x7ee7),
-            cfg_.treeArity);
-    }
+    tree_ = freshTree();
     meta_.clear();
     return image;
 }
@@ -241,6 +229,50 @@ PersistDomain::adopt(const std::map<uint64_t, StoredLineState> &lines)
     if (tree_) {
         tree_->updateBatch(updates_);
     }
+}
+
+ReadStatus
+PersistDomain::verify(uint64_t line, const StoredLineState &stored) const
+{
+    deuce_assert(tree_);
+    // The on-chip truth is the live counter and the root, never the
+    // lagging durable copy: a replay of a line whose newer counter is
+    // still dirty leaves a valid tree path but misses the live one.
+    const uint64_t eff = effectiveCounter(stored);
+    auto it = meta_.find(line);
+    const uint64_t live =
+        it != meta_.end() ? effectiveOf(it->second.live) : 0;
+    if (eff != live || !tree_->verify(line)) {
+        return ReadStatus::CounterTampered;
+    }
+    if (it != meta_.end() &&
+        macLine(macCipher_, line, eff, stored.data) != it->second.mac) {
+        return ReadStatus::DataTampered;
+    }
+    return ReadStatus::Ok;
+}
+
+uint64_t
+PersistDomain::mac(uint64_t line) const
+{
+    auto it = meta_.find(line);
+    return it != meta_.end() ? it->second.mac : 0;
+}
+
+void
+PersistDomain::tamperMac(uint64_t line, uint64_t mac)
+{
+    auto it = meta_.find(line);
+    if (it != meta_.end()) {
+        it->second.mac = mac;
+    }
+}
+
+void
+PersistDomain::tamperCounter(uint64_t line, uint64_t value)
+{
+    deuce_assert(tree_);
+    tree_->tamperCounter(line, value);
 }
 
 void

@@ -18,18 +18,6 @@ namespace deuce
 namespace
 {
 
-AesKey
-keyFromSeed(uint64_t seed)
-{
-    AesKey key{};
-    for (unsigned i = 0; i < 8; ++i) {
-        key[i] = static_cast<uint8_t>(seed >> (8 * i));
-        key[8 + i] = static_cast<uint8_t>((seed * 0x9e3779b97f4a7c15ull)
-                                          >> (8 * i));
-    }
-    return key;
-}
-
 /** Latency of one MAC evaluation (AES pass over the line), ns. */
 constexpr double kMacNs = 40.0;
 
@@ -49,8 +37,7 @@ RecoveryEngine::run(const CrashImage &image) const
 
     std::unique_ptr<Aes128> mac;
     if (image.config.integrity) {
-        mac = std::make_unique<Aes128>(
-            keyFromSeed(image.config.keySeed));
+        mac = std::make_unique<Aes128>(macKey(image.config.keySeed));
     }
 
     for (const auto &[line, durable] : image.lines) {

@@ -266,6 +266,54 @@ MemorySystem::read(uint64_t line_addr)
     return scheme_.read(line_addr, state);
 }
 
+ReadStatus
+MemorySystem::readVerified(uint64_t line_addr, CacheLine &out)
+{
+    if (!persist_ || !persist_->tree()) {
+        deuce_fatal("readVerified needs a persist domain with "
+                    "integrity on");
+    }
+    const CacheLine plain = read(line_addr);
+    const ReadStatus status =
+        persist_->verify(line_addr, lines_.at(line_addr));
+    if (status == ReadStatus::Ok) {
+        out = plain;
+    }
+    return status;
+}
+
+void
+MemorySystem::tamperDataBit(uint64_t line_addr, unsigned bit)
+{
+    StoredLineState &state = install(line_addr);
+    state.data.setBit(bit, !state.data.bit(bit));
+}
+
+void
+MemorySystem::tamperCounter(uint64_t line_addr, uint64_t value)
+{
+    deuce_assert(persist_);
+    persist_->tamperCounter(line_addr, value);
+}
+
+LineSnapshot
+MemorySystem::snapshot(uint64_t line_addr)
+{
+    const StoredLineState &state = install(line_addr);
+    return {state, persist_ ? persist_->mac(line_addr) : 0};
+}
+
+void
+MemorySystem::replaySnapshot(uint64_t line_addr,
+                             const LineSnapshot &snap)
+{
+    deuce_assert(persist_);
+    install(line_addr) = snap.state;
+    persist_->tamperMac(line_addr, snap.mac);
+    persist_->tamperCounter(line_addr,
+                            PersistDomain::effectiveCounter(snap.state));
+}
+
 CrashImage
 MemorySystem::crash(bool mid_flush)
 {

@@ -178,6 +178,39 @@ class MemorySystem
     /** Read (decrypt) a line; installs it if never seen. */
     CacheLine read(uint64_t line_addr);
 
+    /**
+     * Authenticated read: read() — same install, charges and decrypt
+     * — followed by PersistDomain::verify() of the stored state
+     * against the on-chip counters and root. The plaintext reaches
+     * @p out only on Ok. read() itself never verifies: the MAC and
+     * tree path would cost every read on the hot path.
+     *
+     * Requires a persist domain with integrity on (fatal otherwise).
+     */
+    ReadStatus readVerified(uint64_t line_addr, CacheLine &out);
+
+    // -- attack surface (what a bus/memory tamperer can reach) -------
+    // Each may overwrite what lives in memory — stored state, the
+    // MAC, the tree's stored counter — never the root or the live
+    // counters. Those that reach the line store install it first.
+
+    /** Flip one stored ciphertext bit. */
+    void tamperDataBit(uint64_t line_addr, unsigned bit);
+
+    /** Overwrite the tree's stored counter of the line (persist
+     *  domain with integrity required). */
+    void tamperCounter(uint64_t line_addr, uint64_t value);
+
+    /** Capture the line's stored state and MAC. */
+    LineSnapshot snapshot(uint64_t line_addr);
+
+    /**
+     * Replay an old snapshot: restore the stored state, the MAC, and
+     * the tree's stored counter at the snapshot's effective counter
+     * (persist domain with integrity required).
+     */
+    void replaySnapshot(uint64_t line_addr, const LineSnapshot &snap);
+
     /** True iff the line has been installed. */
     bool contains(uint64_t line_addr) const;
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the integrity extension: the AES-MMO hash, per-line MACs,
- * the Merkle counter tree, and end-to-end tamper detection through
- * AuthenticatedMemory (rollback, data tampering, digest corruption).
+ * Tests for the integrity extension: the AES-MMO hash, per-line MACs
+ * and the Merkle counter tree (rollback, digest corruption). End-to-end
+ * tamper detection through MemorySystem::readVerified lives in
+ * tests/persist/test_persist.cc.
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +14,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "crypto/otp_engine.hh"
-#include "enc/scheme_factory.hh"
-#include "integrity/authenticated_memory.hh"
 #include "integrity/merkle.hh"
 
 namespace deuce
@@ -330,104 +328,6 @@ TEST(MerkleCounterTree, KnownAnswersAfterSeededBatches)
         tree.updateBatch(all.subspan(100));
         EXPECT_EQ(tree.root(), c.updated);
         EXPECT_EQ(nodeDigestsHash(tree), c.nodes);
-    }
-}
-
-class AuthenticatedMemoryTest : public ::testing::Test
-{
-  protected:
-    AuthenticatedMemoryTest()
-        : otp_(makeAesOtpEngine(9)),
-          scheme_(makeScheme("deuce", *otp_)),
-          memory_(*scheme_, 1024)
-    {}
-
-    CacheLine
-    randomLine(Rng &rng)
-    {
-        CacheLine line;
-        for (unsigned i = 0; i < CacheLine::kLimbs; ++i) {
-            line.limb(i) = rng.next();
-        }
-        return line;
-    }
-
-    std::unique_ptr<OtpEngine> otp_;
-    std::unique_ptr<EncryptionScheme> scheme_;
-    AuthenticatedMemory memory_;
-};
-
-TEST_F(AuthenticatedMemoryTest, HonestTrafficAlwaysVerifies)
-{
-    Rng rng(2);
-    CacheLine plain;
-    for (int step = 0; step < 100; ++step) {
-        uint64_t addr = rng.nextBounded(32);
-        plain = randomLine(rng);
-        memory_.write(addr, plain);
-        CacheLine out;
-        ASSERT_EQ(memory_.read(addr, out), ReadStatus::Ok);
-        ASSERT_EQ(out, plain);
-    }
-}
-
-TEST_F(AuthenticatedMemoryTest, DetectsCiphertextTampering)
-{
-    Rng rng(3);
-    CacheLine plain = randomLine(rng);
-    memory_.write(7, plain);
-    memory_.tamperDataBit(7, 123);
-    CacheLine out;
-    EXPECT_EQ(memory_.read(7, out), ReadStatus::DataTampered);
-}
-
-TEST_F(AuthenticatedMemoryTest, DetectsReplayOfOldSnapshot)
-{
-    Rng rng(4);
-    CacheLine old_plain = randomLine(rng);
-    memory_.write(5, old_plain);
-    LineSnapshot old_snap = memory_.snapshot(5);
-
-    // The line moves on...
-    CacheLine new_plain = randomLine(rng);
-    memory_.write(5, new_plain);
-    CacheLine out;
-    ASSERT_EQ(memory_.read(5, out), ReadStatus::Ok);
-    ASSERT_EQ(out, new_plain);
-
-    // ...the attacker replays the internally-consistent old snapshot
-    // (valid MAC, matching counter copy). Only the Merkle root can
-    // tell -- and it does.
-    memory_.replaySnapshot(5, old_snap);
-    EXPECT_EQ(memory_.read(5, out), ReadStatus::CounterTampered);
-}
-
-TEST_F(AuthenticatedMemoryTest, FreshCounterReuseWouldBeDetected)
-{
-    // Pad-reuse setup: reset the tree's counter while keeping newer
-    // data. Both the MAC (bound to the counter) and the tree notice.
-    Rng rng(5);
-    memory_.write(9, randomLine(rng));
-    memory_.write(9, randomLine(rng));
-    memory_.counterTree().tamperCounter(9, 0);
-    CacheLine out;
-    EXPECT_EQ(memory_.read(9, out), ReadStatus::CounterTampered);
-}
-
-TEST_F(AuthenticatedMemoryTest, WorksOverEverySchemeWithCounters)
-{
-    for (const char *id : {"encr", "encr-fnw", "deuce", "dyndeuce",
-                           "ble", "ble-deuce"}) {
-        auto scheme = makeScheme(id, *otp_);
-        AuthenticatedMemory mem(*scheme, 64);
-        Rng rng(6);
-        CacheLine plain = randomLine(rng);
-        mem.write(3, plain);
-        CacheLine out;
-        ASSERT_EQ(mem.read(3, out), ReadStatus::Ok) << id;
-        ASSERT_EQ(out, plain) << id;
-        mem.tamperDataBit(3, 9);
-        EXPECT_EQ(mem.read(3, out), ReadStatus::DataTampered) << id;
     }
 }
 
