@@ -349,6 +349,54 @@ BM_SchemeRead(benchmark::State &state, const std::string &id)
 BENCHMARK_CAPTURE(BM_SchemeRead, encr, std::string("encr"));
 BENCHMARK_CAPTURE(BM_SchemeRead, deuce, std::string("deuce"));
 BENCHMARK_CAPTURE(BM_SchemeRead, ble, std::string("ble"));
+BENCHMARK_CAPTURE(BM_SchemeRead, vcc, std::string("vcc"));
+BENCHMARK_CAPTURE(BM_SchemeRead, vcc_mlc, std::string("vcc-mlc"));
+
+/**
+ * The scheme's encode alone: writeWithPads() with its pads already
+ * generated, replayed from the same state every iteration. Arg 0 is
+ * a one-word rewrite mid-epoch; arg 1 the write that starts an epoch
+ * (counter 31 -> 32), which re-encrypts every word.
+ */
+void
+BM_SchemeWriteWithPads(benchmark::State &state, const std::string &id)
+{
+    auto otp = makeAesOtpEngine(1);
+    auto scheme = makeScheme(id, *otp);
+    Rng rng(4);
+    CacheLine plain;
+    for (unsigned i = 0; i < CacheLine::kLimbs; ++i) {
+        plain.limb(i) = rng.next();
+    }
+    StoredLineState base;
+    scheme->install(1, plain, base);
+    const unsigned writes = state.range(0) ? 31 : 3;
+    for (unsigned i = 0; i < writes; ++i) {
+        plain.setField(0, 16, rng.next() | 1);
+        scheme->write(1, plain, base);
+    }
+    plain.setField(16, 16, rng.next() | 1);
+
+    std::vector<LinePadRequest> requests(4 * kMaxWritePadLines);
+    const unsigned lines =
+        scheme->planWritePads(1, base, requests.data());
+    std::vector<AesBlock> blocks(4 * lines);
+    scheme->generatePads(requests.data(), blocks.data(), 4 * lines);
+    std::vector<CacheLine> pads(lines);
+    assembleLinePads(blocks.data(), pads.data(), lines);
+    for (auto _ : state) {
+        StoredLineState st = base;
+        benchmark::DoNotOptimize(
+            scheme->writeWithPads(1, plain, st, pads.data()));
+        benchmark::DoNotOptimize(st);
+    }
+}
+BENCHMARK_CAPTURE(BM_SchemeWriteWithPads, deuce, std::string("deuce"))
+    ->Arg(0)
+    ->Arg(1);
+BENCHMARK_CAPTURE(BM_SchemeWriteWithPads, vcc_mlc, std::string("vcc-mlc"))
+    ->Arg(0)
+    ->Arg(1);
 
 } // namespace
 

@@ -9,14 +9,15 @@
 #   DEUCE_TSAN=1         additionally build with ThreadSanitizer and
 #                        run the concurrency tests under it
 #   DEUCE_ASAN=1         additionally build with ASan+UBSan and run
-#                        the fault, sweep, Merkle-tree, persist,
-#                        verified-read and recovery tests and the
-#                        endurance_attack example under it
+#                        the line-table, fault, sweep, Merkle-tree,
+#                        persist, verified-read and recovery tests and
+#                        the endurance_attack example under it
 #   DEUCE_UBSAN=1        additionally build with UBSan alone (traps
 #                        fatal) and run the line-kernel differential,
-#                        fuzz-consistency, Merkle-tree, persist and
-#                        fault-model tests and the stolen_dimm_attack
-#                        and endurance_attack examples under it
+#                        line-table, fuzz-consistency, Merkle-tree,
+#                        persist and fault-model tests and the
+#                        stolen_dimm_attack and endurance_attack
+#                        examples under it
 #
 # Besides ctest, the default run drives the example/bench smokes:
 # the sweep grid, fault and MLC cells, the backend and batch
@@ -601,9 +602,12 @@ if [[ "${DEUCE_ASAN:-0}" == "1" ]]; then
     cmake -B "$asan" -S "$repo" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDEUCE_ASAN=ON
     cmake --build "$asan" -j "$(nproc)" \
-        --target test_fault test_fault_sweep test_sweep \
+        --target test_line_table test_fault test_fault_sweep test_sweep \
                  test_integrity test_persist test_persist_fault \
                  endurance_attack
+    # The line table's index probes, backward-shift erase and chunked
+    # records, which every per-line store now sits on.
+    "$asan/tests/test_line_table"
     "$asan/tests/test_fault"
     "$asan/tests/test_fault_sweep"
     "$asan/tests/test_sweep"
@@ -616,7 +620,7 @@ if [[ "${DEUCE_ASAN:-0}" == "1" ]]; then
     # the per-line records and the tree's stored counters.
     "$asan/tests/test_persist"
     "$asan/examples/endurance_attack" > /dev/null
-    echo "tier1: ASan fault/sweep/integrity/persist tests passed"
+    echo "tier1: ASan line-table/fault/sweep/integrity/persist tests passed"
 fi
 
 if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
@@ -624,11 +628,12 @@ if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
     cmake -B "$ubsan" -S "$repo" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDEUCE_UBSAN=ON
     cmake --build "$ubsan" -j "$(nproc)" \
-        --target test_line_kernels test_fuzz_consistency \
+        --target test_line_kernels test_line_table test_fuzz_consistency \
                  test_persist test_write_batch test_otp test_vcc \
                  test_integrity test_persist_fault test_fault \
                  test_fault_sweep stolen_dimm_attack endurance_attack
     "$ubsan/tests/test_line_kernels"
+    "$ubsan/tests/test_line_table"
     "$ubsan/tests/test_fuzz_consistency"
     "$ubsan/tests/test_persist"
     # Stride arithmetic of the batched Merkle hasher (test_integrity)
@@ -645,13 +650,14 @@ if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
     "$ubsan/tests/test_otp"
     "$ubsan/tests/test_write_batch"
     # The fault map's bit-plane counters: the ripple-carry, the plane
-    # shifts of the unpack into exact counts and the wrap of a 32-bit
+    # shifts of the unpack into exact counts (up to 1u << 31, from
+    # counts seeded onto the top planes) and the wrap of a 32-bit
     # count, against the eager reference model.
     "$ubsan/tests/test_fault"
     "$ubsan/tests/test_fault_sweep"
     "$ubsan/examples/stolen_dimm_attack" > /dev/null
     "$ubsan/examples/endurance_attack" > /dev/null
-    echo "tier1: UBSan line-kernel, persist and fault tests passed"
+    echo "tier1: UBSan line-kernel, line-table, persist and fault tests passed"
 fi
 
 echo "tier1: OK"

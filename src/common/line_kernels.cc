@@ -236,30 +236,47 @@ mlcTransitionAccumulate(const CacheLine &before, const CacheLine &after,
                         uint64_t *counts)
 {
     // Bit-plane decode: o0/o1 (n0/n1) are the low/high level bits of
-    // all 32 cells of a limb, packed on the even plane. One popcount
-    // per (old, new) bucket per limb beats extracting 2-bit fields
-    // cell by cell.
+    // all 32 cells of a limb, packed on the even plane, and bucket
+    // (old, new) is the AND of an old-level and a new-level mask. The
+    // buckets are counted in lanes rather than with a popcount per
+    // bucket and limb (which, without a POPCNT baseline, is a library
+    // call): cell pairs sum into nibbles over four limbs (at most 8),
+    // nibbles fold into bytes over the two half lines (at most 32),
+    // and one multiply adds each bucket's 16-bit lanes at the end.
     constexpr uint64_t kEven = 0x5555555555555555ULL;
-    for (unsigned i = 0; i < CacheLine::kLimbs; ++i) {
-        uint64_t o = before.limbs()[i];
-        uint64_t a = after.limbs()[i];
-        uint64_t o0 = o & kEven;
-        uint64_t o1 = (o >> 1) & kEven;
-        uint64_t n0 = a & kEven;
-        uint64_t n1 = (a >> 1) & kEven;
-        for (unsigned old_lv = 0; old_lv < 4; ++old_lv) {
-            uint64_t om = ((old_lv & 1) ? o0 : o0 ^ kEven) &
-                          ((old_lv & 2) ? o1 : o1 ^ kEven);
-            if (om == 0) {
-                continue;
-            }
-            for (unsigned new_lv = 0; new_lv < 4; ++new_lv) {
-                uint64_t nm = ((new_lv & 1) ? n0 : n0 ^ kEven) &
-                              ((new_lv & 2) ? n1 : n1 ^ kEven);
-                counts[old_lv * 4 + new_lv] += static_cast<uint64_t>(
-                    std::popcount(om & nm));
+    constexpr uint64_t kPairs = 0x3333333333333333ULL;
+    constexpr uint64_t kNibbles = 0x0f0f0f0f0f0f0f0fULL;
+    constexpr uint64_t kBytes = 0x00ff00ff00ff00ffULL;
+    uint64_t bytes[16] = {};
+    for (unsigned half = 0; half < 2; ++half) {
+        uint64_t nibbles[16] = {};
+        for (unsigned i = 4 * half; i < 4 * half + 4; ++i) {
+            const uint64_t o = before.limbs()[i];
+            const uint64_t a = after.limbs()[i];
+            const uint64_t o0 = o & kEven;
+            const uint64_t o1 = (o >> 1) & kEven;
+            const uint64_t n0 = a & kEven;
+            const uint64_t n1 = (a >> 1) & kEven;
+            const uint64_t old_lv[4] = {kEven & ~(o0 | o1), o0 & ~o1,
+                                        o1 & ~o0, o0 & o1};
+            const uint64_t new_lv[4] = {kEven & ~(n0 | n1), n0 & ~n1,
+                                        n1 & ~n0, n0 & n1};
+            for (unsigned from = 0; from < 4; ++from) {
+                for (unsigned to = 0; to < 4; ++to) {
+                    const uint64_t m = old_lv[from] & new_lv[to];
+                    nibbles[from * 4 + to] += (m & kPairs) +
+                                              ((m >> 2) & kPairs);
+                }
             }
         }
+        for (unsigned b = 0; b < 16; ++b) {
+            bytes[b] += (nibbles[b] & kNibbles) +
+                        ((nibbles[b] >> 4) & kNibbles);
+        }
+    }
+    for (unsigned b = 0; b < 16; ++b) {
+        const uint64_t lanes = (bytes[b] & kBytes) + ((bytes[b] >> 8) & kBytes);
+        counts[b] += (lanes * 0x0001000100010001ULL) >> 48;
     }
 }
 

@@ -151,14 +151,30 @@ class Vcc : public EncryptionScheme
 
   private:
     /**
-     * Cheapest candidate for one word: index j minimizing
-     * wordCost(old stored word, plaintext word ^ candidate pad word),
-     * ties broken toward the lowest index. The word sits at bit
-     * @p shift of limb @p limb in every candidate pad.
+     * Cheapest candidate for one word by the pinned double costs:
+     * index j minimizing wordCost(old stored word, plaintext word ^
+     * candidate pad word) under strict <, so equal doubles keep the
+     * lowest index. The word sits at bit @p shift of limb @p limb in
+     * every candidate pad. Only the tie-breaker of selectFresh().
      */
     unsigned selectCandidate(uint64_t old_word, uint64_t plain_word,
                              const CacheLine *cands, unsigned limb,
                              unsigned shift) const;
+
+    /**
+     * Give every word in @p fresh its cheapest candidate: write
+     * plaintext ^ pad into @p cipher and the index into @p sel.
+     * Costs are exact integers (bit flips, or MLC energy in 0.1 pJ
+     * units) computed for all words of a limb at once in word-wide
+     * lanes; the lowest-index minimum wins, except that an MLC word
+     * whose minimum is shared falls back to selectCandidate(). The
+     * result equals selectCandidate() on every word (DESIGN.md §13).
+     */
+    template <unsigned WordBits, bool Mlc>
+    void selectFresh(const CacheLine &plaintext,
+                     const CacheLine &old_stored,
+                     const CacheLine *cands, uint64_t fresh,
+                     CacheLine &cipher, uint64_t &sel) const;
 
     /**
      * Build the new ciphertext image, modified bits and (plaintext)
@@ -186,6 +202,16 @@ class Vcc : public EncryptionScheme
     uint64_t wordMask_;
     uint64_t allWords_;
     uint64_t auxMask_;
+
+    /** MLC energy of a programmed cell by target level, in 0.1 pJ. */
+    uint64_t unitTo0_ = 0;
+    uint64_t unitTo3_ = 0;
+    uint64_t unitTo12_ = 0;
+
+    /** selectFresh() for this word size and cost model. */
+    void (Vcc::*selectFresh_)(const CacheLine &, const CacheLine &,
+                              const CacheLine *, uint64_t, CacheLine &,
+                              uint64_t &) const;
 };
 
 } // namespace deuce

@@ -196,32 +196,29 @@ CellFaultMap::chargeExact(ExactWear &wear, const CacheLine &flips,
 CacheLine
 CellFaultMap::stuckMask(uint64_t line) const
 {
-    auto it = lines_.find(line);
-    return it != lines_.end() && it->second.exact
-               ? it->second.exact->stuck
-               : CacheLine{};
+    const LineState *state = lines_.find(line);
+    return state && state->exact ? state->exact->stuck : CacheLine{};
 }
 
 CacheLine
 CellFaultMap::stuckValues(uint64_t line) const
 {
-    auto it = lines_.find(line);
-    return it != lines_.end() && it->second.exact
-               ? it->second.exact->stuckValue
-               : CacheLine{};
+    const LineState *state = lines_.find(line);
+    return state && state->exact ? state->exact->stuckValue
+                                 : CacheLine{};
 }
 
 void
 CellFaultMap::retire(uint64_t line)
 {
-    auto it = lines_.find(line);
-    if (it == lines_.end()) {
+    const LineState *state = lines_.find(line);
+    if (!state) {
         return;
     }
-    if (it->second.exact) {
-        stuckCells_ -= it->second.exact->stuck.popcount();
+    if (state->exact) {
+        stuckCells_ -= state->exact->stuck.popcount();
     }
-    lines_.erase(it);
+    lines_.erase(line);
 }
 
 double

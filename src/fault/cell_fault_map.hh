@@ -29,10 +29,10 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cache_line.hh"
+#include "common/line_table.hh"
 #include "fault/fault_config.hh"
 
 namespace deuce
@@ -100,6 +100,12 @@ class CellFaultMap
 
   private:
     /**
+     * Test seam: seeds a line's counts straight onto the planes, so
+     * tests reach the top planes without 2^24+ writes to one cell.
+     */
+    friend class CellFaultMapTestPeer;
+
+    /**
      * Exact wear of a line whose counts outgrew the planes: only such
      * a line can hold stuck cells.
      */
@@ -146,7 +152,7 @@ class CellFaultMap
     double muLog_; ///< mean of the underlying normal (mean-preserving)
     double floor_; ///< no budget is below this
     unsigned maxPlanes_; ///< counts below 2^maxPlanes_ cannot kill
-    std::unordered_map<uint64_t, LineState> lines_;
+    LineTable<LineState> lines_;
     uint64_t stuckCells_ = 0;
 };
 

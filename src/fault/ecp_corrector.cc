@@ -15,8 +15,8 @@ EcpCorrector::EcpCorrector(unsigned entries) : entries_(entries) {}
 CacheLine
 EcpCorrector::remapped(uint64_t line) const
 {
-    auto it = remap_.find(line);
-    return it != remap_.end() ? it->second : CacheLine{};
+    const CacheLine *cells = remap_.find(line);
+    return cells ? *cells : CacheLine{};
 }
 
 bool
@@ -43,19 +43,17 @@ EcpCorrector::allocate(uint64_t line, const CacheLine &cells)
 unsigned
 EcpCorrector::entriesUsed(uint64_t line) const
 {
-    auto it = remap_.find(line);
-    return it != remap_.end() ? it->second.popcount() : 0u;
+    const CacheLine *cells = remap_.find(line);
+    return cells ? cells->popcount() : 0u;
 }
 
 void
 EcpCorrector::retire(uint64_t line)
 {
-    auto it = remap_.find(line);
-    if (it == remap_.end()) {
-        return;
+    if (const CacheLine *cells = remap_.find(line)) {
+        totalUsed_ -= cells->popcount();
+        remap_.erase(line);
     }
-    totalUsed_ -= it->second.popcount();
-    remap_.erase(it);
 }
 
 } // namespace deuce

@@ -18,9 +18,9 @@
 #define DEUCE_FAULT_ECP_CORRECTOR_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/cache_line.hh"
+#include "common/line_table.hh"
 
 namespace deuce
 {
@@ -58,7 +58,7 @@ class EcpCorrector
 
   private:
     unsigned entries_;
-    std::unordered_map<uint64_t, CacheLine> remap_;
+    LineTable<CacheLine> remap_;
     uint64_t totalUsed_ = 0;
 };
 

@@ -15,8 +15,8 @@ LineDecommissioner::LineDecommissioner(uint64_t spare_base)
 uint64_t
 LineDecommissioner::physicalFor(uint64_t logical) const
 {
-    auto it = remap_.find(logical);
-    return it != remap_.end() ? it->second : logical;
+    const uint64_t *spare = remap_.find(logical);
+    return spare ? *spare : logical;
 }
 
 uint64_t
@@ -30,7 +30,7 @@ LineDecommissioner::decommission(uint64_t logical)
 bool
 LineDecommissioner::isRemapped(uint64_t logical) const
 {
-    return remap_.find(logical) != remap_.end();
+    return remap_.contains(logical);
 }
 
 } // namespace deuce

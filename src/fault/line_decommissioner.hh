@@ -14,7 +14,8 @@
 #define DEUCE_FAULT_LINE_DECOMMISSIONER_HH
 
 #include <cstdint>
-#include <unordered_map>
+
+#include "common/line_table.hh"
 
 namespace deuce
 {
@@ -45,7 +46,7 @@ class LineDecommissioner
   private:
     uint64_t spareBase_;
     uint64_t sparesIssued_ = 0;
-    std::unordered_map<uint64_t, uint64_t> remap_;
+    LineTable<uint64_t> remap_;
 };
 
 } // namespace deuce

@@ -73,9 +73,7 @@ PersistDomain::flushBatch(const std::vector<uint64_t> &batch)
     uint64_t last_leaf_group = ~uint64_t{0};
     updates_.clear();
     for (uint64_t line : batch) {
-        auto it = meta_.find(line);
-        deuce_assert(it != meta_.end());
-        LineMeta &meta = it->second;
+        LineMeta &meta = meta_.at(line);
         meta.durable = meta.live;
         if (tree_) {
             deuce_assert(line < cfg_.numLines);
@@ -144,9 +142,8 @@ PersistDomain::onRead(uint64_t line)
 }
 
 CrashImage
-PersistDomain::crash(
-    const std::unordered_map<uint64_t, StoredLineState> &lines,
-    bool mid_flush)
+PersistDomain::crash(const LineTable<StoredLineState> &lines,
+                     bool mid_flush)
 {
     CrashImage image;
     image.config = cfg_;
@@ -183,13 +180,14 @@ PersistDomain::crash(
     // bits are current (atomic with the line write); counter fields
     // roll back to the durable shadow (install-time zeros if the line
     // was never flushed).
-    std::map<uint64_t, StoredLineState> sorted(lines.begin(),
-                                               lines.end());
+    std::map<uint64_t, StoredLineState> sorted;
+    lines.forEach([&sorted](uint64_t line, const StoredLineState &state) {
+        sorted.emplace(line, state);
+    });
     for (auto &[line, state] : sorted) {
         StoredLineState durable = state;
-        auto it = meta_.find(line);
-        if (it != meta_.end()) {
-            const LineMeta &meta = it->second;
+        if (const LineMeta *found = meta_.find(line)) {
+            const LineMeta &meta = *found;
             durable.counter = meta.durable.counter;
             durable.blockCounters = meta.durable.blockCounters;
             image.durableCounters[line] = effectiveOf(meta.durable);
@@ -239,14 +237,12 @@ PersistDomain::verify(uint64_t line, const StoredLineState &stored) const
     // lagging durable copy: a replay of a line whose newer counter is
     // still dirty leaves a valid tree path but misses the live one.
     const uint64_t eff = effectiveCounter(stored);
-    auto it = meta_.find(line);
-    const uint64_t live =
-        it != meta_.end() ? effectiveOf(it->second.live) : 0;
+    const LineMeta *meta = meta_.find(line);
+    const uint64_t live = meta ? effectiveOf(meta->live) : 0;
     if (eff != live || !tree_->verify(line)) {
         return ReadStatus::CounterTampered;
     }
-    if (it != meta_.end() &&
-        macLine(macCipher_, line, eff, stored.data) != it->second.mac) {
+    if (meta && macLine(macCipher_, line, eff, stored.data) != meta->mac) {
         return ReadStatus::DataTampered;
     }
     return ReadStatus::Ok;
@@ -255,16 +251,15 @@ PersistDomain::verify(uint64_t line, const StoredLineState &stored) const
 uint64_t
 PersistDomain::mac(uint64_t line) const
 {
-    auto it = meta_.find(line);
-    return it != meta_.end() ? it->second.mac : 0;
+    const LineMeta *meta = meta_.find(line);
+    return meta ? meta->mac : 0;
 }
 
 void
 PersistDomain::tamperMac(uint64_t line, uint64_t mac)
 {
-    auto it = meta_.find(line);
-    if (it != meta_.end()) {
-        it->second.mac = mac;
+    if (LineMeta *meta = meta_.find(line)) {
+        meta->mac = mac;
     }
 }
 

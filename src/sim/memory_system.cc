@@ -62,15 +62,14 @@ MemorySystem::MemorySystem(const EncryptionScheme &scheme,
 StoredLineState &
 MemorySystem::install(uint64_t line_addr)
 {
-    auto it = lines_.find(line_addr);
-    if (it != lines_.end()) {
-        return it->second;
+    if (StoredLineState *state = lines_.find(line_addr)) {
+        return *state;
     }
     CacheLine contents =
         initial_ ? initial_(line_addr) : CacheLine{};
     StoredLineState state;
     scheme_.install(line_addr, contents, state);
-    return lines_.emplace(line_addr, state).first->second;
+    return lines_[line_addr] = state;
 }
 
 WriteOutcome
@@ -370,15 +369,13 @@ MemorySystem::adoptRecovery(const RecoveryOutcome &outcome)
 bool
 MemorySystem::contains(uint64_t line_addr) const
 {
-    return lines_.find(line_addr) != lines_.end();
+    return lines_.contains(line_addr);
 }
 
 const StoredLineState &
 MemorySystem::storedState(uint64_t line_addr) const
 {
-    auto it = lines_.find(line_addr);
-    deuce_assert(it != lines_.end());
-    return it->second;
+    return lines_.at(line_addr);
 }
 
 void

@@ -22,11 +22,11 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/cache_line.hh"
+#include "common/line_table.hh"
 #include "common/stats.hh"
 #include "enc/scheme.hh"
 #include "obs/stat.hh"
@@ -351,8 +351,8 @@ class MemorySystem
     /**
      * Reused buffers of the batch pipeline: one allocation-free slab
      * per system after warm-up instead of per-write heap traffic.
-     * Line-state pointers stay valid across install() rehashes
-     * (unordered_map never moves elements).
+     * Line-state pointers stay valid across install() growth
+     * (LineTable never moves records).
      */
     struct BatchScratch
     {
@@ -378,7 +378,7 @@ class MemorySystem
     std::unique_ptr<FaultDomain> fault_;
     std::unique_ptr<PersistDomain> persist_;
 
-    std::unordered_map<uint64_t, StoredLineState> lines_;
+    LineTable<StoredLineState> lines_;
     MemoryCounters counters_;
     BatchScratch scratch_;
 };

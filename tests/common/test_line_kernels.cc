@@ -121,6 +121,27 @@ TEST_P(LineKernelDifferential, PopcountMatchesScalar)
     }
 }
 
+TEST_P(LineKernelDifferential, MlcTransitionCountsMatchCellReference)
+{
+    // Every backend against a cell-by-cell reference (cell c is bit
+    // pair 2c, 2c+1), counts accumulating across calls. Equal and
+    // all-ones pairs put all 256 cells of a line in one bucket.
+    uint64_t got[16] = {};
+    uint64_t want[16] = {};
+    for (const auto &[a, b] : pairCorpus()) {
+        ops().mlcTransitionCounts(a, b, got);
+        for (unsigned c = 0; c < CacheLine::kBits / 2; ++c) {
+            unsigned from = (a.bit(2 * c) ? 1u : 0u) |
+                            (a.bit(2 * c + 1) ? 2u : 0u);
+            unsigned to = (b.bit(2 * c) ? 1u : 0u) |
+                          (b.bit(2 * c + 1) ? 2u : 0u);
+            ++want[from * 4 + to];
+        }
+        ASSERT_EQ(std::vector<uint64_t>(got, got + 16),
+                  std::vector<uint64_t>(want, want + 16));
+    }
+}
+
 TEST_P(LineKernelDifferential, XorPopcountMatchesScalar)
 {
     for (const auto &[a, b] : pairCorpus()) {

@@ -7,12 +7,15 @@
  * auxiliary-word re-randomization, counter edges near the top of the
  * virtual-counter range, batched-pad vs sequential equivalence, one
  * pad stream per read and install, the limb loops against a per-word
- * field() reference, and the MLC cost's summation order.
+ * field() reference, the MLC cost's summation order, and the integer
+ * lane selector against the pinned double loop (random words, exact
+ * ties, and the off-grid energy matrix it refuses).
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <memory>
 #include <set>
 #include <vector>
@@ -547,6 +550,242 @@ TEST_F(VccTest, MlcWordCostKeepsCellOrder)
     EXPECT_EQ(std::bit_cast<uint64_t>(vcc.wordCost(0xfe17, 0xb940)),
               std::bit_cast<uint64_t>(457.6));
     EXPECT_NE(vcc.wordCost(0x7eed, 0x8d88), vcc.wordCost(0xfe17, 0xb940));
+}
+
+/**
+ * The pinned double loop: the candidate the integer selector must
+ * reproduce for the word at bit @p lsb — strict < over wordCost(), so
+ * equal doubles keep the lowest index.
+ */
+unsigned
+doubleLoopChoice(const Vcc &vcc, uint64_t old_word, uint64_t plain_word,
+                 const CacheLine *cands, unsigned lsb)
+{
+    const unsigned wb = vcc.wordBits();
+    unsigned best_j = 0;
+    double best_cost = 0.0;
+    for (unsigned j = 0; j < vcc.config().candidates; ++j) {
+        double cost =
+            vcc.wordCost(old_word, plain_word ^ cands[j].field(lsb, wb));
+        if (j == 0 || cost < best_cost) {
+            best_cost = cost;
+            best_j = j;
+        }
+    }
+    return best_j;
+}
+
+/**
+ * Write @p plain over the cell image @p old with the forged write pads
+ * @p pads, at the counter that starts an epoch, so every word takes a
+ * fresh selection. Checks each word's stored candidate index and
+ * ciphertext against doubleLoopChoice(), and counts the words whose
+ * minimum integer cost (bit flips, or 0.1 pJ units) is shared.
+ */
+void
+checkEpochSelection(const Vcc &vcc, const CacheLine &old,
+                    const CacheLine &plain,
+                    const std::vector<CacheLine> &pads, uint64_t &ties)
+{
+    const unsigned n = vcc.config().candidates;
+    const unsigned wb = vcc.wordBits();
+    const unsigned sb = vcc.selectionBits();
+    StoredLineState st;
+    st.data = old;
+    st.counter = vcc.config().epochInterval - 1;
+    vcc.writeWithPads(9, plain, st, pads.data());
+
+    const CacheLine *cands = pads.data() + 2 * n + 1;
+    const uint64_t aux = pads[3 * n + 1].limb(0);
+    const unsigned bits = vcc.numWords() * sb;
+    const uint64_t sel = (st.cosetBits ^ aux) &
+        (bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1);
+    for (unsigned w = 0; w < vcc.numWords(); ++w) {
+        const unsigned lsb = w * wb;
+        const uint64_t old_word = old.field(lsb, wb);
+        const uint64_t plain_word = plain.field(lsb, wb);
+        const unsigned want =
+            doubleLoopChoice(vcc, old_word, plain_word, cands, lsb);
+        const unsigned got = static_cast<unsigned>(
+            (sel >> (w * sb)) & ((uint64_t{1} << sb) - 1));
+        ASSERT_EQ(got, want) << "word " << w;
+        ASSERT_EQ(st.data.field(lsb, wb),
+                  plain_word ^ cands[want].field(lsb, wb))
+            << "word " << w;
+
+        long best = -1;
+        unsigned at_best = 0;
+        for (unsigned j = 0; j < n; ++j) {
+            long units = std::lround(
+                vcc.wordCost(old_word, plain_word ^ cands[j].field(lsb, wb)) *
+                (vcc.config().costModel == CellTech::MLC2 ? 10.0 : 1.0));
+            if (best < 0 || units < best) {
+                best = units;
+                at_best = 1;
+            } else if (units == best) {
+                ++at_best;
+            }
+        }
+        ties += at_best > 1;
+    }
+}
+
+TEST_F(VccTest, IntegerSelectionMatchesDoubleLoop)
+{
+    // Over a million seeded (old, plaintext, N pads) words across every
+    // word size x N in {2, 4} x SLC/MLC. Every 4th line repeats a
+    // candidate pad (two candidates cost the same in every word) and
+    // every 8th already stores one candidate's ciphertext (zero-cost
+    // words).
+    uint64_t words = 0;
+    unsigned configs = 0;
+    for (unsigned word_bytes : {1u, 2u, 4u, 8u}) {
+        for (unsigned n : {2u, 4u}) {
+            if ((64 / word_bytes) * std::countr_zero(n) > 64) {
+                continue;
+            }
+            for (CellTech cost : {CellTech::SLC, CellTech::MLC2}) {
+                VccConfig cfg{word_bytes, 32, n};
+                cfg.costModel = cost;
+                Vcc vcc(*otp_, cfg);
+                SCOPED_TRACE(vcc.name());
+                ++configs;
+                Rng rng(0x5e1ec7 + word_bytes * 100 + n * 10 +
+                        (cost == CellTech::MLC2));
+                uint64_t ties = 0;
+                const unsigned lines = 80000 / vcc.numWords();
+                for (unsigned i = 0; i < lines; ++i) {
+                    std::vector<CacheLine> pads(3 * n + 2);
+                    for (CacheLine &pad : pads) {
+                        pad = randomLine(rng);
+                    }
+                    CacheLine *cands = pads.data() + 2 * n + 1;
+                    if (i % 4 == 1) {
+                        cands[n - 1] = cands[rng.nextBounded(n - 1)];
+                    }
+                    const CacheLine plain = randomLine(rng);
+                    const CacheLine old = i % 8 == 3
+                        ? plain ^ cands[rng.nextBounded(n)]
+                        : randomLine(rng);
+                    ASSERT_NO_FATAL_FAILURE(
+                        checkEpochSelection(vcc, old, plain, pads, ties))
+                        << "line " << i;
+                }
+                words += uint64_t{lines} * vcc.numWords();
+                // A repeated pad ties wherever it is the cheapest, so
+                // at least 1 word in 20 reaches the tie-breaker.
+                EXPECT_GT(ties, uint64_t{lines} * vcc.numWords() / 20);
+            }
+        }
+    }
+    EXPECT_EQ(configs, 14u);
+    EXPECT_GE(words, 1000000u);
+}
+
+TEST_F(VccTest, IntegerTieFallsBackToPinnedDoubleSum)
+{
+    // DESIGN.md §13's pair as two candidates of one word: over the
+    // stored word 0x7eed, ciphertexts 0x8d88 and 0x5442 both cost
+    // 4576 tenths of a pJ, but their cell-order double sums are
+    // 457.59999999999997 and 457.6. Costlier candidates fill N = 4.
+    VccConfig cfg{2, 32, 2};
+    cfg.costModel = CellTech::MLC2;
+    const uint64_t kOld = 0x7eed;
+    const uint64_t kLow = 0x8d88;  // 457.59999999999997
+    const uint64_t kHigh = 0x5442; // 457.6
+    const uint64_t kDear = 0x6666; // 500
+    {
+        Vcc vcc(*otp_, cfg);
+        ASSERT_EQ(std::bit_cast<uint64_t>(vcc.wordCost(kOld, kLow)),
+                  std::bit_cast<uint64_t>(457.59999999999997));
+        ASSERT_EQ(std::bit_cast<uint64_t>(vcc.wordCost(kOld, kHigh)),
+                  std::bit_cast<uint64_t>(457.6));
+        ASSERT_GT(vcc.wordCost(kOld, kDear), 457.6);
+    }
+
+    struct Case
+    {
+        unsigned n;
+        std::vector<uint64_t> ciphers;
+        unsigned want;
+    };
+    const Case cases[] = {
+        {2, {kLow, kHigh}, 0},
+        {2, {kHigh, kLow}, 1},
+        {2, {kHigh, kHigh}, 0}, // equal doubles: lowest index
+        {4, {kDear, kHigh, kLow, kDear}, 2},
+        {4, {kDear, kLow, kHigh, kLow}, 1},
+    };
+    Rng rng(77);
+    for (const Case &c : cases) {
+        cfg.candidates = c.n;
+        Vcc vcc(*otp_, cfg);
+        SCOPED_TRACE(testing::Message() << "n=" << c.n << " want " << c.want);
+        std::vector<CacheLine> pads(3 * c.n + 2);
+        for (CacheLine &pad : pads) {
+            pad = randomLine(rng);
+        }
+        CacheLine old = randomLine(rng);
+        const CacheLine plain = randomLine(rng);
+        // Word 5: the directed tie. Every other word is random.
+        old.setField(80, 16, kOld);
+        for (unsigned j = 0; j < c.n; ++j) {
+            pads[2 * c.n + 1 + j].setField(
+                80, 16, plain.field(80, 16) ^ c.ciphers[j]);
+        }
+        uint64_t ties = 0;
+        ASSERT_NO_FATAL_FAILURE(
+            checkEpochSelection(vcc, old, plain, pads, ties));
+        EXPECT_GE(ties, 1u);
+
+        StoredLineState st;
+        st.data = old;
+        st.counter = 31;
+        vcc.writeWithPads(9, plain, st, pads.data());
+        EXPECT_EQ(st.data.field(80, 16), c.ciphers[c.want]);
+    }
+}
+
+TEST_F(VccTest, OffGridEnergyMatrixIsFatal)
+{
+    // The integer selector needs every MLC energy on the 0.1 pJ grid,
+    // one cost per target level and levels 1 and 2 alike; deuce_fatal
+    // (a FatalError) otherwise. SLC ignores the matrix.
+    auto with = [](auto edit) {
+        VccConfig cfg;
+        cfg.costModel = CellTech::MLC2;
+        edit(cfg.mlc2);
+        return cfg;
+    };
+    EXPECT_NO_THROW(Vcc(*otp_, with([](Mlc2Model &) {})));
+    EXPECT_THROW(Vcc(*otp_, with([](Mlc2Model &m) {
+                     m.energyPj[0][1] = m.energyPj[2][1] =
+                         m.energyPj[3][1] = 100.05;
+                 })),
+                 FatalError);
+    EXPECT_THROW(Vcc(*otp_, with([](Mlc2Model &m) {
+                     m.energyPj[2][0] = 19.3;
+                 })),
+                 FatalError);
+    EXPECT_THROW(Vcc(*otp_, with([](Mlc2Model &m) {
+                     for (unsigned from : {0u, 1u, 3u}) {
+                         m.energyPj[from][2] = 90.0;
+                     }
+                 })),
+                 FatalError);
+    EXPECT_THROW(Vcc(*otp_, with([](Mlc2Model &m) {
+                     m.energyPj[1][1] = 0.1;
+                 })),
+                 FatalError);
+    EXPECT_THROW(Vcc(*otp_, with([](Mlc2Model &m) {
+                     for (unsigned from : {0u, 1u, 2u}) {
+                         m.energyPj[from][3] = 409.6;
+                     }
+                 })),
+                 FatalError);
+    VccConfig slc;
+    slc.mlc2.energyPj[0][1] = 100.05;
+    EXPECT_NO_THROW(Vcc(*otp_, slc));
 }
 
 /**

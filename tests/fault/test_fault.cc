@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <unordered_map>
 
@@ -27,6 +28,59 @@
 
 namespace deuce
 {
+
+/** Seeds and reads a CellFaultMap's bit-planes (a friend of it). */
+class CellFaultMapTestPeer
+{
+  public:
+    /**
+     * Make @p counts the flip counts of the untouched @p line, on the
+     * planes: every count must be below 2^K.
+     */
+    static void
+    seed(CellFaultMap &map, uint64_t line,
+         const std::array<uint32_t, CacheLine::kBits> &counts)
+    {
+        auto [state, fresh] = map.lines_.tryEmplace(line);
+        ASSERT_TRUE(fresh);
+        unsigned planes = 0;
+        for (uint32_t n : counts) {
+            planes = std::max(planes,
+                              static_cast<unsigned>(std::bit_width(n)));
+        }
+        ASSERT_LE(planes, map.maxPlanes_);
+        state->planes.assign(planes, CacheLine{});
+        for (unsigned cell = 0; cell < CacheLine::kBits; ++cell) {
+            for (unsigned p = 0; p < planes; ++p) {
+                state->planes[p].setBit(cell, (counts[cell] >> p) & 1);
+            }
+        }
+    }
+
+    /** Flips charged to @p cell of @p line, from planes or exact. */
+    static uint32_t
+    count(const CellFaultMap &map, uint64_t line, unsigned cell)
+    {
+        const CellFaultMap::LineState *state = map.lines_.find(line);
+        if (!state) {
+            return 0;
+        }
+        if (state->exact) {
+            return state->exact->flips[cell];
+        }
+        uint32_t n = 0;
+        for (unsigned p = 0; p < state->planes.size(); ++p) {
+            n |= static_cast<uint32_t>(state->planes[p].bit(cell)) << p;
+        }
+        return n;
+    }
+
+    static unsigned maxPlanes(const CellFaultMap &map)
+    {
+        return map.maxPlanes_;
+    }
+};
+
 namespace
 {
 
@@ -294,6 +348,26 @@ class ReferenceFaultMap
         }
     }
 
+    /** First touch of @p line with @p counts already charged. */
+    void
+    seed(uint64_t line, const std::array<uint32_t, CacheLine::kBits> &counts)
+    {
+        Line &state = lines_[line];
+        state.flips = counts;
+        for (unsigned cell = 0; cell < CacheLine::kBits; ++cell) {
+            state.budget[cell] =
+                static_cast<float>(sampler_.enduranceOf(line, cell));
+        }
+    }
+
+    /** Flips charged to @p cell of @p line. */
+    uint32_t
+    flips(uint64_t line, unsigned cell) const
+    {
+        auto it = lines_.find(line);
+        return it != lines_.end() ? it->second.flips[cell] : 0;
+    }
+
     CacheLine
     stuckMask(uint64_t line) const
     {
@@ -442,6 +516,78 @@ TEST(CellFaultMap, MatchesEagerReferenceAtPowerOfTwoFloor)
     bool overflowed = false;
     ASSERT_NO_FATAL_FAILURE(runDifferential(1024.0, 0.0, 5, overflowed));
     EXPECT_TRUE(overflowed);
+}
+
+/**
+ * Seed @p counts onto a fresh line's planes, bounded by the map's
+ * plane count, then write: the carry out of the top plane, and with
+ * it toExact()'s deepest shifts, takes a few writes instead of 2^K.
+ * Counts, stuck cells and write effects must match the eager
+ * reference, seeded alike, after every write.
+ */
+void
+runSeededTopPlanes(double mean, unsigned planes, unsigned writes,
+                   uint64_t seed, bool deaths)
+{
+    FaultConfig cfg;
+    cfg.meanEndurance = mean;
+    cfg.enduranceSigma = 0.0;
+    cfg.seed = seed;
+    CellFaultMap map(cfg);
+    ReferenceFaultMap ref(map);
+    ASSERT_EQ(CellFaultMapTestPeer::maxPlanes(map), planes);
+
+    // Every 4th cell sits 0-3 flips below 2^K and flips on every
+    // write; the rest hold random counts and flip at random.
+    const uint32_t top = static_cast<uint32_t>((uint64_t{1} << planes) - 1);
+    Rng rng(seed);
+    std::array<uint32_t, CacheLine::kBits> counts{};
+    for (unsigned cell = 0; cell < CacheLine::kBits; ++cell) {
+        counts[cell] = cell % 4 == 0
+            ? top - static_cast<uint32_t>(rng.nextBounded(4))
+            : static_cast<uint32_t>(rng.next()) & top;
+    }
+    constexpr uint64_t kLine = 11;
+    CellFaultMapTestPeer::seed(map, kLine, counts);
+    ref.seed(kLine, counts);
+
+    for (unsigned w = 0; w < writes; ++w) {
+        CacheLine flips, image;
+        for (unsigned l = 0; l < CacheLine::kLimbs; ++l) {
+            flips.limb(l) = 0x1111111111111111ull | (rng.next() & rng.next());
+            image.limb(l) = rng.next();
+        }
+        CellFaultMap::WriteEffect got = map.recordWrite(kLine, flips, image);
+        CellFaultMap::WriteEffect want = ref.recordWrite(kLine, flips, image);
+        ASSERT_EQ(got.newlyStuck, want.newlyStuck) << "write " << w;
+        ASSERT_EQ(got.conflicts, want.conflicts) << "write " << w;
+        ASSERT_EQ(map.stuckMask(kLine), ref.stuckMask(kLine)) << "write " << w;
+        ASSERT_EQ(map.stuckCells(), ref.stuckCells()) << "write " << w;
+        for (unsigned cell = 0; cell < CacheLine::kBits; ++cell) {
+            ASSERT_EQ(CellFaultMapTestPeer::count(map, kLine, cell),
+                      ref.flips(kLine, cell))
+                << "write " << w << " cell " << cell;
+        }
+    }
+    EXPECT_EQ(map.stuckCells() > 0, deaths);
+}
+
+TEST(CellFaultMap, SeededTopPlanesMatchEagerReference)
+{
+    // K = 31: budgets of 2^31 + 1024 flips, so the seeded cells carry
+    // out of plane 30 within four writes and die some 1024 later.
+    {
+        SCOPED_TRACE("K = 31");
+        ASSERT_NO_FATAL_FAILURE(
+            runSeededTopPlanes(2147484648.0, 31, 1100, 3, true));
+    }
+    // K = 32: every budget is above 2^32, so the carry out of plane
+    // 31 wraps the count to zero, as a 32-bit exact count's does.
+    {
+        SCOPED_TRACE("K = 32");
+        ASSERT_NO_FATAL_FAILURE(
+            runSeededTopPlanes(1e10, 32, 8, 4, false));
+    }
 }
 
 TEST(EcpCorrector, AllocatesUpToCapacityThenRefuses)
