@@ -38,8 +38,8 @@
  *                           tractable runs)
  *   --persist <policy>      enable the counter-persistence model:
  *                           wt (write-through), lazy, or battery
- *   --flush-epoch <n>       writes between lazy counter flushes
- *   --persist-queue <n>     battery-backed write-queue depth
+ *   --flush-epoch <n>       writes between lazy counter flushes (>= 1)
+ *   --persist-queue <n>     battery-backed write-queue depth (>= 1)
  *   --cell-tech <slc|mlc2>  PCM cell technology: SLC (default) or
  *                           2-bit MLC with per-transition energy and
  *                           latency pricing
@@ -284,9 +284,15 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--flush-epoch") {
             cli.experiment.persist.flushEpoch =
                 unsignedArg(argv[0], value());
+            if (cli.experiment.persist.flushEpoch == 0) {
+                usage(argv[0]);
+            }
         } else if (arg == "--persist-queue") {
             cli.experiment.persist.queueDepth = static_cast<unsigned>(
                 unsignedArg(argv[0], value(), kUintMax));
+            if (cli.experiment.persist.queueDepth == 0) {
+                usage(argv[0]);
+            }
         } else if (arg == "--no-persist-integrity") {
             cli.experiment.persist.integrity = false;
         } else if (arg == "--cell-tech") {

@@ -354,6 +354,8 @@ hostile_cli --aes-backend ttable
 hostile_cli --line-backend sse2
 hostile_cli --fault --endurance 0.5
 hostile_cli --fault --endurance 1e12
+hostile_cli --persist lazy --flush-epoch 0
+hostile_cli --persist battery --persist-queue 0
 expect_usage "$build/bench/bench_throughput" --writes abc
 expect_usage "$build/bench/bench_throughput" --batches 16,x
 expect_usage "$build/bench/bench_serving" --ops 1e3x
@@ -368,7 +370,7 @@ expect_usage "$build/examples/trace_replay" mcf -1
 expect_usage "$build/examples/secure_kvstore" 1e3
 expect_usage "$build/examples/lifetime_planner" mcf 50M
 expect_usage "$build/examples/cache_hierarchy_demo" 2,000
-echo "tier1: hostile CLI OK (21 bad values rejected with status 2)"
+echo "tier1: hostile CLI OK (23 bad values rejected with status 2)"
 
 # Trace overhead cell: the same sweep with tracing compiled in but
 # disabled vs enabled, appended as BENCH_MICRO rows. Informational

@@ -15,17 +15,6 @@ namespace deuce
 namespace
 {
 
-/** SplitMix64 step, used to expand the seed into xoshiro state. */
-uint64_t
-splitMix64(uint64_t &state)
-{
-    state += 0x9e3779b97f4a7c15ull;
-    uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 uint64_t
 rotl64(uint64_t x, int k)
 {
@@ -37,8 +26,10 @@ rotl64(uint64_t x, int k)
 Rng::Rng(uint64_t seed)
 {
     uint64_t sm = seed;
+    // SplitMix64 steps expand the seed into xoshiro state.
     for (auto &limb : s_) {
         limb = splitMix64(sm);
+        sm += kSplitMixGamma;
     }
 }
 

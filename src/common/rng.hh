@@ -18,6 +18,27 @@
 namespace deuce
 {
 
+/** The golden-ratio increment of one SplitMix64 step. */
+inline constexpr uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ull;
+
+/** SplitMix64's finalizer (Steele et al.): a full-avalanche
+ *  bijection of 64 bits. */
+constexpr uint64_t
+mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/** One SplitMix64 output from state @p x: the golden-ratio increment,
+ *  then the finalizer. */
+constexpr uint64_t
+splitMix64(uint64_t x)
+{
+    return mix64(x + kSplitMixGamma);
+}
+
 /** Deterministic xoshiro256** generator with distribution helpers. */
 class Rng
 {

@@ -6,25 +6,10 @@
 #include "crypto/key_domain.hh"
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace deuce
 {
-
-namespace
-{
-
-// SplitMix64 finalizer (Steele et al.), the same mixer the sweep
-// engine's cell-seed derivation uses: full avalanche, so adjacent
-// tenant ids land on decorrelated key seeds.
-uint64_t
-mix64(uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-} // namespace
 
 TenantKeyTable::TenantKeyTable(uint64_t master_seed, unsigned tenants,
                                bool fast_otp)
@@ -71,9 +56,10 @@ uint64_t
 TenantKeyTable::deriveTenantSeed(uint64_t master_seed, unsigned tenant)
 {
     // Offset by a golden-ratio step per coordinate before mixing so
-    // tenant 0 is not the raw master seed.
-    return mix64(master_seed + 0x9e3779b97f4a7c15ull *
-                                   (static_cast<uint64_t>(tenant) + 1));
+    // tenant 0 is not the raw master seed; the SplitMix64 finalizer's
+    // full avalanche lands adjacent tenant ids on decorrelated seeds.
+    return mix64(master_seed +
+                 kSplitMixGamma * (static_cast<uint64_t>(tenant) + 1));
 }
 
 void

@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "enc/address_pad.hh"
 #include "enc/ble.hh"
 #include "enc/counter_mode.hh"
@@ -106,16 +107,6 @@ schemeFactoryFor(const std::string &id)
 namespace
 {
 
-/** SplitMix64 finalizer: full-avalanche 64-bit mix. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 /** FNV-1a, folded through the avalanche mixer. */
 uint64_t
 hashString(uint64_t h, const std::string &s)
@@ -123,7 +114,7 @@ hashString(uint64_t h, const std::string &s)
     for (unsigned char c : s) {
         h = (h ^ c) * 0x100000001b3ull;
     }
-    return mix64(h);
+    return splitMix64(h);
 }
 
 } // namespace
@@ -132,7 +123,7 @@ uint64_t
 deriveCellSeed(uint64_t base_seed, const std::string &bench,
                const std::string &scheme)
 {
-    uint64_t h = mix64(base_seed);
+    uint64_t h = splitMix64(base_seed);
     h = hashString(h, bench);
     h = hashString(h, scheme);
     // Keep 0 out of the range: some engines treat 0 as "unkeyed".

@@ -18,16 +18,6 @@ namespace deuce
 namespace
 {
 
-/** SplitMix64 finalizer: full-avalanche 64-bit mix. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 /**
  * Endurance of one cell as a pure function of its coordinates: a
  * lognormal sample whose underlying normal is drawn (Box-Muller) from
@@ -41,7 +31,7 @@ sampleEndurance(uint64_t seed, uint64_t line, unsigned cell,
     if (sigma <= 0.0) {
         return std::exp(mu_log);
     }
-    Rng rng(mix64(mix64(seed ^ line) ^ cell));
+    Rng rng(splitMix64(splitMix64(seed ^ line) ^ cell));
     // nextDouble() is [0,1); reflect to (0,1] so log() stays finite.
     double u1 = 1.0 - rng.nextDouble();
     double u2 = rng.nextDouble();

@@ -6,6 +6,7 @@
 #include "persist/crash.hh"
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace deuce
 {
@@ -14,11 +15,7 @@ uint64_t
 CrashInjector::chooseIndex(uint64_t seed, uint64_t max_exclusive)
 {
     deuce_assert(max_exclusive > 0);
-    uint64_t z = seed + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    return z % max_exclusive;
+    return splitMix64(seed) % max_exclusive;
 }
 
 } // namespace deuce

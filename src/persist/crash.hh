@@ -7,11 +7,16 @@
  * atomic — ciphertext, tracking bits (modified/flip/mode bits) and the
  * per-line MAC land in the array together. Only the write *counters*
  * lag: they are cached on chip and reach the durable metadata array on
- * the schedule of the configured CounterPersistencePolicy. A crash
+ * the schedule of the configured PersistConfig::policy. A crash
  * therefore yields lines whose data is current but whose durable
- * counters may be stale by up to the policy's worst-case window —
- * exactly the state a persistence-based attacker wants a naive
- * controller to resume from.
+ * counters may be stale by up to worstCaseWindow(config) — exactly
+ * the state a persistence-based attacker wants a naive controller to
+ * resume from.
+ *
+ * The image holds nothing derivable: a line's durable effective
+ * counter is PersistDomain::effectiveCounter() of its rolled-back
+ * state, and a line is tracked (written or adopted since boot) when
+ * it has an entry in liveCounters.
  */
 
 #ifndef DEUCE_PERSIST_CRASH_HH
@@ -34,12 +39,6 @@ struct CrashImage
     /** Configuration the crashed system ran with. */
     PersistConfig config;
 
-    /** The crashed policy's worst-case counter staleness. */
-    uint64_t worstCaseWindow = 0;
-
-    /** Residual energy drained the pending set (battery policies). */
-    bool drained = false;
-
     /** The crash interrupted a counter flush mid-tree-update. */
     bool tornFlush = false;
 
@@ -57,14 +56,12 @@ struct CrashImage
      *  written atomically with its line's data). */
     std::map<uint64_t, uint64_t> macs;
 
-    /** Durable effective counters, per tracked line. */
-    std::map<uint64_t, uint64_t> durableCounters;
-
     /**
      * Ground truth: the *live* effective counters at the crash
-     * instant. A real controller has lost these; recovery must not
-     * read them. They exist so reports can quantify undetected pad
-     * reuse when integrity metadata is disabled.
+     * instant, one per tracked line. A real controller has lost the
+     * values; recovery reads only which lines have one, except to
+     * quantify undetected pad reuse when integrity metadata is
+     * disabled.
      */
     std::map<uint64_t, uint64_t> liveCounters;
 

@@ -12,7 +12,7 @@
  * "Architecting NVM to Guard Against Persistence-based Attacks").
  *
  * The persist subsystem models that gap: which counter/Merkle state
- * is durable vs volatile at any instant (persistence_policy.hh), what
+ * is durable vs volatile at any instant (persist_domain.hh), what
  * metadata traffic keeping it durable costs (folded into the timing /
  * energy model), what a power loss leaves behind (crash.hh), and how
  * recovery detects and repairs the damage (recovery.hh). Everything
@@ -80,7 +80,31 @@ struct PersistConfig
 };
 
 /** Human-readable policy name ("write-through", "lazy", "battery"). */
-const char *persistPolicyName(PersistConfig::Policy policy);
+constexpr const char *
+persistPolicyName(PersistConfig::Policy policy)
+{
+    switch (policy) {
+      case PersistConfig::Policy::WriteThrough:
+        return "write-through";
+      case PersistConfig::Policy::Lazy:
+        return "lazy";
+      case PersistConfig::Policy::BatteryBacked:
+        return "battery";
+    }
+    return "?";
+}
+
+/**
+ * Upper bound on how far a line's durable counter can lag its live
+ * counter under @p cfg's policy: flushEpoch for lazy flushing, zero
+ * for write-through and for a battery that drains at power loss.
+ * Recovery searches candidate counters within this window.
+ */
+constexpr uint64_t
+worstCaseWindow(const PersistConfig &cfg)
+{
+    return cfg.policy == PersistConfig::Policy::Lazy ? cfg.flushEpoch : 0;
+}
 
 /** Running counters of the persistence domain. */
 struct PersistStats

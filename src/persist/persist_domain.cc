@@ -5,6 +5,8 @@
 
 #include "persist/persist_domain.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "obs/registry.hh"
 
@@ -17,12 +19,27 @@ namespace
 /** Counters per 64-byte metadata line (28-bit counters, packed). */
 constexpr uint64_t kCountersPerMetaLine = 16;
 
+/** Sort @p lines into address order and drop repeats. */
+void
+sortDistinct(std::vector<uint64_t> &lines)
+{
+    std::sort(lines.begin(), lines.end());
+    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+}
+
 } // namespace
 
 PersistDomain::PersistDomain(const PersistConfig &cfg)
-    : cfg_(cfg), policy_(makePersistencePolicy(cfg)),
-      macCipher_(macKey(cfg.keySeed)), tree_(freshTree())
-{}
+    : cfg_(cfg), macCipher_(macKey(cfg.keySeed)), tree_(freshTree())
+{
+    if (cfg.policy == PersistConfig::Policy::Lazy && cfg.flushEpoch == 0) {
+        deuce_fatal("persist: lazy flush epoch must be at least 1");
+    }
+    if (cfg.policy == PersistConfig::Policy::BatteryBacked &&
+        cfg.queueDepth == 0) {
+        deuce_fatal("persist: battery queue depth must be at least 1");
+    }
+}
 
 std::unique_ptr<MerkleCounterTree>
 PersistDomain::freshTree() const
@@ -59,8 +76,16 @@ PersistDomain::effectiveOf(const Fields &f)
     return eff;
 }
 
+std::vector<uint64_t>
+PersistDomain::pendingLines() const
+{
+    std::vector<uint64_t> lines = pending_;
+    sortDistinct(lines);
+    return lines;
+}
+
 uint64_t
-PersistDomain::flushBatch(const std::vector<uint64_t> &batch)
+PersistDomain::flushBatch(std::span<const uint64_t> batch)
 {
     // One metadata-array write per distinct counter line (16 counters
     // pack into a 64-byte line, the same layout the counter-cache
@@ -115,16 +140,44 @@ PersistDomain::onWrite(uint64_t line, const StoredLineState &state)
         ++stats_.macWrites;
     }
 
-    std::vector<uint64_t> flushed;
-    policy_->onCounterWrite(line, flushed);
-
     PersistTraffic traffic;
-    if (!flushed.empty()) {
+    switch (cfg_.policy) {
+      case PersistConfig::Policy::WriteThrough:
+        // Synchronous: the flush occupies the store's service slot.
         ++stats_.counterFlushes;
-        traffic.metaWrites = flushBatch(flushed);
-        if (cfg_.policy == PersistConfig::Policy::WriteThrough) {
-            traffic.criticalMetaWrites = traffic.metaWrites;
+        traffic.metaWrites = flushBatch({&line, 1});
+        traffic.criticalMetaWrites = traffic.metaWrites;
+        break;
+      case PersistConfig::Policy::Lazy:
+        // Repeats pile up between flushes; dedupe before the vector
+        // would grow, so it stays O(distinct pending lines) however
+        // long the epoch.
+        if (pending_.size() == pending_.capacity()) {
+            sortDistinct(pending_);
         }
+        pending_.push_back(line);
+        if (++writesSinceFlush_ >= cfg_.flushEpoch) {
+            sortDistinct(pending_);
+            ++stats_.counterFlushes;
+            traffic.metaWrites = flushBatch(pending_);
+            pending_.clear();
+            writesSinceFlush_ = 0;
+        }
+        break;
+      case PersistConfig::Policy::BatteryBacked:
+        // Write combining: a rewrite of a queued line coalesces in
+        // place. Overflow evicts the oldest entry to the array.
+        if (std::find(pending_.begin(), pending_.end(), line) !=
+            pending_.end()) {
+            break;
+        }
+        pending_.push_back(line);
+        if (pending_.size() > cfg_.queueDepth) {
+            ++stats_.counterFlushes;
+            traffic.metaWrites = flushBatch({pending_.data(), 1});
+            pending_.erase(pending_.begin());
+        }
+        break;
     }
     return traffic;
 }
@@ -147,63 +200,54 @@ PersistDomain::crash(const LineTable<StoredLineState> &lines,
 {
     CrashImage image;
     image.config = cfg_;
-    image.worstCaseWindow = policy_->worstCaseWindow();
 
-    if (policy_->drainsOnPowerLoss()) {
-        // Residual charge persists the pending queue before the chip
-        // dies; the durable image is fully consistent.
-        std::vector<uint64_t> flushed;
-        policy_->drainPending(flushed);
-        if (!flushed.empty()) {
+    if (cfg_.policy == PersistConfig::Policy::BatteryBacked) {
+        // Residual charge persists the pending queue, in address
+        // order, before the chip dies; the durable image is fully
+        // consistent.
+        if (!pending_.empty()) {
+            std::sort(pending_.begin(), pending_.end());
             ++stats_.counterFlushes;
-            flushBatch(flushed);
+            flushBatch(pending_);
         }
-        image.drained = true;
-    } else if (mid_flush) {
-        // Interrupt a flush after the first counter reaches the array
-        // but before its tree path is rewritten: a torn flush. The
-        // image's tree fails verification for that leaf group.
-        std::vector<uint64_t> pending = policy_->pendingLines();
-        if (!pending.empty()) {
-            uint64_t torn = pending.front();
-            LineMeta &meta = meta_.at(torn);
-            meta.durable = meta.live;
-            if (tree_) {
-                tree_->tamperCounter(torn, effectiveOf(meta.live));
-            }
-            image.tornFlush = true;
-            image.tornLine = torn;
+    } else if (mid_flush && !pending_.empty()) {
+        // Interrupt a flush after the lowest pending counter reaches
+        // the array but before its tree path is rewritten: a torn
+        // flush. The image's tree fails verification for that leaf
+        // group.
+        uint64_t torn = *std::min_element(pending_.begin(), pending_.end());
+        LineMeta &meta = meta_.at(torn);
+        meta.durable = meta.live;
+        if (tree_) {
+            tree_->tamperCounter(torn, effectiveOf(meta.live));
         }
+        image.tornFlush = true;
+        image.tornLine = torn;
     }
 
-    // Durable per-line state, in address order: data and tracking
-    // bits are current (atomic with the line write); counter fields
-    // roll back to the durable shadow (install-time zeros if the line
-    // was never flushed).
-    std::map<uint64_t, StoredLineState> sorted;
-    lines.forEach([&sorted](uint64_t line, const StoredLineState &state) {
-        sorted.emplace(line, state);
-    });
-    for (auto &[line, state] : sorted) {
-        StoredLineState durable = state;
-        if (const LineMeta *found = meta_.find(line)) {
-            const LineMeta &meta = *found;
-            durable.counter = meta.durable.counter;
-            durable.blockCounters = meta.durable.blockCounters;
-            image.durableCounters[line] = effectiveOf(meta.durable);
-            image.liveCounters[line] = effectiveOf(meta.live);
+    // Durable per-line state (the map orders it by address): data and
+    // tracking bits are current (atomic with the line write); counter
+    // fields roll back to the durable shadow (install-time zeros if
+    // the line was never flushed).
+    lines.forEach([&](uint64_t line, const StoredLineState &state) {
+        StoredLineState &durable =
+            image.lines.emplace(line, state).first->second;
+        if (const LineMeta *meta = meta_.find(line)) {
+            durable.counter = meta->durable.counter;
+            durable.blockCounters = meta->durable.blockCounters;
+            image.liveCounters.emplace(line, effectiveOf(meta->live));
             if (cfg_.integrity) {
-                image.macs[line] = meta.mac;
+                image.macs.emplace(line, meta->mac);
             }
         }
-        image.lines.emplace(line, durable);
-    }
+    });
     image.tree = std::move(tree_);
 
-    // Reboot: the on-chip state is gone. Fresh policy, empty shadow,
-    // fresh tree (rebuilt as recovery adopts lines). Stats persist —
-    // they are host-side measurement, not device state.
-    policy_ = makePersistencePolicy(cfg_);
+    // Reboot: the on-chip state is gone. Nothing pending, empty
+    // shadow, fresh tree (rebuilt as recovery adopts lines). Stats
+    // persist — they are host-side measurement, not device state.
+    pending_.clear();
+    writesSinceFlush_ = 0;
     tree_ = freshTree();
     meta_.clear();
     return image;

@@ -11,6 +11,7 @@
 #include "common/logging.hh"
 #include "integrity/merkle.hh"
 #include "obs/flight_recorder.hh"
+#include "persist/persist_domain.hh"
 
 namespace deuce
 {
@@ -33,7 +34,7 @@ RecoveryEngine::run(const CrashImage &image) const
 {
     RecoveryOutcome out;
     RecoveryReport &rep = out.report;
-    const uint64_t window = image.worstCaseWindow;
+    const uint64_t window = worstCaseWindow(image.config);
 
     std::unique_ptr<Aes128> mac;
     if (image.config.integrity) {
@@ -43,22 +44,22 @@ RecoveryEngine::run(const CrashImage &image) const
     for (const auto &[line, durable] : image.lines) {
         ++rep.linesExamined;
 
-        auto dc = image.durableCounters.find(line);
-        if (dc == image.durableCounters.end()) {
+        auto tracked = image.liveCounters.find(line);
+        if (tracked == image.liveCounters.end()) {
             // Installed (paged in encrypted) but never written: the
             // install-time state is durable by construction.
             ++rep.untrackedLines;
             out.lines.emplace(line, durable);
             continue;
         }
-        uint64_t d_eff = dc->second;
+        const uint64_t d_eff = PersistDomain::effectiveCounter(durable);
 
         if (!image.config.integrity) {
             // Nothing to verify: resume from the durable counter. The
             // report reads the image's ground truth — which a real
             // controller does not have — to quantify the silent pad
             // reuse this causes.
-            uint64_t live = image.liveCounters.at(line);
+            const uint64_t live = tracked->second;
             if (live > d_eff) {
                 ++rep.undetectedStaleLines;
                 rep.padReuseWindow += live - d_eff;

@@ -12,11 +12,12 @@
  *     was written atomically with the data under the *live* counter,
  *     so a match proves the durable counter is current.
  *  3. On mismatch, search candidate counters in the policy's
- *     worst-case window (durable+1 .. durable+window) — a bounded
- *     Osiris-style reconstruction. A MAC match recovers the live
- *     counter: the line is decrypted there and immediately rewritten,
- *     advancing to a never-used counter (OTP re-encryption), closing
- *     the pad-reuse window the stale counter opened.
+ *     worst-case window (durable+1 .. durable+worstCaseWindow(), see
+ *     persist_config.hh) — a bounded Osiris-style reconstruction. A
+ *     MAC match recovers the live counter: the line is decrypted
+ *     there and immediately rewritten, advancing to a never-used
+ *     counter (OTP re-encryption), closing the pad-reuse window the
+ *     stale counter opened.
  *  4. No match within the window (ciphertext corrupt, or per-block
  *     counters whose split the search cannot reconstruct): the line's
  *     data is lost. Its counters are advanced past the window so no

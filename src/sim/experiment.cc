@@ -149,7 +149,7 @@ runExperiment(const BenchmarkProfile &profile,
     if (const PersistDomain *pd = memory.persist()) {
         const PersistStats &ps = pd->stats();
         row.persistEnabled = true;
-        row.persistPolicy = pd->policy().name();
+        row.persistPolicy = persistPolicyName(pd->config().policy);
         row.persistFlushEpoch =
             (pd->config().policy == PersistConfig::Policy::Lazy)
                 ? pd->config().flushEpoch : 0;

@@ -5,22 +5,10 @@
 
 #include "wear/rotation.hh"
 
+#include "common/rng.hh"
+
 namespace deuce
 {
-
-namespace
-{
-
-/** SplitMix64 finaliser used for the hardened rotation variant. */
-uint64_t
-mix64(uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-} // namespace
 
 HwlRotation::HwlRotation(const VerticalWearLeveler &vwl, bool hashed,
                          unsigned bits)

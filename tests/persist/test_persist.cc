@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the persist/ subsystem: persistence policies, crash
- * injection, the recovery protocol, the off-by-default gate, and
+ * Tests for the persist/ subsystem: persistence policies, known
+ * answers, crash injection, the recovery protocol, the off-by-default gate, and
  * verified reads against tampering and replay.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
@@ -22,7 +23,6 @@
 #include "obs/registry.hh"
 #include "persist/crash.hh"
 #include "persist/persist_domain.hh"
-#include "persist/persistence_policy.hh"
 #include "persist/recovery.hh"
 #include "sim/memory_system.hh"
 #include "sim/stats_dump.hh"
@@ -68,45 +68,99 @@ struct Fixture
 
 // --- policies -------------------------------------------------------
 
+/** A state whose effective counter is @p counter. */
+StoredLineState
+counterState(uint64_t counter)
+{
+    StoredLineState state;
+    state.counter = counter;
+    return state;
+}
+
+/** Every tracked line of @p image whose durable counter lags its live
+ *  one. */
+uint64_t
+staleLines(const CrashImage &image)
+{
+    uint64_t stale = 0;
+    for (const auto &[line, live] : image.liveCounters) {
+        stale += PersistDomain::effectiveCounter(image.lines.at(line)) !=
+                 live;
+    }
+    return stale;
+}
+
 TEST(PersistPolicy, WindowsPerPolicy)
 {
-    auto wt = makePersistencePolicy(
-        persistConfig(PersistConfig::Policy::WriteThrough));
-    auto lazy = makePersistencePolicy(
-        persistConfig(PersistConfig::Policy::Lazy, 32));
-    auto battery = makePersistencePolicy(
-        persistConfig(PersistConfig::Policy::BatteryBacked));
+    EXPECT_EQ(worstCaseWindow(
+                  persistConfig(PersistConfig::Policy::WriteThrough)),
+              0u);
+    EXPECT_EQ(worstCaseWindow(persistConfig(PersistConfig::Policy::Lazy, 32)),
+              32u);
+    EXPECT_EQ(worstCaseWindow(
+                  persistConfig(PersistConfig::Policy::BatteryBacked)),
+              0u);
 
-    EXPECT_EQ(wt->worstCaseWindow(), 0u);
-    EXPECT_EQ(lazy->worstCaseWindow(), 32u);
-    EXPECT_EQ(battery->worstCaseWindow(), 0u);
-    EXPECT_FALSE(wt->drainsOnPowerLoss());
-    EXPECT_FALSE(lazy->drainsOnPowerLoss());
-    EXPECT_TRUE(battery->drainsOnPowerLoss());
+    // Only lazy flushing leaves a crash anything to lose: the battery
+    // drains its queue at power loss, write-through never queues.
+    for (auto policy : {PersistConfig::Policy::WriteThrough,
+                        PersistConfig::Policy::Lazy,
+                        PersistConfig::Policy::BatteryBacked}) {
+        SCOPED_TRACE(persistPolicyName(policy));
+        Fixture f(persistConfig(policy, 32));
+        CacheLine data;
+        for (uint64_t line : {1, 2, 1}) {
+            data.setField(0, 64, line);
+            f.memory->write(line, data);
+        }
+        EXPECT_EQ(f.memory->persist()->volatileCounters(),
+                  policy == PersistConfig::Policy::WriteThrough ? 0u : 2u);
+        CrashImage image = f.memory->crash(false);
+        EXPECT_EQ(staleLines(image),
+                  policy == PersistConfig::Policy::Lazy ? 2u : 0u);
+        EXPECT_EQ(f.memory->persist()->volatileCounters(), 0u);
+    }
 }
 
 TEST(PersistPolicy, LazyFlushesEveryEpochInAddressOrder)
 {
-    auto policy = makePersistencePolicy(
-        persistConfig(PersistConfig::Policy::Lazy, 4));
+    PersistDomain domain(persistConfig(PersistConfig::Policy::Lazy, 3));
+    ASSERT_EQ(domain.config().treeArity, 8u);
 
-    std::vector<uint64_t> flushed;
-    policy->onCounterWrite(9, flushed);
-    policy->onCounterWrite(3, flushed);
-    policy->onCounterWrite(9, flushed); // coalesces
-    EXPECT_TRUE(flushed.empty());
-    EXPECT_EQ(policy->dirtyCount(), 2u);
+    EXPECT_EQ(domain.onWrite(20, counterState(1)).metaWrites, 0u);
+    EXPECT_EQ(domain.onWrite(3, counterState(1)).metaWrites, 0u);
+    EXPECT_EQ(domain.pendingLines(), (std::vector<uint64_t>{3, 20}));
 
-    policy->onCounterWrite(7, flushed); // 4th write: epoch boundary
-    EXPECT_EQ(flushed, (std::vector<uint64_t>{3, 7, 9}));
-    EXPECT_EQ(policy->dirtyCount(), 0u);
+    // 3rd write: epoch boundary. In address order {3, 20, 21} spans
+    // two leaf groups (0, 2) and two counter lines (0, 1): 4 metadata
+    // writes. Write order {20, 3, 21} alternates both and would cost 6.
+    PersistTraffic flush = domain.onWrite(21, counterState(1));
+    EXPECT_EQ(flush.metaWrites, 4u);
+    EXPECT_EQ(flush.criticalMetaWrites, 0u); // write-behind
+    EXPECT_EQ(domain.volatileCounters(), 0u);
+    EXPECT_EQ(domain.stats().counterFlushes, 1u);
+    EXPECT_EQ(domain.stats().flushedCounters, 3u);
+    for (uint64_t line : {3, 20, 21}) {
+        EXPECT_EQ(domain.tree()->counter(line), 1u) << line;
+    }
+
+    // Repeats coalesce: three writes of one line flush it once.
+    for (uint64_t counter : {2, 3}) {
+        EXPECT_EQ(domain.onWrite(9, counterState(counter)).metaWrites,
+                  0u);
+        EXPECT_EQ(domain.volatileCounters(), 1u);
+    }
+    EXPECT_EQ(domain.onWrite(9, counterState(4)).metaWrites, 2u);
+    EXPECT_EQ(domain.stats().flushedCounters, 4u);
+    EXPECT_EQ(domain.tree()->counter(9), 4u);
 }
 
 TEST(PersistPolicy, LazyPendingSetIsSortedDistinctAndTearsLowest)
 {
-    // The lazy dirty set is a hash set; everything read out of it is
-    // sorted, so pending lines, the volatile count and the torn line
-    // of a mid-flush crash depend only on which lines were written.
+    // The lazy pending list holds every write since the last flush;
+    // everything read out of it is sorted and distinct, so pending
+    // lines, the volatile count and the torn line of a mid-flush
+    // crash depend only on which lines were written.
     Fixture f(persistConfig(PersistConfig::Policy::Lazy, 1000));
     Rng rng(41);
     CacheLine data;
@@ -120,7 +174,7 @@ TEST(PersistPolicy, LazyPendingSetIsSortedDistinctAndTearsLowest)
     ASSERT_LT(written.size(), 200u); // the stream repeats lines
 
     const PersistDomain &domain = *f.memory->persist();
-    std::vector<uint64_t> pending = domain.policy().pendingLines();
+    std::vector<uint64_t> pending = domain.pendingLines();
     EXPECT_TRUE(std::is_sorted(pending.begin(), pending.end()));
     EXPECT_EQ(pending,
               std::vector<uint64_t>(written.begin(), written.end()));
@@ -133,34 +187,71 @@ TEST(PersistPolicy, LazyPendingSetIsSortedDistinctAndTearsLowest)
 
 TEST(PersistPolicy, WriteThroughFlushesEveryWrite)
 {
-    auto policy = makePersistencePolicy(
-        persistConfig(PersistConfig::Policy::WriteThrough));
-    std::vector<uint64_t> flushed;
-    policy->onCounterWrite(5, flushed);
-    EXPECT_EQ(flushed, std::vector<uint64_t>{5});
-    EXPECT_EQ(policy->dirtyCount(), 0u);
+    PersistDomain domain(persistConfig(PersistConfig::Policy::WriteThrough));
+    for (uint64_t counter : {1, 2}) {
+        // One leaf group and one counter line, on the critical path.
+        PersistTraffic t = domain.onWrite(5, counterState(counter));
+        EXPECT_EQ(t.metaWrites, 2u);
+        EXPECT_EQ(t.criticalMetaWrites, 2u);
+        EXPECT_EQ(domain.volatileCounters(), 0u);
+        EXPECT_TRUE(domain.pendingLines().empty());
+        EXPECT_EQ(domain.tree()->counter(5), counter);
+    }
+    EXPECT_EQ(domain.stats().counterFlushes, 2u);
+    EXPECT_EQ(domain.stats().flushedCounters, 2u);
 }
 
 TEST(PersistPolicy, BatteryQueueCoalescesAndEvicts)
 {
-    auto policy = makePersistencePolicy(
+    PersistDomain domain(
         persistConfig(PersistConfig::Policy::BatteryBacked)); // depth 4
-    std::vector<uint64_t> flushed;
-    policy->onCounterWrite(1, flushed);
-    policy->onCounterWrite(2, flushed);
-    policy->onCounterWrite(1, flushed); // coalesces
-    EXPECT_EQ(policy->dirtyCount(), 2u);
+    LineTable<StoredLineState> lines;
+    auto write = [&](uint64_t line) {
+        StoredLineState &state = lines[line];
+        ++state.counter;
+        return domain.onWrite(line, state).metaWrites;
+    };
+    EXPECT_EQ(write(9), 0u);
+    EXPECT_EQ(write(20), 0u);
+    EXPECT_EQ(write(9), 0u); // coalesces
+    EXPECT_EQ(domain.volatileCounters(), 2u);
+    EXPECT_EQ(write(3), 0u);
+    EXPECT_EQ(write(21), 0u);
 
-    policy->onCounterWrite(3, flushed);
-    policy->onCounterWrite(4, flushed);
-    EXPECT_TRUE(flushed.empty());
-    policy->onCounterWrite(5, flushed); // overflow: oldest evicted
-    EXPECT_EQ(flushed, std::vector<uint64_t>{1});
+    // Overflow: the oldest line (9) is flushed, leaf group 1 plus
+    // counter line 0.
+    EXPECT_EQ(write(4), 2u);
+    EXPECT_EQ(domain.tree()->counter(9), 2u);
+    EXPECT_EQ(domain.stats().flushedCounters, 1u);
+    EXPECT_EQ(domain.pendingLines(), (std::vector<uint64_t>{3, 4, 20, 21}));
 
-    std::vector<uint64_t> drained;
-    policy->drainPending(drained);
-    EXPECT_EQ(drained, (std::vector<uint64_t>{2, 3, 4, 5}));
-    EXPECT_EQ(policy->dirtyCount(), 0u);
+    // Power loss drains the queue in address order: {3, 4, 20, 21}
+    // costs 4 metadata writes; FIFO order {20, 3, 21, 4} would cost 8.
+    const uint64_t before = domain.stats().metaWrites;
+    CrashImage image = domain.crash(lines, /*mid_flush=*/true);
+    EXPECT_EQ(domain.stats().metaWrites - before, 4u);
+    EXPECT_EQ(domain.stats().flushedCounters, 5u);
+    EXPECT_EQ(domain.stats().counterFlushes, 2u);
+    EXPECT_FALSE(image.tornFlush); // nothing left to tear
+    EXPECT_EQ(staleLines(image), 0u);
+    EXPECT_EQ(domain.volatileCounters(), 0u);
+}
+
+TEST(PersistPolicy, ZeroLazyFlushEpochIsFatal)
+{
+    PersistConfig cfg = persistConfig(PersistConfig::Policy::Lazy, 0);
+    EXPECT_THROW(PersistDomain{cfg}, FatalError);
+    cfg.policy = PersistConfig::Policy::WriteThrough; // epoch unused
+    EXPECT_NO_THROW(PersistDomain{cfg});
+}
+
+TEST(PersistPolicy, ZeroBatteryQueueDepthIsFatal)
+{
+    PersistConfig cfg = persistConfig(PersistConfig::Policy::BatteryBacked);
+    cfg.queueDepth = 0;
+    EXPECT_THROW(PersistDomain{cfg}, FatalError);
+    cfg.policy = PersistConfig::Policy::Lazy; // depth unused
+    EXPECT_NO_THROW(PersistDomain{cfg});
 }
 
 TEST(CrashInjectorTest, ChooseIndexSeededAndBounded)
@@ -449,6 +540,215 @@ TEST(Recovery, BlockCounterSplitIsUnrecoverable)
         eff += c;
     }
     EXPECT_GT(eff, live);
+}
+
+// --- known answers --------------------------------------------------
+
+/** FNV-1a over 64-bit words, byte by byte. */
+struct Fnv1a
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(uint64_t v)
+    {
+        for (unsigned i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void
+    add(const StoredLineState &s)
+    {
+        for (unsigned i = 0; i < CacheLine::kLimbs; ++i) {
+            add(s.data.limb(i));
+        }
+        add(s.counter);
+        for (uint64_t c : s.blockCounters) {
+            add(c);
+        }
+        add(s.modifiedBits);
+        add(s.flipBits);
+        add(uint64_t{s.modeBit});
+        add(s.cosetBits);
+    }
+
+    void
+    add(const Digest &d)
+    {
+        for (uint8_t b : d) {
+            add(uint64_t{b});
+        }
+    }
+};
+
+std::string
+hexDigest(const Digest &d)
+{
+    std::string s;
+    for (uint8_t b : d) {
+        s += "0123456789abcdef"[b >> 4];
+        s += "0123456789abcdef"[b & 15];
+    }
+    return s;
+}
+
+/** Everything a crash image holds, folded into one FNV-1a digest. The
+ *  durable effective counter of each tracked line is derived from its
+ *  rolled-back state. */
+uint64_t
+crashImageDigest(const CrashImage &image)
+{
+    Fnv1a h;
+    const PersistConfig &c = image.config;
+    h.add(static_cast<uint64_t>(c.policy));
+    h.add(c.flushEpoch);
+    h.add(c.queueDepth);
+    h.add(uint64_t{c.integrity});
+    h.add(c.treeArity);
+    h.add(c.numLines);
+    h.add(c.keySeed);
+    h.add(uint64_t{image.tornFlush});
+    h.add(image.tornLine);
+    for (const auto &[line, state] : image.lines) {
+        h.add(line);
+        h.add(state);
+    }
+    for (const auto &[line, mac] : image.macs) {
+        h.add(line);
+        h.add(mac);
+    }
+    for (const auto &[line, live] : image.liveCounters) {
+        h.add(line);
+        h.add(live);
+        h.add(PersistDomain::effectiveCounter(image.lines.at(line)));
+    }
+    if (image.tree) {
+        h.add(image.tree->root());
+    }
+    return h.h;
+}
+
+/**
+ * One seeded run of 3000 accesses over 300 lines through MemorySystem,
+ * crashed mid-flush, recovered and adopted; every figure the persist
+ * model produces, as one line of text.
+ */
+std::string
+persistKnownAnswer(PersistConfig::Policy policy, bool integrity,
+                   const char *scheme_id)
+{
+    PersistConfig cfg = persistConfig(policy, 8, integrity);
+    cfg.numLines = 512;
+    Fixture f(cfg, scheme_id);
+
+    constexpr uint64_t kLines = 300;
+    std::vector<CacheLine> current(kLines);
+    Rng rng(0x9e75);
+    uint64_t meta_writes = 0;
+    for (int i = 0; i < 3000; ++i) {
+        uint64_t addr = rng.nextBounded(kLines);
+        if (rng.nextBool(0.25)) {
+            f.memory->read(addr);
+            continue;
+        }
+        unsigned edits = 1 + static_cast<unsigned>(rng.nextBounded(3));
+        for (unsigned e = 0; e < edits; ++e) {
+            current[addr].limb(rng.nextBounded(CacheLine::kLimbs)) ^=
+                rng.next();
+        }
+        meta_writes += f.memory->write(addr, current[addr])
+                           .persistMetaWrites;
+    }
+
+    const PersistDomain &domain = *f.memory->persist();
+    const uint64_t volatile_counters = domain.volatileCounters();
+    const std::string root =
+        domain.tree() ? hexDigest(domain.tree()->root()) : "-";
+
+    CrashImage image = f.memory->crash(/*mid_flush=*/true);
+    const uint64_t image_digest = crashImageDigest(image);
+    RecoveryOutcome out = RecoveryEngine(*f.scheme).run(image);
+    f.memory->adoptRecovery(out);
+
+    const PersistStats &s = domain.stats();
+    const RecoveryReport &r = out.report;
+    char buf[512];
+    std::snprintf(
+        buf, sizeof(buf),
+        "%s/%d/%s stats %llu %llu %llu %llu %llu %llu %llu %llu %llu "
+        "vol %llu meta %llu root %s image %016llx rec %llu %llu %llu "
+        "%llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %a",
+        persistPolicyName(policy), integrity ? 1 : 0, scheme_id,
+        (unsigned long long)s.counterWrites,
+        (unsigned long long)s.counterFlushes,
+        (unsigned long long)s.flushedCounters,
+        (unsigned long long)s.metaReads,
+        (unsigned long long)s.metaWrites,
+        (unsigned long long)s.macWrites,
+        (unsigned long long)s.macReads,
+        (unsigned long long)s.treeUpdates,
+        (unsigned long long)s.recoveryRepairs,
+        (unsigned long long)volatile_counters,
+        (unsigned long long)meta_writes, root.c_str(),
+        (unsigned long long)image_digest,
+        (unsigned long long)r.linesExamined,
+        (unsigned long long)r.cleanLines,
+        (unsigned long long)r.untrackedLines,
+        (unsigned long long)r.staleLines,
+        (unsigned long long)r.repairedLines,
+        (unsigned long long)r.unrecoverableLines,
+        (unsigned long long)r.tornPathLines,
+        (unsigned long long)r.undetectedStaleLines,
+        (unsigned long long)r.padReuseWindow,
+        (unsigned long long)r.maxStaleGap,
+        (unsigned long long)r.macComputations,
+        (unsigned long long)r.metaReads,
+        (unsigned long long)r.metaWrites, r.recoveryNs);
+    return buf;
+}
+
+TEST(PersistPins, EveryPolicyMatchesRecordedAnswers)
+{
+    // Recorded before the persistence policies were folded into
+    // PersistDomain; must never be edited to follow a code change.
+    const std::vector<std::string> expected = {
+        "write-through/1/encr stats 2234 2234 2234 766 4468 2234 766 2234 0 vol 0 meta 4468 root b017e3311f5eb01f36c63940ed1264ca image 69ad3cdc5a8b6b94 rec 300 300 0 0 0 0 0 0 0 0 300 1200 0 0x1.e654p+16",
+        "write-through/1/ble stats 2234 2234 2234 766 4468 2234 766 2234 0 vol 0 meta 4468 root 6d0987d39e55f7e3ece18a2294867c6c image be7deba144c6074e rec 300 300 0 0 0 0 0 0 0 0 300 1200 0 0x1.e654p+16",
+        "write-through/1/vcc-mlc stats 2234 2234 2234 766 4468 2234 766 2234 0 vol 0 meta 4468 root b017e3311f5eb01f36c63940ed1264ca image b19cd40848c58935 rec 300 300 0 0 0 0 0 0 0 0 300 1200 0 0x1.e654p+16",
+        "write-through/0/encr stats 2234 2234 2234 0 2234 0 0 0 0 vol 0 meta 2234 root - image 36efef6ade4f2b69 rec 300 300 0 0 0 0 0 0 0 0 0 0 0 0x1.5f9p+14",
+        "write-through/0/ble stats 2234 2234 2234 0 2234 0 0 0 0 vol 0 meta 2234 root - image 196b2cb888685859 rec 300 300 0 0 0 0 0 0 0 0 0 0 0 0x1.5f9p+14",
+        "write-through/0/vcc-mlc stats 2234 2234 2234 0 2234 0 0 0 0 vol 0 meta 2234 root - image a7b10f010f2c5b76 rec 300 300 0 0 0 0 0 0 0 0 0 0 0 0x1.5f9p+14",
+        "lazy/1/encr stats 2234 279 2202 766 3901 2234 766 2202 1 vol 2 meta 0 root 9bfe921233333934ca85ebe17be1cd84 image f1d368e725fcaa09 rec 300 291 0 1 1 0 8 0 1 1 301 1200 18 0x1.f36p+16",
+        "lazy/1/ble stats 2234 279 2202 766 3901 2234 766 2202 0 vol 2 meta 0 root def4bf9614c5a136c3dab2eefb14650c image a325be4fb59ee480 rec 300 291 0 1 0 1 8 0 0 0 300 1200 18 0x1.f0ep+16",
+        "lazy/1/vcc-mlc stats 2234 279 2202 766 3901 2234 766 2202 1 vol 2 meta 0 root 9bfe921233333934ca85ebe17be1cd84 image f9cf339bddff3f30 rec 300 291 0 1 1 0 8 0 1 1 301 1200 18 0x1.f36p+16",
+        "lazy/0/encr stats 2234 279 2202 0 1860 0 0 0 0 vol 2 meta 0 root - image 8cc6e6bb8d9dd225 rec 300 299 0 0 0 0 0 1 1 1 0 0 0 0x1.5f9p+14",
+        "lazy/0/ble stats 2234 279 2202 0 1860 0 0 0 0 vol 2 meta 0 root - image 0b73170b9dab53d9 rec 300 299 0 0 0 0 0 1 2 2 0 0 0 0x1.5f9p+14",
+        "lazy/0/vcc-mlc stats 2234 279 2202 0 1860 0 0 0 0 vol 2 meta 0 root - image 79be89a98cd13df2 rec 300 299 0 0 0 0 0 1 1 1 0 0 0 0x1.5f9p+14",
+        "battery/1/encr stats 2234 2205 2208 766 4416 2234 766 2208 0 vol 4 meta 0 root 31ab8d2e87b5fe4cac8ff05421a73aca image ed930775ea702062 rec 300 300 0 0 0 0 0 0 0 0 300 1200 0 0x1.e654p+16",
+        "battery/1/ble stats 2234 2205 2208 766 4416 2234 766 2208 0 vol 4 meta 0 root bdff82149822d42f6b2c349f7d72e857 image 2fbdd258cef0080c rec 300 300 0 0 0 0 0 0 0 0 300 1200 0 0x1.e654p+16",
+        "battery/1/vcc-mlc stats 2234 2205 2208 766 4416 2234 766 2208 0 vol 4 meta 0 root 31ab8d2e87b5fe4cac8ff05421a73aca image 7bb213bf5763fc4f rec 300 300 0 0 0 0 0 0 0 0 300 1200 0 0x1.e654p+16",
+        "battery/0/encr stats 2234 2205 2208 0 2208 0 0 0 0 vol 4 meta 0 root - image a630c65bb159f9e3 rec 300 300 0 0 0 0 0 0 0 0 0 0 0 0x1.5f9p+14",
+        "battery/0/ble stats 2234 2205 2208 0 2208 0 0 0 0 vol 4 meta 0 root - image 9e642c22b1320f5b rec 300 300 0 0 0 0 0 0 0 0 0 0 0 0x1.5f9p+14",
+        "battery/0/vcc-mlc stats 2234 2205 2208 0 2208 0 0 0 0 vol 4 meta 0 root - image 349dd6a54853faa8 rec 300 300 0 0 0 0 0 0 0 0 0 0 0 0x1.5f9p+14",
+    };
+    std::vector<std::string> actual;
+    for (auto policy : {PersistConfig::Policy::WriteThrough,
+                        PersistConfig::Policy::Lazy,
+                        PersistConfig::Policy::BatteryBacked}) {
+        for (bool integrity : {true, false}) {
+            for (const char *id : {"encr", "ble", "vcc-mlc"}) {
+                actual.push_back(
+                    persistKnownAnswer(policy, integrity, id));
+            }
+        }
+    }
+    ASSERT_EQ(actual.size(), expected.size());
+    for (size_t i = 0; i < actual.size(); ++i) {
+        EXPECT_EQ(actual[i], expected[i]) << "new line:\n\"" << actual[i]
+                                          << "\",";
+    }
 }
 
 // --- determinism ----------------------------------------------------
