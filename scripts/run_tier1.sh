@@ -10,12 +10,14 @@
 #                        run the concurrency tests under it
 #   DEUCE_ASAN=1         additionally build with ASan+UBSan and run
 #                        the line-table, fault, sweep, Merkle-tree,
-#                        persist, verified-read and recovery tests and
+#                        persist, verified-read, recovery, scheme
+#                        property, scheme pin and serving tests and
 #                        the endurance_attack example under it
 #   DEUCE_UBSAN=1        additionally build with UBSan alone (traps
 #                        fatal) and run the line-kernel differential,
 #                        line-table, fuzz-consistency, Merkle-tree,
-#                        persist and fault-model tests and the
+#                        persist, fault-model, scheme property, scheme
+#                        pin and serving tests and the
 #                        stolen_dimm_attack and endurance_attack
 #                        examples under it
 #
@@ -606,6 +608,7 @@ if [[ "${DEUCE_ASAN:-0}" == "1" ]]; then
     cmake --build "$asan" -j "$(nproc)" \
         --target test_line_table test_fault test_fault_sweep test_sweep \
                  test_integrity test_persist test_persist_fault \
+                 test_scheme_properties test_scheme_pins test_serving \
                  endurance_attack
     # The line table's index probes, backward-shift erase and chunked
     # records, which every per-line store now sits on.
@@ -621,8 +624,15 @@ if [[ "${DEUCE_ASAN:-0}" == "1" ]]; then
     # Verified reads and the tamper hooks reach into the line store,
     # the per-line records and the tree's stored counters.
     "$asan/tests/test_persist"
+    # Every read and write plans into the pad arenas (up to 64 block
+    # requests, 1-byte per-word counters slicing a word from each
+    # block), and a serving burst indexes reads and writes of one
+    # chunk into shared outcome and pad arenas.
+    "$asan/tests/test_scheme_properties"
+    "$asan/tests/test_scheme_pins"
+    "$asan/tests/test_serving"
     "$asan/examples/endurance_attack" > /dev/null
-    echo "tier1: ASan line-table/fault/sweep/integrity/persist tests passed"
+    echo "tier1: ASan line-table/fault/sweep/integrity/persist/scheme/serving tests passed"
 fi
 
 if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
@@ -633,7 +643,8 @@ if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
         --target test_line_kernels test_line_table test_fuzz_consistency \
                  test_persist test_write_batch test_otp test_vcc \
                  test_integrity test_persist_fault test_fault \
-                 test_fault_sweep stolen_dimm_attack endurance_attack
+                 test_fault_sweep test_scheme_properties test_scheme_pins \
+                 test_serving stolen_dimm_attack endurance_attack
     "$ubsan/tests/test_line_kernels"
     "$ubsan/tests/test_line_table"
     "$ubsan/tests/test_fuzz_consistency"
@@ -657,9 +668,14 @@ if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
     # count, against the eager reference model.
     "$ubsan/tests/test_fault"
     "$ubsan/tests/test_fault_sweep"
+    # The read and write pad arenas, the per-word block slicing and
+    # the mixed read/write chunk indexing of the serving bursts.
+    "$ubsan/tests/test_scheme_properties"
+    "$ubsan/tests/test_scheme_pins"
+    "$ubsan/tests/test_serving"
     "$ubsan/examples/stolen_dimm_attack" > /dev/null
     "$ubsan/examples/endurance_attack" > /dev/null
-    echo "tier1: UBSan line-kernel, line-table, persist and fault tests passed"
+    echo "tier1: UBSan line-kernel, line-table, persist, fault, scheme and serving tests passed"
 fi
 
 echo "tier1: OK"

@@ -34,41 +34,36 @@ class AddressPadEncryption : public EncryptionScheme
 {
   public:
     /** @param otp pad generator (not owned). */
-    explicit AddressPadEncryption(const OtpEngine &otp) : otp_(otp) {}
+    explicit AddressPadEncryption(const OtpEngine &otp)
+        : EncryptionScheme(&otp)
+    {}
 
     std::string name() const override { return "AddrPad"; }
     unsigned trackingBitsPerLine() const override { return 0; }
 
-    void
-    install(uint64_t line_addr, const CacheLine &plaintext,
-            StoredLineState &state) const override
+    /** The counterless pad is always known: one line pad at 0. */
+    unsigned
+    planReadPads(uint64_t line_addr, const StoredLineState &,
+                 LinePadRequest *requests) const override
     {
-        state = StoredLineState{};
-        state.data = plaintext ^ otp_.padForLine(line_addr, 0);
+        unsigned lines = 0;
+        addLinePad(requests, lines, line_addr, 0);
+        return lines;
     }
 
     CacheLine
-    read(uint64_t line_addr, const StoredLineState &state) const override
+    readWithPads(uint64_t, const StoredLineState &state,
+                 const CacheLine *line_pads) const override
     {
-        return state.data ^ otp_.padForLine(line_addr, 0);
+        return state.data ^ line_pads[0];
     }
 
-    /** The counterless pad is always known: one line pad at 0. */
+    /** A write re-encrypts under the same pad as a read. */
     unsigned
-    planWritePads(uint64_t line_addr, const StoredLineState &,
+    planWritePads(uint64_t line_addr, const StoredLineState &state,
                   LinePadRequest *requests) const override
     {
-        for (unsigned block = 0; block < 4; ++block) {
-            requests[block] = LinePadRequest{line_addr, 0, block};
-        }
-        return 1;
-    }
-
-    void
-    generatePads(const LinePadRequest *requests, AesBlock *pads,
-                 unsigned n) const override
-    {
-        otp_.padForLines(requests, pads, n);
+        return planReadPads(line_addr, state, requests);
     }
 
     WriteResult
@@ -80,9 +75,6 @@ class AddressPadEncryption : public EncryptionScheme
         state.data = plaintext ^ line_pads[0];
         return makeWriteResult(before, state);
     }
-
-  private:
-    const OtpEngine &otp_;
 };
 
 } // namespace deuce

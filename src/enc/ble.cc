@@ -6,6 +6,7 @@
 #include "enc/ble.hh"
 
 #include <bit>
+#include <cstring>
 #include <sstream>
 
 #include "common/line_kernels.hh"
@@ -18,13 +19,9 @@ BlockLevelEncryption::BlockLevelEncryption(const OtpEngine &otp,
                                            bool with_deuce,
                                            unsigned word_bytes,
                                            unsigned epoch)
-    : otp_(otp), withDeuce_(with_deuce), wordBytes_(word_bytes),
-      epoch_(epoch)
+    : EncryptionScheme(&otp), withDeuce_(with_deuce),
+      select_(word_bytes * 8), wordBytes_(word_bytes), epoch_(epoch)
 {
-    if (wordBytes_ != 1 && wordBytes_ != 2 && wordBytes_ != 4 &&
-        wordBytes_ != 8) {
-        deuce_fatal("BLE+DEUCE word size must be 1, 2, 4 or 8 bytes");
-    }
     if (epoch_ < 2 || !std::has_single_bit(epoch_)) {
         deuce_fatal("BLE+DEUCE epoch must be a power of two >= 2");
     }
@@ -49,192 +46,107 @@ BlockLevelEncryption::trackingBitsPerLine() const
     return withDeuce_ ? kBlocks * wordsPerBlock_ : 0;
 }
 
-void
-BlockLevelEncryption::pads(uint64_t line_addr, unsigned lctr_mask,
-                           const uint64_t lctr[kBlocks],
-                           unsigned tctr_mask,
-                           AesBlock lctr_pads[kBlocks],
-                           AesBlock tctr_pads[kBlocks]) const
-{
-    PadRequest requests[2 * kBlocks];
-    unsigned out_block[2 * kBlocks];
-    bool out_is_tctr[2 * kBlocks];
-    unsigned n = 0;
-    for (unsigned b = 0; b < kBlocks; ++b) {
-        if (lctr_mask & (1u << b)) {
-            requests[n] = PadRequest{lctr[b], b};
-            out_block[n] = b;
-            out_is_tctr[n] = false;
-            ++n;
-        }
-        if (tctr_mask & (1u << b)) {
-            requests[n] = PadRequest{trailing(lctr[b]), b};
-            out_block[n] = b;
-            out_is_tctr[n] = true;
-            ++n;
-        }
-    }
-    AesBlock generated[2 * kBlocks];
-    otp_.padForBlocks(line_addr, requests, generated, n);
-    for (unsigned i = 0; i < n; ++i) {
-        (out_is_tctr[i] ? tctr_pads : lctr_pads)[out_block[i]] =
-            generated[i];
-    }
-}
-
-void
-BlockLevelEncryption::xorBlock(CacheLine &line, unsigned block,
-                               const AesBlock &pad)
-{
-    for (unsigned i = 0; i < 16; ++i) {
-        unsigned byte = block * 16 + i;
-        line.setByte(byte, line.byte(byte) ^ pad[i]);
-    }
-}
-
-void
-BlockLevelEncryption::install(uint64_t line_addr,
-                              const CacheLine &plaintext,
-                              StoredLineState &state) const
-{
-    state = StoredLineState{};
-    state.data = plaintext;
-    const uint64_t zero_ctrs[kBlocks] = {};
-    AesBlock block_pads[kBlocks];
-    pads(line_addr, (1u << kBlocks) - 1, zero_ctrs, 0, block_pads,
-         nullptr);
-    for (unsigned b = 0; b < kBlocks; ++b) {
-        xorBlock(state.data, b, block_pads[b]);
-    }
-}
-
 WriteResult
 BlockLevelEncryption::writeWithPads(uint64_t line_addr,
                                     const CacheLine &plaintext,
                                     StoredLineState &state,
-                                    const CacheLine * /* line_pads */) const
+                                    const CacheLine *line_pads) const
 {
     StoredLineState before = state;
-    CacheLine cur_plain = read(line_addr, state);
+    const CacheLine cur_plain = readWithPads(line_addr, state, line_pads);
 
-    // Pass 1: find the dirty blocks and bump their counters, so all
-    // the pads the write needs can be generated as one cipher batch.
-    unsigned dirty_mask = 0;
-    unsigned tctr_mask = 0;
-    uint64_t new_ctrs[kBlocks] = {};
-    const uint64_t dirty_blocks =
+    // Only the dirty blocks bump their counters and re-encrypt. Their
+    // fresh pads depend on which blocks the data dirtied, so they are
+    // generated here, as one cipher batch: each dirty block's LCTR
+    // pad, then its TCTR pad in the DEUCE composition unless the
+    // block starts an epoch.
+    const uint64_t dirty =
         lineKernels().wordDiffMask(plaintext, cur_plain, kBlockBits);
+    const uint64_t word_diff =
+        withDeuce_ ? lineKernels().wordDiffMask(plaintext, cur_plain,
+                                                wordBits_)
+                   : 0;
+    PadRequest requests[2 * kBlocks];
+    bool is_tctr[2 * kBlocks];
+    unsigned n = 0;
+    uint64_t lctr_words = ~uint64_t{0}; // words taking the LCTR pad
     for (unsigned b = 0; b < kBlocks; ++b) {
-        if (!(dirty_blocks & (uint64_t{1} << b))) {
+        if (!((dirty >> b) & 1)) {
             continue; // counter and ciphertext untouched
         }
-        dirty_mask |= 1u << b;
-        new_ctrs[b] = before.blockCounters[b] + 1;
-        state.blockCounters[b] = new_ctrs[b];
-        if (withDeuce_ && !isEpochStart(new_ctrs[b])) {
-            tctr_mask |= 1u << b;
+        const uint64_t ctr = ++state.blockCounters[b];
+        requests[n] = PadRequest{ctr, b};
+        is_tctr[n++] = false;
+        if (!withDeuce_) {
+            continue;
         }
+        // DEUCE inside the block: an epoch start re-encrypts it whole
+        // and clears its tracking bits; otherwise its modified words
+        // accumulate and only they take the LCTR pad.
+        const uint64_t block_words = ((uint64_t{1} << wordsPerBlock_) - 1)
+                                     << (b * wordsPerBlock_);
+        if (isEpochStart(ctr)) {
+            state.modifiedBits &= ~block_words;
+            continue;
+        }
+        state.modifiedBits |= word_diff & block_words;
+        lctr_words &= ~block_words | state.modifiedBits;
+        requests[n] = PadRequest{trailing(ctr), b};
+        is_tctr[n++] = true;
     }
-    AesBlock lctr_pads[kBlocks];
-    AesBlock tctr_pads[kBlocks];
-    pads(line_addr, dirty_mask, new_ctrs, tctr_mask, lctr_pads,
-         tctr_pads);
-
-    for (unsigned b = 0; b < kBlocks; ++b) {
-        if (!(dirty_mask & (1u << b))) {
-            continue;
-        }
-        unsigned block_lsb = b * kBlockBits;
-        uint64_t new_ctr = new_ctrs[b];
-        const AesBlock &pad_lctr = lctr_pads[b];
-
-        if (!withDeuce_ || isEpochStart(new_ctr)) {
-            // Re-encrypt the whole block with the fresh counter; in
-            // DEUCE composition this is the per-block epoch start.
-            for (unsigned i = 0; i < 16; ++i) {
-                unsigned byte = b * 16 + i;
-                state.data.setByte(byte,
-                                   plaintext.byte(byte) ^ pad_lctr[i]);
-            }
-            if (withDeuce_) {
-                uint64_t block_mask =
-                    ((wordsPerBlock_ == 64)
-                         ? ~uint64_t{0}
-                         : ((uint64_t{1} << wordsPerBlock_) - 1))
-                    << (b * wordsPerBlock_);
-                state.modifiedBits &= ~block_mask;
-            }
-            continue;
-        }
-
-        // DEUCE inside the block: accumulate modified words, encrypt
-        // them with the block LCTR, keep the rest at the block TCTR.
-        const AesBlock &pad_tctr = tctr_pads[b];
-        for (unsigned w = 0; w < wordsPerBlock_; ++w) {
-            unsigned word_lsb = block_lsb + w * wordBits_;
-            unsigned tracking_bit = b * wordsPerBlock_ + w;
-            uint64_t mask = uint64_t{1} << tracking_bit;
-
-            if (!(state.modifiedBits & mask) &&
-                plaintext.field(word_lsb, wordBits_) !=
-                    cur_plain.field(word_lsb, wordBits_)) {
-                state.modifiedBits |= mask;
-            }
-
-            const AesBlock &p =
-                (state.modifiedBits & mask) ? pad_lctr : pad_tctr;
-            // Extract the matching pad bits: word w covers bytes
-            // [w * wordBytes_, (w + 1) * wordBytes_) of the block.
-            uint64_t pad_bits = 0;
-            for (unsigned byte = 0; byte < wordBytes_; ++byte) {
-                pad_bits |= static_cast<uint64_t>(
-                                p[w * wordBytes_ + byte])
-                            << (8 * byte);
-            }
-            state.data.setField(word_lsb, wordBits_,
-                                plaintext.field(word_lsb, wordBits_) ^
-                                pad_bits);
+    AesBlock generated[2 * kBlocks];
+    otp().padForBlocks(line_addr, requests, generated, n);
+    uint8_t pads[2][CacheLine::kBytes] = {};
+    for (unsigned i = 0; i < n; ++i) {
+        std::memcpy(pads[is_tctr[i]] + 16 * requests[i].block,
+                    generated[i].data(), 16);
+    }
+    const CacheLine cipher =
+        plaintext ^ select_(lctr_words, CacheLine::fromBytes(pads[0]),
+                            CacheLine::fromBytes(pads[1]));
+    for (unsigned l = 0; l < CacheLine::kLimbs; ++l) {
+        if ((dirty >> (l * kBlocks / CacheLine::kLimbs)) & 1) {
+            state.data.limb(l) = cipher.limb(l);
         }
     }
     return makeWriteResult(before, state);
 }
 
-CacheLine
-BlockLevelEncryption::read(uint64_t line_addr,
-                           const StoredLineState &state) const
+unsigned
+BlockLevelEncryption::planReadPads(uint64_t line_addr,
+                                   const StoredLineState &state,
+                                   LinePadRequest *requests) const
 {
-    CacheLine plain = state.data;
-    // One batch covers every pad of the line: 4 LCTR pads, plus the
-    // 4 TCTR pads in the DEUCE composition.
-    constexpr unsigned kAll = (1u << kBlocks) - 1;
-    AesBlock lctr_pads[kBlocks];
-    AesBlock tctr_pads[kBlocks];
-    pads(line_addr, kAll, state.blockCounters.data(),
-         withDeuce_ ? kAll : 0, lctr_pads, tctr_pads);
     for (unsigned b = 0; b < kBlocks; ++b) {
-        if (!withDeuce_) {
-            xorBlock(plain, b, lctr_pads[b]);
-            continue;
-        }
-        const AesBlock &pad_lctr = lctr_pads[b];
-        const AesBlock &pad_tctr = tctr_pads[b];
-        for (unsigned w = 0; w < wordsPerBlock_; ++w) {
-            unsigned word_lsb = b * kBlockBits + w * wordBits_;
-            unsigned tracking_bit = b * wordsPerBlock_ + w;
-            const AesBlock &p =
-                (state.modifiedBits & (uint64_t{1} << tracking_bit))
-                    ? pad_lctr : pad_tctr;
-            uint64_t pad_bits = 0;
-            for (unsigned byte = 0; byte < wordBytes_; ++byte) {
-                pad_bits |= static_cast<uint64_t>(
-                                p[w * wordBytes_ + byte])
-                            << (8 * byte);
-            }
-            plain.setField(word_lsb, wordBits_,
-                           plain.field(word_lsb, wordBits_) ^ pad_bits);
+        const uint64_t lctr = state.blockCounters[b];
+        requests[b] = LinePadRequest{line_addr, lctr, b};
+        if (withDeuce_) {
+            requests[kBlocks + b] =
+                LinePadRequest{line_addr, trailing(lctr), b};
         }
     }
-    return plain;
+    return withDeuce_ ? 2 : 1;
+}
+
+CacheLine
+BlockLevelEncryption::readWithPads(uint64_t, const StoredLineState &state,
+                                   const CacheLine *line_pads) const
+{
+    // Block b of a line pad sits over block b of the line, and the
+    // block-major tracking bits tile the line's words like DEUCE's.
+    if (!withDeuce_) {
+        return state.data ^ line_pads[0];
+    }
+    return state.data ^
+           select_(state.modifiedBits, line_pads[0], line_pads[1]);
+}
+
+unsigned
+BlockLevelEncryption::planWritePads(uint64_t line_addr,
+                                    const StoredLineState &state,
+                                    LinePadRequest *requests) const
+{
+    return planReadPads(line_addr, state, requests);
 }
 
 } // namespace deuce

@@ -17,8 +17,7 @@
 #ifndef DEUCE_ENC_BLE_HH
 #define DEUCE_ENC_BLE_HH
 
-#include "crypto/otp_engine.hh"
-#include "enc/scheme.hh"
+#include "enc/deuce.hh"
 
 namespace deuce
 {
@@ -46,40 +45,28 @@ class BlockLevelEncryption : public EncryptionScheme
     std::string name() const override;
     unsigned trackingBitsPerLine() const override;
 
-    void install(uint64_t line_addr, const CacheLine &plaintext,
-                 StoredLineState &state) const override;
-    /** Pads depend on the data: none planned, generated here. */
+    /** Read pad plan: a line pad whose block b is at block b's
+     *  counter, and for BLE+DEUCE one at its trailing counter. */
+    unsigned planReadPads(uint64_t line_addr,
+                          const StoredLineState &state,
+                          LinePadRequest *requests) const override;
+    CacheLine readWithPads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           const CacheLine *line_pads) const override;
+
+    /** Write pad plan: the read-back only; the dirty blocks' new
+     *  pads depend on the data, so writeWithPads() generates them. */
+    unsigned planWritePads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           LinePadRequest *requests) const override;
     WriteResult writeWithPads(uint64_t line_addr,
                               const CacheLine &plaintext,
                               StoredLineState &state,
                               const CacheLine *line_pads) const override;
-    CacheLine read(uint64_t line_addr,
-                   const StoredLineState &state) const override;
 
     bool usesBlockCounters() const override { return true; }
 
   private:
-    /**
-     * Pads for a set of blocks of one line in a single cipher batch
-     * (one padForBlocks() call, so the pipelined backends keep all
-     * the AES blocks in flight together).
-     *
-     * @param lctr_mask bitmask of blocks to pad; lctr_pads[b] is
-     *                  written for blocks in the mask
-     * @param lctr      per-block counters (indexed by block)
-     * @param tctr_mask blocks that also need the trailing-counter
-     *                  pad (DEUCE composition; subset of lctr_mask);
-     *                  tctr_pads[b] written for blocks in the mask
-     */
-    void pads(uint64_t line_addr, unsigned lctr_mask,
-              const uint64_t lctr[kBlocks], unsigned tctr_mask,
-              AesBlock lctr_pads[kBlocks],
-              AesBlock tctr_pads[kBlocks]) const;
-
-    /** XOR a block region of the line with a 128-bit pad. */
-    static void xorBlock(CacheLine &line, unsigned block,
-                         const AesBlock &pad);
-
     uint64_t
     trailing(uint64_t counter) const
     {
@@ -92,8 +79,10 @@ class BlockLevelEncryption : public EncryptionScheme
         return (counter & (epoch_ - 1)) == 0;
     }
 
-    const OtpEngine &otp_;
     bool withDeuce_;
+    /** DEUCE's word choice inside each block (validates the word
+     *  size, so it initializes first). */
+    WordSelect select_;
     unsigned wordBytes_;
     unsigned wordBits_;
     unsigned wordsPerBlock_;

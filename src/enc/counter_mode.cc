@@ -13,7 +13,8 @@ namespace deuce
 CounterModeEncryption::CounterModeEncryption(const OtpEngine &otp,
                                              bool use_fnw,
                                              unsigned fnw_region_bits)
-    : otp_(otp), useFnw_(use_fnw), fnwRegionBits_(fnw_region_bits)
+    : EncryptionScheme(&otp), useFnw_(use_fnw),
+      fnwRegionBits_(fnw_region_bits)
 {}
 
 std::string
@@ -28,13 +29,25 @@ CounterModeEncryption::trackingBitsPerLine() const
     return useFnw_ ? fnwRegions(fnwRegionBits_) : 0;
 }
 
-void
-CounterModeEncryption::install(uint64_t line_addr,
-                               const CacheLine &plaintext,
-                               StoredLineState &state) const
+unsigned
+CounterModeEncryption::planReadPads(uint64_t line_addr,
+                                    const StoredLineState &state,
+                                    LinePadRequest *requests) const
 {
-    state = StoredLineState{};
-    state.data = plaintext ^ otp_.padForLine(line_addr, 0);
+    unsigned lines = 0;
+    addLinePad(requests, lines, line_addr, state.counter);
+    return lines;
+}
+
+CacheLine
+CounterModeEncryption::readWithPads(uint64_t,
+                                    const StoredLineState &state,
+                                    const CacheLine *line_pads) const
+{
+    CacheLine cipher = useFnw_
+        ? fnwDecode(state.data, state.flipBits, fnwRegionBits_)
+        : state.data;
+    return cipher ^ line_pads[0];
 }
 
 unsigned
@@ -42,18 +55,9 @@ CounterModeEncryption::planWritePads(uint64_t line_addr,
                                      const StoredLineState &state,
                                      LinePadRequest *requests) const
 {
-    for (unsigned block = 0; block < 4; ++block) {
-        requests[block] =
-            LinePadRequest{line_addr, state.counter + 1, block};
-    }
-    return 1;
-}
-
-void
-CounterModeEncryption::generatePads(const LinePadRequest *requests,
-                                    AesBlock *pads, unsigned n) const
-{
-    otp_.padForLines(requests, pads, n);
+    unsigned lines = 0;
+    addLinePad(requests, lines, line_addr, state.counter + 1);
+    return lines;
 }
 
 WriteResult
@@ -75,16 +79,6 @@ CounterModeEncryption::writeWithPads(uint64_t, const CacheLine &plaintext,
         state.data = cipher;
     }
     return makeWriteResult(before, state);
-}
-
-CacheLine
-CounterModeEncryption::read(uint64_t line_addr,
-                            const StoredLineState &state) const
-{
-    CacheLine cipher = useFnw_
-        ? fnwDecode(state.data, state.flipBits, fnwRegionBits_)
-        : state.data;
-    return cipher ^ otp_.padForLine(line_addr, state.counter);
 }
 
 } // namespace deuce

@@ -31,24 +31,24 @@ class CounterModeEncryption : public EncryptionScheme
     std::string name() const override;
     unsigned trackingBitsPerLine() const override;
 
-    void install(uint64_t line_addr, const CacheLine &plaintext,
-                 StoredLineState &state) const override;
-    CacheLine read(uint64_t line_addr,
-                   const StoredLineState &state) const override;
+    /** A read needs one line pad at the counter. */
+    unsigned planReadPads(uint64_t line_addr,
+                          const StoredLineState &state,
+                          LinePadRequest *requests) const override;
+    CacheLine readWithPads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           const CacheLine *line_pads) const override;
 
-    /** Pad need is one line pad at counter+1. */
+    /** A write needs one line pad at counter+1. */
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
                            LinePadRequest *requests) const override;
-    void generatePads(const LinePadRequest *requests, AesBlock *pads,
-                      unsigned n) const override;
     WriteResult writeWithPads(uint64_t line_addr,
                               const CacheLine &plaintext,
                               StoredLineState &state,
                               const CacheLine *line_pads) const override;
 
   private:
-    const OtpEngine &otp_;
     bool useFnw_;
     unsigned fnwRegionBits_;
 };

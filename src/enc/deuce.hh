@@ -31,11 +31,67 @@
 
 #include <array>
 
+#include "common/logging.hh"
 #include "crypto/otp_engine.hh"
 #include "enc/scheme.hh"
 
 namespace deuce
 {
+
+/**
+ * DEUCE's per-word pad choice (Figure 7) — the LCTR pad for modified
+ * words, the TCTR pad elsewhere — as one table-driven masked select
+ * per limb. BLE+DEUCE shares it: its block-major tracking bits tile
+ * the line's words the same way.
+ */
+class WordSelect
+{
+  public:
+    /** @param word_bits word width: 8, 16, 32 or 64 (fatal else). */
+    explicit WordSelect(unsigned word_bits)
+    {
+        if (word_bits != 8 && word_bits != 16 && word_bits != 32 &&
+            word_bits != 64) {
+            deuce_fatal("word size must be 1, 2, 4 or 8 bytes");
+        }
+        wordsPerLimb_ = 64 / word_bits;
+        const uint64_t word_ones = word_bits == 64
+            ? ~uint64_t{0}
+            : (uint64_t{1} << word_bits) - 1;
+        for (unsigned sel = 0; sel < (1u << wordsPerLimb_); ++sel) {
+            uint64_t mask = 0;
+            for (unsigned w = 0; w < wordsPerLimb_; ++w) {
+                if ((sel >> w) & 1) {
+                    mask |= word_ones << (w * word_bits);
+                }
+            }
+            limbMasks_[sel] = mask;
+        }
+    }
+
+    /**
+     * Per word, the word of @p on where bit w of @p words is set and
+     * the word of @p off elsewhere.
+     */
+    CacheLine
+    operator()(uint64_t words, const CacheLine &on,
+               const CacheLine &off) const
+    {
+        const uint64_t sel_ones = (uint64_t{1} << wordsPerLimb_) - 1;
+        CacheLine out;
+        for (unsigned l = 0; l < CacheLine::kLimbs; ++l) {
+            uint64_t mask =
+                limbMasks_[(words >> (l * wordsPerLimb_)) & sel_ones];
+            out.limb(l) = (on.limb(l) & mask) | (off.limb(l) & ~mask);
+        }
+        return out;
+    }
+
+  private:
+    unsigned wordsPerLimb_;
+    /** Limb mask of every word-select pattern within one limb. */
+    std::array<uint64_t, 256> limbMasks_{};
+};
 
 /** Configuration parameters of a DEUCE instance. */
 struct DeuceConfig
@@ -71,8 +127,6 @@ class Deuce : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    CacheLine read(uint64_t line_addr,
-                   const StoredLineState &state) const override;
 
     /** Number of tracked words per line. */
     unsigned numWords() const { return numWords_; }
@@ -96,8 +150,17 @@ class Deuce : public EncryptionScheme
 
     const DeuceConfig &config() const { return cfg_; }
 
+    /** Read pad plan: [LCTR(c), TCTR(c)]; the modified bits pick
+     *  each word's pad (Figure 7). */
+    unsigned planReadPads(uint64_t line_addr,
+                          const StoredLineState &state,
+                          LinePadRequest *requests) const override;
+    CacheLine readWithPads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           const CacheLine *line_pads) const override;
+
     /**
-     * Pad plan: [LCTR(c), TCTR(c)] for the read-back, then [c+1] for
+     * Write pad plan: the read plan for the read-back, then [c+1] for
      * the new image. The new image's TCTR pad is not planned: unless
      * the write starts an epoch (full re-encryption, no TCTR pad)
      * c+1 shares c's epoch, so TCTR(c+1) = TCTR(c) is already in
@@ -106,8 +169,6 @@ class Deuce : public EncryptionScheme
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
                            LinePadRequest *requests) const override;
-    void generatePads(const LinePadRequest *requests, AesBlock *pads,
-                      unsigned n) const override;
     WriteResult writeWithPads(uint64_t line_addr,
                               const CacheLine &plaintext,
                               StoredLineState &state,
@@ -129,30 +190,11 @@ class Deuce : public EncryptionScheme
                      const CacheLine *pad_tctr, CacheLine &cipher_out,
                      uint64_t &modified_out) const;
 
-    /**
-     * Per word, the word of @p on where bit w of @p words is set and
-     * the word of @p off elsewhere: the per-word LCTR/TCTR pad choice
-     * of Figure 7, as one table-driven masked select per limb.
-     */
-    CacheLine selectWords(uint64_t words, const CacheLine &on,
-                          const CacheLine &off) const;
-
-    /** Decrypt given explicit counter/modified-bit values. */
-    CacheLine decryptWith(uint64_t line_addr, const CacheLine &cipher,
-                          uint64_t counter, uint64_t modified) const;
-
-    /** decryptWith, consuming pre-generated LCTR/TCTR pads. */
-    CacheLine decryptWithPads(const CacheLine &cipher, uint64_t modified,
-                              const CacheLine &pad_lctr,
-                              const CacheLine &pad_tctr) const;
-
-    const OtpEngine &otp_;
     DeuceConfig cfg_;
+    /** Validates the word size, so it initializes first. */
+    WordSelect select_;
     unsigned wordBits_;
     unsigned numWords_;
-    unsigned wordsPerLimb_;
-    /** Limb mask of every word-select pattern within one limb. */
-    std::array<uint64_t, 256> limbMasks_{};
 };
 
 } // namespace deuce

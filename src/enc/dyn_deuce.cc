@@ -15,7 +15,7 @@ namespace deuce
 
 DynDeuce::DynDeuce(const OtpEngine &otp, unsigned word_bytes,
                    unsigned epoch)
-    : otp_(otp),
+    : EncryptionScheme(&otp),
       deuce_(otp, DeuceConfig{word_bytes, epoch, false, word_bytes * 8})
 {}
 
@@ -34,14 +34,6 @@ DynDeuce::trackingBitsPerLine() const
     // The shared modified/flip column plus the mode bit (Table 3:
     // 33 bits per line for the default configuration).
     return deuce_.numWords() + 1;
-}
-
-void
-DynDeuce::install(uint64_t line_addr, const CacheLine &plaintext,
-                  StoredLineState &state) const
-{
-    deuce_.install(line_addr, plaintext, state);
-    state.modeBit = false;
 }
 
 StoredLineState
@@ -69,41 +61,46 @@ DynDeuce::fnwCandidate(const CacheLine &plaintext,
 }
 
 unsigned
+DynDeuce::planReadPads(uint64_t line_addr, const StoredLineState &state,
+                       LinePadRequest *requests) const
+{
+    if (!state.modeBit) {
+        return deuce_.planReadPads(line_addr, state, requests);
+    }
+    unsigned lines = 0;
+    addLinePad(requests, lines, line_addr, state.counter);
+    return lines;
+}
+
+CacheLine
+DynDeuce::readWithPads(uint64_t line_addr, const StoredLineState &state,
+                       const CacheLine *line_pads) const
+{
+    if (!state.modeBit) {
+        return deuce_.readWithPads(line_addr, state, line_pads);
+    }
+    return fnwDecode(state.data, state.modifiedBits, deuce_.wordBits()) ^
+           line_pads[0];
+}
+
+unsigned
 DynDeuce::planWritePads(uint64_t line_addr, const StoredLineState &state,
                         LinePadRequest *requests) const
 {
-    unsigned n = 0;
-    auto addLine = [&](uint64_t counter) {
-        for (unsigned block = 0; block < 4; ++block) {
-            requests[n * 4 + block] =
-                LinePadRequest{line_addr, counter, block};
-        }
-        ++n;
-    };
     uint64_t new_counter = state.counter + 1;
-    if (deuce_.isEpochStart(new_counter) || state.modeBit) {
-        // Full re-encryption (epoch boundary or sticky FNW mode):
-        // only the fresh-counter pad is generated.
-        addLine(new_counter);
-        return n;
+    unsigned lines = 0;
+    if (!deuce_.isEpochStart(new_counter) && !state.modeBit) {
+        // Mid-epoch DEUCE mode races both encodings: read-back pads
+        // first. Full re-encryptions (epoch boundary or sticky FNW
+        // mode) need only the fresh-counter pad.
+        lines = planReadPads(line_addr, state, requests);
     }
-    // Mid-epoch DEUCE mode: read-back pads, then the fresh pad both
-    // candidates encrypt under.
-    addLine(state.counter);
-    addLine(deuce_.trailingCounter(state.counter));
-    addLine(new_counter);
-    return n;
-}
-
-void
-DynDeuce::generatePads(const LinePadRequest *requests, AesBlock *pads,
-                       unsigned n) const
-{
-    otp_.padForLines(requests, pads, n);
+    addLinePad(requests, lines, line_addr, new_counter);
+    return lines;
 }
 
 WriteResult
-DynDeuce::writeWithPads(uint64_t, const CacheLine &plaintext,
+DynDeuce::writeWithPads(uint64_t line_addr, const CacheLine &plaintext,
                         StoredLineState &state,
                         const CacheLine *line_pads) const
 {
@@ -132,8 +129,7 @@ DynDeuce::writeWithPads(uint64_t, const CacheLine &plaintext,
     // write-circuitry would observe, including tracking-bit and mode-
     // bit changes. line_pads = [LCTR(c), TCTR(c), LCTR(c+1)]; c+1
     // shares c's epoch, so TCTR(c+1) = TCTR(c).
-    CacheLine cur_plain = deuce_.decryptWithPads(
-        state.data, state.modifiedBits, line_pads[0], line_pads[1]);
+    CacheLine cur_plain = readWithPads(line_addr, state, line_pads);
     StoredLineState deuce_after = before;
     {
         CacheLine cipher;
@@ -155,18 +151,6 @@ DynDeuce::writeWithPads(uint64_t, const CacheLine &plaintext,
 
     state = (fnw_cost < deuce_cost) ? fnw_after : deuce_after;
     return makeWriteResult(before, state);
-}
-
-CacheLine
-DynDeuce::read(uint64_t line_addr, const StoredLineState &state) const
-{
-    if (state.modeBit) {
-        CacheLine cipher = fnwDecode(state.data, state.modifiedBits,
-                                     deuce_.wordBits());
-        return cipher ^ otp_.padForLine(line_addr, state.counter);
-    }
-    return deuce_.decryptWith(line_addr, state.data, state.counter,
-                              state.modifiedBits);
 }
 
 } // namespace deuce

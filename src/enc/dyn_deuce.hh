@@ -40,10 +40,14 @@ class DynDeuce : public EncryptionScheme
     std::string name() const override;
     unsigned trackingBitsPerLine() const override;
 
-    void install(uint64_t line_addr, const CacheLine &plaintext,
-                 StoredLineState &state) const override;
-    CacheLine read(uint64_t line_addr,
-                   const StoredLineState &state) const override;
+    /** Read pad plan: DEUCE's [c, tctr(c)] in DEUCE mode, [c] in
+     *  FNW mode. */
+    unsigned planReadPads(uint64_t line_addr,
+                          const StoredLineState &state,
+                          LinePadRequest *requests) const override;
+    CacheLine readWithPads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           const CacheLine *line_pads) const override;
 
     /**
      * Pad plan: epoch starts and FNW-mode writes need one pad [c+1];
@@ -55,8 +59,6 @@ class DynDeuce : public EncryptionScheme
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
                            LinePadRequest *requests) const override;
-    void generatePads(const LinePadRequest *requests, AesBlock *pads,
-                      unsigned n) const override;
     WriteResult writeWithPads(uint64_t line_addr,
                               const CacheLine &plaintext,
                               StoredLineState &state,
@@ -72,7 +74,6 @@ class DynDeuce : public EncryptionScheme
                                  uint64_t new_counter,
                                  const CacheLine &pad) const;
 
-    const OtpEngine &otp_;
     Deuce deuce_; ///< DEUCE-mode engine (shares counter semantics)
 };
 

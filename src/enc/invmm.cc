@@ -9,18 +9,8 @@ namespace deuce
 {
 
 INvmm::INvmm(const OtpEngine &otp, uint64_t cold_threshold)
-    : otp_(otp), coldThreshold_(cold_threshold)
+    : EncryptionScheme(&otp), coldThreshold_(cold_threshold)
 {}
-
-void
-INvmm::install(uint64_t line_addr, const CacheLine &plaintext,
-               StoredLineState &state) const
-{
-    // Pages arrive encrypted (cold) like every other scheme here.
-    state = StoredLineState{};
-    state.data = plaintext ^ otp_.padForLine(line_addr, 0);
-    state.modeBit = false; // encrypted
-}
 
 WriteResult
 INvmm::writeWithPads(uint64_t line_addr,
@@ -42,13 +32,22 @@ INvmm::writeWithPads(uint64_t line_addr,
     return makeWriteResult(before, state);
 }
 
-CacheLine
-INvmm::read(uint64_t line_addr, const StoredLineState &state) const
+unsigned
+INvmm::planReadPads(uint64_t line_addr, const StoredLineState &state,
+                    LinePadRequest *requests) const
 {
-    if (state.modeBit) {
-        return state.data;
+    unsigned lines = 0;
+    if (!isHot(state)) {
+        addLinePad(requests, lines, line_addr, state.counter);
     }
-    return state.data ^ otp_.padForLine(line_addr, state.counter);
+    return lines;
+}
+
+CacheLine
+INvmm::readWithPads(uint64_t, const StoredLineState &state,
+                    const CacheLine *line_pads) const
+{
+    return isHot(state) ? state.data : state.data ^ line_pads[0];
 }
 
 unsigned
@@ -70,7 +69,7 @@ INvmm::encryptColdLines(
         StoredLineState before = *state;
         state->counter += 1;
         state->data =
-            before.data ^ otp_.padForLine(addr, state->counter);
+            before.data ^ otp().padForLine(addr, state->counter);
         state->modeBit = false;
         ++cipherWrites_;
         flips += makeWriteResult(before, *state).totalFlips();

@@ -47,15 +47,18 @@ class INvmm : public EncryptionScheme
     std::string name() const override { return "iNVMM"; }
     unsigned trackingBitsPerLine() const override { return 1; }
 
-    void install(uint64_t line_addr, const CacheLine &plaintext,
-                 StoredLineState &state) const override;
     /** A demand write stores plaintext: no pads planned. */
     WriteResult writeWithPads(uint64_t line_addr,
                               const CacheLine &plaintext,
                               StoredLineState &state,
                               const CacheLine *line_pads) const override;
-    CacheLine read(uint64_t line_addr,
-                   const StoredLineState &state) const override;
+    /** A hot line reads without pads, a cold one under [c]. */
+    unsigned planReadPads(uint64_t line_addr,
+                          const StoredLineState &state,
+                          LinePadRequest *requests) const override;
+    CacheLine readWithPads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           const CacheLine *line_pads) const override;
 
     /**
      * Advance the idleness clock and encrypt lines that turned cold.
@@ -96,7 +99,6 @@ class INvmm : public EncryptionScheme
     }
 
   private:
-    const OtpEngine &otp_;
     uint64_t coldThreshold_;
     mutable uint64_t clock_ = 0;
     mutable std::map<uint64_t, uint64_t> lastWrite_;

@@ -11,7 +11,8 @@ namespace deuce
 {
 
 NoEncryption::NoEncryption(bool use_fnw, unsigned fnw_region_bits)
-    : useFnw_(use_fnw), fnwRegionBits_(fnw_region_bits)
+    : EncryptionScheme(nullptr), useFnw_(use_fnw),
+      fnwRegionBits_(fnw_region_bits)
 {}
 
 std::string
@@ -53,8 +54,9 @@ NoEncryption::writeWithPads(uint64_t /* line_addr */,
 }
 
 CacheLine
-NoEncryption::read(uint64_t /* line_addr */,
-                   const StoredLineState &state) const
+NoEncryption::readWithPads(uint64_t /* line_addr */,
+                           const StoredLineState &state,
+                           const CacheLine * /* line_pads */) const
 {
     if (useFnw_) {
         return fnwDecode(state.data, state.flipBits, fnwRegionBits_);

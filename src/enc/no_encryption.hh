@@ -34,8 +34,10 @@ class NoEncryption : public EncryptionScheme
                               const CacheLine &plaintext,
                               StoredLineState &state,
                               const CacheLine *line_pads) const override;
-    CacheLine read(uint64_t line_addr,
-                   const StoredLineState &state) const override;
+    /** Plaintext reads back without pads: none planned. */
+    CacheLine readWithPads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           const CacheLine *line_pads) const override;
 
   private:
     bool useFnw_;

@@ -17,7 +17,8 @@ namespace deuce
 PerWordCounters::PerWordCounters(const OtpEngine &otp,
                                  unsigned word_bytes,
                                  unsigned counter_bits)
-    : otp_(otp), wordBytes_(word_bytes), counterBits_(counter_bits)
+    : EncryptionScheme(&otp), wordBytes_(word_bytes),
+      counterBits_(counter_bits)
 {
     if (word_bytes != 1 && word_bytes != 2 && word_bytes != 4 &&
         word_bytes != 8) {
@@ -29,6 +30,8 @@ PerWordCounters::PerWordCounters(const OtpEngine &otp,
     wordBits_ = word_bytes * 8;
     numWords_ = CacheLine::kBits / wordBits_;
     counterMax_ = (uint64_t{1} << counterBits_) - 1;
+    allWords_ = numWords_ == 64 ? ~uint64_t{0}
+                                : (uint64_t{1} << numWords_) - 1;
 }
 
 std::string
@@ -45,49 +48,46 @@ PerWordCounters::trackingBitsPerLine() const
     return numWords_ * counterBits_;
 }
 
-uint64_t
-PerWordCounters::wordPad(uint64_t line_addr, uint64_t line_epoch,
-                         unsigned word, uint64_t word_counter) const
-{
-    uint64_t bits;
-    wordPads(line_addr, line_epoch, &word, &word_counter, &bits, 1);
-    return bits;
-}
-
-void
-PerWordCounters::wordPads(uint64_t line_addr, uint64_t line_epoch,
-                          const unsigned *words,
-                          const uint64_t *word_ctrs, uint64_t *pads,
-                          unsigned n) const
+PadRequest
+PerWordCounters::wordRequest(uint64_t line_epoch, unsigned word,
+                             uint64_t word_counter) const
 {
     // Idealised: derive an independent pad per (word, counter) by
     // keying the word's AES block with the word's own counter value
     // plus the line's re-key epoch, then slicing the word's bits. The
     // paper's point stands regardless: the storage is the problem.
+    return PadRequest{(line_epoch << 20) ^ (word_counter << 6) ^ word,
+                      (word * wordBits_) / 128};
+}
+
+void
+PerWordCounters::encryptWords(uint64_t line_addr, uint64_t line_epoch,
+                              uint64_t words, const WordCounters &ctrs,
+                              const CacheLine &plaintext,
+                              CacheLine &data) const
+{
     PadRequest requests[64];
+    unsigned index[64];
+    unsigned n = 0;
+    for (uint64_t bits = words; bits; bits &= bits - 1) {
+        unsigned w = static_cast<unsigned>(__builtin_ctzll(bits));
+        index[n] = w;
+        requests[n++] = wordRequest(line_epoch, w, ctrs.value[w]);
+    }
+    if (n == 0) {
+        return;
+    }
     AesBlock blocks[64];
-    while (n > 0) {
-        unsigned c = n < 64 ? n : 64;
-        for (unsigned i = 0; i < c; ++i) {
-            requests[i] = PadRequest{
-                (line_epoch << 20) ^ (word_ctrs[i] << 6) ^ words[i],
-                (words[i] * wordBits_) / 128};
+    otp().padForBlocks(line_addr, requests, blocks, n);
+    for (unsigned i = 0; i < n; ++i) {
+        unsigned lsb = index[i] * wordBits_;
+        uint64_t pad = 0;
+        for (unsigned b = 0; b < wordBytes_; ++b) {
+            pad |= static_cast<uint64_t>(blocks[i][(lsb % 128) / 8 + b])
+                   << (8 * b);
         }
-        otp_.padForBlocks(line_addr, requests, blocks, c);
-        for (unsigned i = 0; i < c; ++i) {
-            unsigned offset_bits = (words[i] * wordBits_) % 128;
-            uint64_t bits = 0;
-            for (unsigned b = 0; b < wordBytes_; ++b) {
-                bits |= static_cast<uint64_t>(
-                            blocks[i][offset_bits / 8 + b])
-                        << (8 * b);
-            }
-            pads[i] = bits;
-        }
-        words += c;
-        word_ctrs += c;
-        pads += c;
-        n -= c;
+        data.setField(lsb, wordBits_,
+                      plaintext.field(lsb, wordBits_) ^ pad);
     }
 }
 
@@ -96,30 +96,19 @@ PerWordCounters::install(uint64_t line_addr, const CacheLine &plaintext,
                          StoredLineState &state) const
 {
     state = StoredLineState{};
-    counters_[line_addr] = WordCounters{};
-    unsigned words[64];
-    uint64_t zero_ctrs[64] = {};
-    uint64_t pads[64];
-    for (unsigned w = 0; w < numWords_; ++w) {
-        words[w] = w;
-    }
-    wordPads(line_addr, 0, words, zero_ctrs, pads, numWords_);
-    for (unsigned w = 0; w < numWords_; ++w) {
-        state.data.setField(w * wordBits_, wordBits_,
-                            plaintext.field(w * wordBits_, wordBits_) ^
-                                pads[w]);
-    }
+    const WordCounters &ctrs = counters_[line_addr] = WordCounters{};
+    encryptWords(line_addr, 0, allWords_, ctrs, plaintext, state.data);
 }
 
 WriteResult
 PerWordCounters::writeWithPads(uint64_t line_addr,
                                const CacheLine &plaintext,
                                StoredLineState &state,
-                               const CacheLine * /* line_pads */) const
+                               const CacheLine *line_pads) const
 {
     StoredLineState before = state;
     WordCounters &ctrs = counters_[line_addr];
-    CacheLine cur = read(line_addr, state);
+    CacheLine cur = readWithPads(line_addr, state, line_pads);
 
     // First pass: does any modified word overflow its counter?
     const uint64_t dirty_words =
@@ -140,49 +129,23 @@ PerWordCounters::writeWithPads(uint64_t line_addr,
         ++overflowRekeys_;
         state.counter += 1; // line epoch
         ctrs = WordCounters{};
-        unsigned words[64];
-        uint64_t zero_ctrs[64] = {};
-        uint64_t pads[64];
-        for (unsigned w = 0; w < numWords_; ++w) {
-            words[w] = w;
-        }
-        wordPads(line_addr, state.counter, words, zero_ctrs, pads,
-                 numWords_);
-        for (unsigned w = 0; w < numWords_; ++w) {
-            unsigned lsb = w * wordBits_;
-            state.data.setField(lsb, wordBits_,
-                                plaintext.field(lsb, wordBits_) ^
-                                    pads[w]);
-        }
+        encryptWords(line_addr, state.counter, allWords_, ctrs, plaintext,
+                     state.data);
         return makeWriteResult(before, state);
     }
 
-    // Pass 1: bump the counters of the modified words; pass 2: fetch
-    // their pads as one cipher batch and re-encrypt.
+    // Bump the counters of the modified words, then re-encrypt them
+    // under their pads as one cipher batch.
     unsigned counter_flips = 0;
-    unsigned mod_words[64] = {};
-    uint64_t mod_ctrs[64] = {};
-    unsigned n_mod = 0;
     for (uint64_t bits = dirty_words; bits; bits &= bits - 1) {
         unsigned w = static_cast<unsigned>(__builtin_ctzll(bits));
         uint64_t old_ctr = ctrs.value[w];
-        uint64_t new_ctr = old_ctr + 1;
-        ctrs.value[w] = static_cast<uint16_t>(new_ctr);
+        ctrs.value[w] = static_cast<uint16_t>(old_ctr + 1);
         counter_flips += static_cast<unsigned>(
-            std::popcount((old_ctr ^ new_ctr) & counterMax_));
-        mod_words[n_mod] = w;
-        mod_ctrs[n_mod] = new_ctr;
-        ++n_mod;
+            std::popcount((old_ctr ^ (old_ctr + 1)) & counterMax_));
     }
-    uint64_t pads[64];
-    wordPads(line_addr, state.counter, mod_words, mod_ctrs, pads,
-             n_mod);
-    for (unsigned i = 0; i < n_mod; ++i) {
-        unsigned lsb = mod_words[i] * wordBits_;
-        state.data.setField(lsb, wordBits_,
-                            plaintext.field(lsb, wordBits_) ^
-                                pads[i]);
-    }
+    encryptWords(line_addr, state.counter, dirty_words, ctrs, plaintext,
+                 state.data);
 
     WriteResult r = makeWriteResult(before, state);
     // The per-word counter bits are metadata writes too; the central
@@ -192,27 +155,42 @@ PerWordCounters::writeWithPads(uint64_t line_addr,
     return r;
 }
 
-CacheLine
-PerWordCounters::read(uint64_t line_addr,
-                      const StoredLineState &state) const
+unsigned
+PerWordCounters::planReadPads(uint64_t line_addr,
+                              const StoredLineState &state,
+                              LinePadRequest *requests) const
 {
     const WordCounters &ctrs = counters_[line_addr];
-    CacheLine plain;
-    unsigned words[64];
-    uint64_t word_ctrs[64];
-    uint64_t pads[64];
     for (unsigned w = 0; w < numWords_; ++w) {
-        words[w] = w;
-        word_ctrs[w] = ctrs.value[w];
+        PadRequest r = wordRequest(state.counter, w, ctrs.value[w]);
+        requests[w] = LinePadRequest{line_addr, r.counter, r.block};
     }
-    wordPads(line_addr, state.counter, words, word_ctrs, pads,
-             numWords_);
+    return numWords_ / 4;
+}
+
+CacheLine
+PerWordCounters::readWithPads(uint64_t, const StoredLineState &state,
+                              const CacheLine *line_pads) const
+{
+    // Word w's pad is its bits' slice of its block, which is block
+    // w % 4 of line pad w / 4.
+    CacheLine plain;
     for (unsigned w = 0; w < numWords_; ++w) {
         unsigned lsb = w * wordBits_;
+        uint64_t pad = line_pads[w / 4].field(
+            (w % 4) * 128 + lsb % 128, wordBits_);
         plain.setField(lsb, wordBits_,
-                       state.data.field(lsb, wordBits_) ^ pads[w]);
+                       state.data.field(lsb, wordBits_) ^ pad);
     }
     return plain;
+}
+
+unsigned
+PerWordCounters::planWritePads(uint64_t line_addr,
+                               const StoredLineState &state,
+                               LinePadRequest *requests) const
+{
+    return planReadPads(line_addr, state, requests);
 }
 
 } // namespace deuce

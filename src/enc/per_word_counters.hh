@@ -56,32 +56,33 @@ class PerWordCounters : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    /** Pads depend on the data: none planned, generated here. */
+
+    /** Read pad plan: one block per word at its own counter (word w
+     *  is block w % 4 of line pad w / 4, its pad a slice of it). */
+    unsigned planReadPads(uint64_t line_addr,
+                          const StoredLineState &state,
+                          LinePadRequest *requests) const override;
+    CacheLine readWithPads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           const CacheLine *line_pads) const override;
+
+    /** Write pad plan: the read-back only; the modified words' new
+     *  pads depend on the data, so writeWithPads() generates them. */
+    unsigned planWritePads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           LinePadRequest *requests) const override;
     WriteResult writeWithPads(uint64_t line_addr,
                               const CacheLine &plaintext,
                               StoredLineState &state,
                               const CacheLine *line_pads) const override;
-    CacheLine read(uint64_t line_addr,
-                   const StoredLineState &state) const override;
 
     /** Full re-keys forced by per-word counter overflow so far. */
     uint64_t overflowRekeys() const { return overflowRekeys_; }
 
   private:
-    /** Pad for one word under (line counter epoch, word counter). */
-    uint64_t wordPad(uint64_t line_addr, uint64_t line_epoch,
-                     unsigned word, uint64_t word_counter) const;
-
-    /**
-     * Pads for @p n words of a line in one cipher batch (a single
-     * padForBlocks() call; pads[i] is for word words[i] at counter
-     * word_ctrs[i]). The batched form matters here more than
-     * anywhere: a full-line operation needs one AES block per word —
-     * up to 64 of them.
-     */
-    void wordPads(uint64_t line_addr, uint64_t line_epoch,
-                  const unsigned *words, const uint64_t *word_ctrs,
-                  uint64_t *pads, unsigned n) const;
+    /** Pad request of word @p word at (line epoch, word counter). */
+    PadRequest wordRequest(uint64_t line_epoch, unsigned word,
+                           uint64_t word_counter) const;
 
     /** The per-word counters live beside the line (modelled here as
      *  scheme-held state keyed by address; they are architectural
@@ -91,10 +92,16 @@ class PerWordCounters : public EncryptionScheme
         std::array<uint16_t, 64> value{};
     };
 
-    const OtpEngine &otp_;
+    /** Encrypt the words set in @p words of @p plaintext into
+     *  @p data at (line epoch, ctrs), as one padForBlocks() batch. */
+    void encryptWords(uint64_t line_addr, uint64_t line_epoch,
+                      uint64_t words, const WordCounters &ctrs,
+                      const CacheLine &plaintext, CacheLine &data) const;
+
     unsigned wordBytes_;
     unsigned wordBits_;
     unsigned numWords_;
+    uint64_t allWords_;
     unsigned counterBits_;
     uint64_t counterMax_;
     mutable std::map<uint64_t, WordCounters> counters_;

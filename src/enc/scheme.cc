@@ -1,6 +1,7 @@
 /**
  * @file
- * Central write accounting shared by all schemes.
+ * The one read and write path (plan → generate → decode) and the
+ * central write accounting shared by all schemes.
  */
 
 #include "enc/scheme.hh"
@@ -38,23 +39,18 @@ assembleLinePads(const AesBlock *blocks, CacheLine *line_pads,
     }
 }
 
-void
-generateLinePads(const OtpEngine &otp, const LinePadRequest *requests,
-                 CacheLine *line_pads, unsigned lines)
+namespace
 {
-    deuce_assert(lines <= kMaxWritePadLines);
-    AesBlock blocks[4 * kMaxWritePadLines];
-    otp.padForLines(requests, blocks, 4 * lines);
-    assembleLinePads(blocks, line_pads, lines);
-}
 
-WriteResult
-EncryptionScheme::write(uint64_t line_addr, const CacheLine &plaintext,
-                        StoredLineState &state) const
+/**
+ * Stack arenas for one op's pad plan, sized for the largest plan.
+ * Raw storage: LinePadRequest and CacheLine arrays would zero every
+ * slot per call, and most ops plan three line pads or none.
+ */
+struct PadArena
 {
-    // Raw arenas sized for the largest plan: LinePadRequest and
-    // CacheLine arrays would zero every slot per call, and most
-    // writes plan three line pads or none.
+    PadArena() {}
+
     union Requests
     {
         Requests() {}
@@ -64,33 +60,78 @@ EncryptionScheme::write(uint64_t line_addr, const CacheLine &plaintext,
     {
         LinePads() {}
         CacheLine at[kMaxWritePadLines];
-    } line_pads;
+    } linePads;
     AesBlock blocks[4 * kMaxWritePadLines];
-    unsigned lines = planWritePads(line_addr, state, requests.at);
-    if (lines > 0) {
-        generatePads(requests.at, blocks, 4 * lines);
-        assembleLinePads(blocks, line_pads.at, lines);
+
+    /** Generate and assemble the @p lines line pads planned. */
+    const CacheLine *
+    generate(const EncryptionScheme &scheme, unsigned lines)
+    {
+        if (lines > 0) {
+            scheme.generatePads(requests.at, blocks, 4 * lines);
+            assembleLinePads(blocks, linePads.at, lines);
+        }
+        return linePads.at;
     }
-    return writeWithPads(line_addr, plaintext, state, line_pads.at);
+};
+
+} // namespace
+
+WriteResult
+EncryptionScheme::write(uint64_t line_addr, const CacheLine &plaintext,
+                        StoredLineState &state) const
+{
+    PadArena arena;
+    unsigned lines = planWritePads(line_addr, state, arena.requests.at);
+    return writeWithPads(line_addr, plaintext, state,
+                         arena.generate(*this, lines));
+}
+
+CacheLine
+EncryptionScheme::read(uint64_t line_addr,
+                       const StoredLineState &state) const
+{
+    PadArena arena;
+    unsigned lines = planReadPads(line_addr, state, arena.requests.at);
+    return readWithPads(line_addr, state, arena.generate(*this, lines));
+}
+
+void
+EncryptionScheme::install(uint64_t line_addr, const CacheLine &plaintext,
+                          StoredLineState &state) const
+{
+    state = StoredLineState{};
+    state.data = plaintext ^ otp().padForLine(line_addr, 0);
+}
+
+unsigned
+EncryptionScheme::planReadPads(uint64_t, const StoredLineState &,
+                               LinePadRequest *) const
+{
+    // Default: the scheme stores plaintext.
+    return 0;
 }
 
 unsigned
 EncryptionScheme::planWritePads(uint64_t, const StoredLineState &,
                                 LinePadRequest *) const
 {
-    // Default: the scheme's pads depend on the data, so it generates
-    // them inside writeWithPads().
+    // Default: the scheme writes without pads.
     return 0;
 }
 
 void
-EncryptionScheme::generatePads(const LinePadRequest *, AesBlock *,
-                               unsigned n) const
+EncryptionScheme::generatePads(const LinePadRequest *requests,
+                               AesBlock *pads, unsigned n) const
 {
-    if (n > 0) {
+    if (n == 0) {
+        return;
+    }
+    if (otp_ == nullptr) {
         deuce_fatal("generatePads called on a scheme that plans no "
                     "pads");
     }
+    otp_->padForLines(requests, pads, n);
 }
 
 WriteResult

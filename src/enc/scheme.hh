@@ -8,9 +8,11 @@
  * stored state (cell image + counters + tracking bits) and a new
  * plaintext, write() produces the new stored state. Every write runs
  * down one path — planWritePads() → generatePads() → writeWithPads()
- * — whether it arrives alone or in a burst. All bit-flip accounting
- * is derived centrally by diffing old and new state
- * (makeWriteResult), so a scheme cannot misreport its own cost.
+ * — and every read down its mirror — planReadPads() → generatePads()
+ * → readWithPads() — whether it arrives alone or in a burst, so every
+ * planned pad comes from the scheme's one generatePads().
+ * All bit-flip accounting is derived centrally by diffing old and new
+ * state (makeWriteResult), so a scheme cannot misreport its own cost.
  */
 
 #ifndef DEUCE_ENC_SCHEME_HH
@@ -35,13 +37,17 @@ class StatRegistry;
 constexpr unsigned kLineCounterBits = 28;
 
 /**
- * Upper bound on the 512-bit line pads any scheme plans for one
- * write; sizes the per-write slice of a batch pipeline's pad arena.
- * VCC is the current maximum: with N = 4 coset candidates it plans
- * 3N + 2 = 14 line pads (old/new candidate sets plus the two
- * auxiliary-word pads). DEUCE and DynDEUCE plan three.
+ * Upper bound on the 512-bit line pads any scheme plans for one read;
+ * sizes the pad arenas. 1-byte per-word counters are the maximum: one
+ * 16-byte block per word, 16 line pads. VCC plans 2N + 1 = 9 at N = 4.
  */
-constexpr unsigned kMaxWritePadLines = 14;
+constexpr unsigned kMaxReadPadLines = 16;
+
+/**
+ * The same bound for one write, whose plan may start with a whole
+ * read plan (the read-back). VCC plans 3N + 2 = 14 at N = 4.
+ */
+constexpr unsigned kMaxWritePadLines = kMaxReadPadLines;
 
 /**
  * Assemble @p lines 512-bit line pads from 4 * @p lines generated
@@ -52,13 +58,19 @@ void assembleLinePads(const AesBlock *blocks, CacheLine *line_pads,
                       unsigned lines);
 
 /**
- * Generate @p lines (at most kMaxWritePadLines) planned line pads as
- * one padForLines() stream of 4 * @p lines blocks, then assemble them.
- * The read path's counterpart of planWritePads() → generatePads().
+ * Append line pad (@p line_addr, @p counter) — its blocks 0..3 — to a
+ * pad plan holding @p lines line pads, and count it.
  */
-void generateLinePads(const OtpEngine &otp,
-                      const LinePadRequest *requests,
-                      CacheLine *line_pads, unsigned lines);
+inline void
+addLinePad(LinePadRequest *requests, unsigned &lines, uint64_t line_addr,
+           uint64_t counter)
+{
+    for (unsigned block = 0; block < 4; ++block) {
+        requests[4 * lines + block] =
+            LinePadRequest{line_addr, counter, block};
+    }
+    ++lines;
+}
 
 /**
  * Persistent per-line state as stored in the PCM array.
@@ -154,10 +166,12 @@ class EncryptionScheme
      * First-time installation of a line (page-in through the memory
      * controller). Sets up counters and the initial cell image; no
      * flips are charged, matching the paper's assumption that pages
-     * are encrypted as they are placed into memory.
+     * are encrypted as they are placed into memory. The default
+     * zeroes the state and encrypts the whole line under its
+     * counter-0 line pad.
      */
     virtual void install(uint64_t line_addr, const CacheLine &plaintext,
-                         StoredLineState &state) const = 0;
+                         StoredLineState &state) const;
 
     /**
      * Apply one writeback of @p plaintext to the line, updating
@@ -170,9 +184,12 @@ class EncryptionScheme
     WriteResult write(uint64_t line_addr, const CacheLine &plaintext,
                       StoredLineState &state) const;
 
-    /** Decrypt the line's current contents. */
-    virtual CacheLine read(uint64_t line_addr,
-                           const StoredLineState &state) const = 0;
+    /**
+     * Decrypt the line's current contents: write()'s mirror, planning
+     * with planReadPads() and decoding with readWithPads().
+     */
+    CacheLine read(uint64_t line_addr,
+                   const StoredLineState &state) const;
 
     /**
      * Whether the design encrypts under per-block counters
@@ -184,15 +201,32 @@ class EncryptionScheme
     virtual bool usesBlockCounters() const { return false; }
 
     /**
+     * Plan the line pads one read of this (line, state) pair consumes,
+     * as planWritePads() does for a write; a line pad's blocks need
+     * not share a counter (BLE, per-word counters). Plaintext stores
+     * plan none (the default). At most kMaxReadPadLines line pads.
+     */
+    virtual unsigned planReadPads(uint64_t line_addr,
+                                  const StoredLineState &state,
+                                  LinePadRequest *requests) const;
+
+    /** Decrypt with the line pads planReadPads() planned. */
+    virtual CacheLine readWithPads(uint64_t line_addr,
+                                   const StoredLineState &state,
+                                   const CacheLine *line_pads) const = 0;
+
+    /**
      * Plan the 512-bit line pads one write of this (line, state) pair
      * consumes, appending 4 block-granular requests per line pad
-     * (blocks 0..3 at one counter) to @p requests. A write's pads
+     * (usually blocks 0..3 at one counter) to @p requests. A write's pads
      * depend only on the pre-write state, so a burst's pads can all
      * be generated through one cipher stream before any line commits.
-     * Schemes whose pads depend on the incoming data (BLE's dirty
-     * mask, per-word counters) and schemes that write without pads
-     * (iNVMM, no encryption) keep the default and plan zero pads;
-     * any pads they need are generated inside writeWithPads().
+     * Schemes that must decrypt the current contents to find the
+     * modified words plan their read plan first. Schemes whose new
+     * pads depend on the incoming data (BLE's dirty blocks, per-word
+     * counters) plan only that read-back and generate the rest inside
+     * writeWithPads(); schemes that write without pads (iNVMM, no
+     * encryption) keep the default and plan zero.
      * @p requests must hold at least 4 * kMaxWritePadLines entries,
      * and a scheme plans at most kMaxWritePadLines line pads per
      * write (test_scheme_properties checks every scheme id).
@@ -203,9 +237,10 @@ class EncryptionScheme
                                    LinePadRequest *requests) const;
 
     /**
-     * Generate the pads a batch of planWritePads() calls requested —
-     * one padForLines() stream over the whole burst. @p pads receives
-     * @p n 16-byte blocks in request order.
+     * Generate the pads a batch of planReadPads() / planWritePads()
+     * calls requested — one padForLines() stream over the whole burst
+     * through the scheme's engine. @p pads receives @p n 16-byte
+     * blocks in request order.
      */
     virtual void generatePads(const LinePadRequest *requests,
                               AesBlock *pads, unsigned n) const;
@@ -229,6 +264,15 @@ class EncryptionScheme
      */
     virtual void registerStats(obs::StatRegistry &reg,
                                const std::string &prefix) const;
+
+  protected:
+    /** @param otp the pad engine (not owned), or null: no pads. */
+    explicit EncryptionScheme(const OtpEngine *otp) : otp_(otp) {}
+
+    const OtpEngine &otp() const { return *otp_; }
+
+  private:
+    const OtpEngine *otp_;
 };
 
 } // namespace deuce

@@ -21,21 +21,6 @@ namespace
 /** Largest candidate count the pad-plan arena admits (3N + 2 pads). */
 constexpr unsigned kMaxCandidates = (kMaxWritePadLines - 2) / 3;
 
-/** Line pads of the largest read plan (2N + 1). */
-constexpr unsigned kMaxReadPadLines = 2 * kMaxCandidates + 1;
-
-/** Append the four block requests of line pad (@p line_addr, @p vctr). */
-void
-addLinePad(LinePadRequest *requests, unsigned &lines, uint64_t line_addr,
-           uint64_t vctr)
-{
-    for (unsigned block = 0; block < 4; ++block) {
-        requests[lines * 4 + block] =
-            LinePadRequest{line_addr, vctr, block};
-    }
-    ++lines;
-}
-
 /**
  * Largest MLC cell cost, in 0.1 pJ units, the integer selector
  * admits: eight cells of it stay below the 2^15 sign bit of a 16-bit
@@ -151,7 +136,7 @@ pickLanes(const uint64_t *cost, const uint64_t *pad, unsigned n)
 } // namespace
 
 Vcc::Vcc(const OtpEngine &otp, const VccConfig &cfg)
-    : otp_(otp), cfg_(cfg)
+    : EncryptionScheme(&otp), cfg_(cfg)
 {
     if (cfg_.wordBytes != 1 && cfg_.wordBytes != 2 &&
         cfg_.wordBytes != 4 && cfg_.wordBytes != 8) {
@@ -463,8 +448,10 @@ Vcc::install(uint64_t line_addr, const CacheLine &plaintext,
     for (unsigned j = 0; j <= cfg_.candidates; ++j) {
         addLinePad(requests, lines, line_addr, virtualCounter(0, j));
     }
+    AesBlock blocks[4 * (kMaxCandidates + 1)];
+    generatePads(requests, blocks, 4 * lines);
     CacheLine pads[kMaxCandidates + 1];
-    generateLinePads(otp_, requests, pads, lines);
+    assembleLinePads(blocks, pads, lines);
     const uint64_t aux = pads[cfg_.candidates].limb(0);
 
     CacheLine cipher;
@@ -475,20 +462,6 @@ Vcc::install(uint64_t line_addr, const CacheLine &plaintext,
     state.data = cipher;
     state.modifiedBits = modified;
     state.cosetBits = (sel ^ aux) & auxMask_;
-}
-
-CacheLine
-Vcc::read(uint64_t line_addr, const StoredLineState &state) const
-{
-    LinePadRequest requests[4 * kMaxReadPadLines];
-    unsigned lines = planReadPads(line_addr, state, requests);
-    CacheLine pads[kMaxReadPadLines];
-    generateLinePads(otp_, requests, pads, lines);
-
-    const unsigned n = cfg_.candidates;
-    uint64_t sel = (state.cosetBits ^ pads[2 * n].limb(0)) & auxMask_;
-    return decryptWithPads(state.data, state.modifiedBits, sel, pads,
-                           pads + n);
 }
 
 unsigned
@@ -523,11 +496,14 @@ Vcc::planWritePads(uint64_t line_addr, const StoredLineState &state,
     return lines;
 }
 
-void
-Vcc::generatePads(const LinePadRequest *requests, AesBlock *pads,
-                  unsigned n) const
+CacheLine
+Vcc::readWithPads(uint64_t, const StoredLineState &state,
+                  const CacheLine *line_pads) const
 {
-    otp_.padForLines(requests, pads, n);
+    const unsigned n = cfg_.candidates;
+    uint64_t sel = (state.cosetBits ^ line_pads[2 * n].limb(0)) & auxMask_;
+    return decryptWithPads(state.data, state.modifiedBits, sel, line_pads,
+                           line_pads + n);
 }
 
 WriteResult

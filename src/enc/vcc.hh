@@ -81,8 +81,6 @@ class Vcc : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    CacheLine read(uint64_t line_addr,
-                   const StoredLineState &state) const override;
 
     /** Number of tracked words per line. */
     unsigned numWords() const { return numWords_; }
@@ -129,11 +127,13 @@ class Vcc : public EncryptionScheme
     /**
      * Read pad plan: the N candidates of LCTR(c), the N candidates of
      * TCTR(c) and the auxiliary pad of c — the 2N + 1 line pads that
-     * decrypt the current contents. read() generates them as one pad
-     * stream.
+     * decrypt the current contents.
      */
     unsigned planReadPads(uint64_t line_addr, const StoredLineState &state,
-                          LinePadRequest *requests) const;
+                          LinePadRequest *requests) const override;
+    CacheLine readWithPads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           const CacheLine *line_pads) const override;
 
     /**
      * Write pad plan: the read plan, then the N candidates and the
@@ -142,8 +142,6 @@ class Vcc : public EncryptionScheme
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
                            LinePadRequest *requests) const override;
-    void generatePads(const LinePadRequest *requests, AesBlock *pads,
-                      unsigned n) const override;
     WriteResult writeWithPads(uint64_t line_addr,
                               const CacheLine &plaintext,
                               StoredLineState &state,
@@ -194,7 +192,6 @@ class Vcc : public EncryptionScheme
                               uint64_t sel, const CacheLine *lctr_cands,
                               const CacheLine *tctr_cands) const;
 
-    const OtpEngine &otp_;
     VccConfig cfg_;
     unsigned wordBits_;
     unsigned numWords_;

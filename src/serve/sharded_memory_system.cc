@@ -17,6 +17,32 @@ namespace deuce
 namespace serve
 {
 
+namespace
+{
+
+/** @p req as a burst entry at global line address @p addr. */
+MemRequest
+memRequestOf(const Request &req, uint64_t addr)
+{
+    return MemRequest{req.op == ReqOp::Write ? MemOp::Write : MemOp::Read,
+                      addr, req.data};
+}
+
+/** A completion echoing @p req's identity and submit stamp. */
+Completion
+completionOf(const Request &req)
+{
+    Completion c;
+    c.op = req.op;
+    c.tenant = req.tenant;
+    c.addr = req.addr;
+    c.seq = req.seq;
+    c.submitNs = req.submitNs;
+    return c;
+}
+
+} // namespace
+
 uint64_t
 nowNs()
 {
@@ -24,6 +50,22 @@ nowNs()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
+}
+
+uint64_t
+checkedGlobalAddr(const ServeConfig &cfg, const Request &req)
+{
+    if (req.tenant >= cfg.tenants) {
+        deuce_fatal("request for tenant " + std::to_string(req.tenant) +
+                    " of " + std::to_string(cfg.tenants));
+    }
+    if ((req.addr >> cfg.tenantAddrBits) != 0) {
+        deuce_fatal("tenant-local line " + std::to_string(req.addr) +
+                    " exceeds " + std::to_string(cfg.tenantAddrBits) +
+                    " address bits");
+    }
+    return TenantScheme::globalAddr(req.tenant, req.addr,
+                                    cfg.tenantAddrBits);
 }
 
 MemoryCounters
@@ -34,30 +76,20 @@ replaySequential(const ServeConfig &cfg,
     TenantScheme scheme(keys, cfg.scheme, cfg.tenantAddrBits);
     MemorySystem system(scheme, cfg.wearLeveling, cfg.pcm,
                         [](uint64_t) { return CacheLine{}; });
-    // Consecutive writes replay as one batch-pipeline burst — the
-    // signature this reference produces is bit-identical either way,
-    // and the reference replay is the serving benches' wall-clock
-    // floor, so it should use the fast path too.
-    std::vector<WriteRequest> run;
-    std::size_t i = 0;
-    while (i < trace.size()) {
-        const Request &req = trace[i];
-        uint64_t addr = TenantScheme::globalAddr(req.tenant, req.addr,
-                                                 cfg.tenantAddrBits);
-        if (req.op != ReqOp::Write) {
-            system.read(addr);
-            ++i;
-            continue;
+    // The trace replays in bursts of the workers' size through the
+    // same mixed burst path; its signature is bit-identical to an
+    // op-at-a-time replay either way.
+    deuce_assert(cfg.maxBurst >= 1);
+    std::vector<MemRequest> burst;
+    for (std::size_t i = 0; i < trace.size(); i += cfg.maxBurst) {
+        burst.clear();
+        const std::size_t end = std::min<std::size_t>(
+            trace.size(), i + cfg.maxBurst);
+        for (std::size_t j = i; j < end; ++j) {
+            burst.push_back(memRequestOf(trace[j],
+                                         checkedGlobalAddr(cfg, trace[j])));
         }
-        run.clear();
-        while (i < trace.size() && trace[i].op == ReqOp::Write) {
-            run.push_back(WriteRequest{
-                TenantScheme::globalAddr(trace[i].tenant, trace[i].addr,
-                                         cfg.tenantAddrBits),
-                trace[i].data});
-            ++i;
-        }
-        system.writeBatch(run);
+        system.applyBurst(burst);
     }
     return system.counters();
 }
@@ -274,35 +306,6 @@ ShardedMemorySystem::backpressureStalls() const
     return total;
 }
 
-namespace
-{
-
-/** A completion echoing @p req's identity and submit stamp. */
-Completion
-completionOf(const Request &req)
-{
-    Completion c;
-    c.op = req.op;
-    c.tenant = req.tenant;
-    c.addr = req.addr;
-    c.seq = req.seq;
-    c.submitNs = req.submitNs;
-    return c;
-}
-
-} // namespace
-
-Completion
-ShardedMemorySystem::applyRead(Shard &shard, const Request &req)
-{
-    deuce_assert(req.tenant < cfg_.tenants);
-    Completion c = completionOf(req);
-    c.data = shard.system.read(TenantScheme::globalAddr(
-        req.tenant, req.addr, cfg_.tenantAddrBits));
-    c.completeNs = nowNs();
-    return c;
-}
-
 void
 ShardedMemorySystem::recordCompletion(Shard &shard,
                                       const Completion &c)
@@ -328,11 +331,9 @@ ShardedMemorySystem::workerLoop(unsigned s)
     Shard &shard = shards_[s];
     // Worker-local burst buffers, reused across visits (the drain is
     // allocation-free after warm-up, like the batch pipeline itself).
-    std::vector<Request> burst;
-    std::vector<WriteRequest> writes;
+    std::vector<MemRequest> burst;
     std::vector<Completion> completions;
     burst.reserve(cfg_.maxBurst);
-    writes.reserve(cfg_.maxBurst);
     completions.reserve(cfg_.maxBurst);
     for (;;) {
         bool any = false;
@@ -343,46 +344,31 @@ ShardedMemorySystem::workerLoop(unsigned s)
             }
             shard.sqDepth.add(depth);
 
-            // Drain the whole burst first, then apply: runs of
-            // consecutive writes go through the batch pipeline (one
-            // pad stream per run), reads apply singly. Completions
-            // stay FIFO with the submission order.
+            // Drain the whole burst, apply it in submission order
+            // through the mixed burst path (one pad stream per
+            // duplicate-free chunk), then complete it FIFO.
             burst.clear();
+            completions.clear();
             Request req;
             while (burst.size() < cfg_.maxBurst && port->sq.tryPop(req)) {
-                burst.push_back(std::move(req));
+                burst.push_back(memRequestOf(
+                    req, TenantScheme::globalAddr(req.tenant, req.addr,
+                                                  cfg_.tenantAddrBits)));
+                completions.push_back(completionOf(req));
             }
-            completions.clear();
-            std::size_t i = 0;
-            while (i < burst.size()) {
-                if (burst[i].op != ReqOp::Write) {
-                    completions.push_back(applyRead(shard, burst[i]));
-                    recordCompletion(shard, completions.back());
-                    ++i;
-                    continue;
+            BurstOutcome out = shard.system.applyBurst(burst);
+            const WriteOutcome *write = out.writes.data();
+            const CacheLine *read = out.reads.data();
+            for (Completion &c : completions) {
+                if (c.op == ReqOp::Write) {
+                    c.slots = write->slots;
+                    c.flips = write->result.totalFlips();
+                    ++write;
+                } else {
+                    c.data = *read++;
                 }
-                writes.clear();
-                std::size_t run_start = i;
-                while (i < burst.size() &&
-                       burst[i].op == ReqOp::Write) {
-                    deuce_assert(burst[i].tenant < cfg_.tenants);
-                    writes.push_back(WriteRequest{
-                        TenantScheme::globalAddr(burst[i].tenant,
-                                                 burst[i].addr,
-                                                 cfg_.tenantAddrBits),
-                        burst[i].data});
-                    ++i;
-                }
-                std::span<const WriteOutcome> outcomes =
-                    shard.system.writeBatch(writes);
-                for (std::size_t k = 0; k < outcomes.size(); ++k) {
-                    Completion c = completionOf(burst[run_start + k]);
-                    c.slots = outcomes[k].slots;
-                    c.flips = outcomes[k].result.totalFlips();
-                    c.completeNs = nowNs();
-                    recordCompletion(shard, c);
-                    completions.push_back(std::move(c));
-                }
+                c.completeNs = nowNs();
+                recordCompletion(shard, c);
             }
             for (Completion &c : completions) {
                 // CQ full means the client is slow to reap; spin with
@@ -421,8 +407,7 @@ ShardedMemorySystem::workerLoop(unsigned s)
 bool
 ShardedMemorySystem::ClientPort::trySubmit(Request req)
 {
-    uint64_t addr = TenantScheme::globalAddr(
-        req.tenant, req.addr, owner_->cfg_.tenantAddrBits);
+    uint64_t addr = checkedGlobalAddr(owner_->cfg_, req);
     Shard &shard = owner_->shards_[owner_->shardOf(addr)];
     return shard.ports[client_]->sq.tryPush(std::move(req));
 }

@@ -99,10 +99,19 @@ struct ServeConfig
 uint64_t nowNs();
 
 /**
+ * The global line address of @p req under @p cfg. Fatal when the
+ * tenant is not one of cfg.tenants or the tenant-local address does
+ * not fit cfg.tenantAddrBits: either would alias another tenant's
+ * lines, decrypted under that tenant's key.
+ */
+uint64_t checkedGlobalAddr(const ServeConfig &cfg, const Request &req);
+
+/**
  * Replay @p trace in order on one single-threaded MemorySystem built
- * from @p cfg (same tenant key domains, same scheme, same device) and
- * return its final counters. The reference the sharded path's
- * aggregate is gated against.
+ * from @p cfg (same tenant key domains, same scheme, same device),
+ * in applyBurst() bursts of cfg.maxBurst, and return its final
+ * counters. The reference the sharded path's aggregate is gated
+ * against. Fatal on a request checkedGlobalAddr() rejects.
  */
 MemoryCounters replaySequential(const ServeConfig &cfg,
                                 const std::vector<Request> &trace);
@@ -133,7 +142,8 @@ class ShardedMemorySystem
         ClientPort &operator=(const ClientPort &) = delete;
 
         /**
-         * Route @p req to its shard's submission queue.
+         * Route @p req to its shard's submission queue. Fatal, on the
+         * caller's thread, on a request checkedGlobalAddr() rejects.
          * @return false when that SQ is full (caller should poll
          *         completions and retry — backpressure, not loss).
          */
@@ -306,8 +316,6 @@ class ShardedMemorySystem
     };
 
     void workerLoop(unsigned s);
-    /** Serve one read (write runs go through writeBatch()). */
-    Completion applyRead(Shard &shard, const Request &req);
     void recordCompletion(Shard &shard, const Completion &c);
 
     ServeConfig cfg_;

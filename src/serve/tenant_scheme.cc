@@ -16,7 +16,7 @@ namespace serve
 TenantScheme::TenantScheme(const TenantKeyTable &keys,
                            const std::string &scheme_id,
                            unsigned tenant_addr_bits)
-    : addrBits_(tenant_addr_bits),
+    : EncryptionScheme(nullptr), addrBits_(tenant_addr_bits),
       localMask_((uint64_t{1} << tenant_addr_bits) - 1)
 {
     deuce_assert(tenant_addr_bits >= 1 && tenant_addr_bits < 48);
@@ -54,12 +54,37 @@ TenantScheme::install(uint64_t line_addr, const CacheLine &plaintext,
         .install(localOf(line_addr), plaintext, state);
 }
 
+unsigned
+TenantScheme::liftPlan(unsigned tenant, LinePadRequest *requests,
+                       unsigned lines) const
+{
+    // The lifted requests let one pad stream carry a burst that
+    // interleaves tenants.
+    for (unsigned i = 0; i < lines * 4; ++i) {
+        requests[i].lineAddr =
+            globalAddr(tenant, requests[i].lineAddr, addrBits_);
+    }
+    return lines;
+}
+
+unsigned
+TenantScheme::planReadPads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           LinePadRequest *requests) const
+{
+    unsigned tenant = tenantOf(line_addr);
+    return liftPlan(tenant, requests,
+                    tenantScheme(tenant).planReadPads(localOf(line_addr),
+                                                      state, requests));
+}
+
 CacheLine
-TenantScheme::read(uint64_t line_addr,
-                   const StoredLineState &state) const
+TenantScheme::readWithPads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           const CacheLine *line_pads) const
 {
     return tenantScheme(tenantOf(line_addr))
-        .read(localOf(line_addr), state);
+        .readWithPads(localOf(line_addr), state, line_pads);
 }
 
 unsigned
@@ -68,16 +93,9 @@ TenantScheme::planWritePads(uint64_t line_addr,
                             LinePadRequest *requests) const
 {
     unsigned tenant = tenantOf(line_addr);
-    unsigned n = tenantScheme(tenant).planWritePads(localOf(line_addr),
-                                                    state, requests);
-    // The inner scheme planned in its local address space; lift the
-    // requests back to global addresses so one pad stream can carry a
-    // burst that interleaves tenants.
-    for (unsigned i = 0; i < n * 4; ++i) {
-        requests[i].lineAddr =
-            globalAddr(tenant, requests[i].lineAddr, addrBits_);
-    }
-    return n;
+    return liftPlan(tenant, requests,
+                    tenantScheme(tenant).planWritePads(localOf(line_addr),
+                                                       state, requests));
 }
 
 void

@@ -73,17 +73,21 @@ class TenantScheme final : public EncryptionScheme
 
     void install(uint64_t line_addr, const CacheLine &plaintext,
                  StoredLineState &state) const override;
-    CacheLine read(uint64_t line_addr,
-                   const StoredLineState &state) const override;
 
     /**
-     * Writes pass through to the inner scheme's plan and pads. Plans
-     * carry global addresses (so one burst may mix tenants);
-     * generatePads() splits the request stream into consecutive
-     * same-tenant runs and hands each run — rewritten to
+     * Reads and writes pass through to the inner scheme's plan and
+     * pads. Plans carry global addresses (so one burst may mix
+     * tenants); generatePads() splits the request stream into
+     * consecutive same-tenant runs and hands each run — rewritten to
      * tenant-local addresses — to that tenant's inner scheme, which
      * generates through its own key domain's engine.
      */
+    unsigned planReadPads(uint64_t line_addr,
+                          const StoredLineState &state,
+                          LinePadRequest *requests) const override;
+    CacheLine readWithPads(uint64_t line_addr,
+                           const StoredLineState &state,
+                           const CacheLine *line_pads) const override;
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
                            LinePadRequest *requests) const override;
@@ -95,6 +99,11 @@ class TenantScheme final : public EncryptionScheme
                               const CacheLine *line_pads) const override;
 
   private:
+    /** Lift @p lines line pads @p tenant's inner scheme planned at
+     *  local addresses to global ones. */
+    unsigned liftPlan(unsigned tenant, LinePadRequest *requests,
+                      unsigned lines) const;
+
     std::vector<std::unique_ptr<EncryptionScheme>> schemes_;
     unsigned addrBits_;
     uint64_t localMask_;

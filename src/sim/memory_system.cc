@@ -5,6 +5,8 @@
 
 #include "sim/memory_system.hh"
 
+#include <type_traits>
+
 #include "common/line_kernels.hh"
 #include "common/logging.hh"
 #include "obs/flight_recorder.hh"
@@ -79,8 +81,26 @@ MemorySystem::write(uint64_t line_addr, const CacheLine &plaintext)
     // writeBatch(), without the burst's WriteBatch flight event.
     scratch_.outcomes.clear();
     const WriteRequest request{line_addr, plaintext};
-    applyBatchChunk({&request, 1});
+    applyChunk<WriteRequest>({&request, 1});
     return scratch_.outcomes.front();
+}
+
+CacheLine
+MemorySystem::read(uint64_t line_addr)
+{
+    StoredLineState &state = install(line_addr);
+    chargeRead(line_addr);
+    return scheme_.read(line_addr, state);
+}
+
+void
+MemorySystem::chargeRead(uint64_t line_addr)
+{
+    counters_.noteRead(line_addr);
+    if (persist_) {
+        PersistTraffic t = persist_->onRead(line_addr);
+        counters_.notePersist(t.metaReads, t.metaWrites);
+    }
 }
 
 void
@@ -116,41 +136,58 @@ MemorySystem::chargeMlcWrite(const CacheLine &phys_diff,
 std::span<const WriteOutcome>
 MemorySystem::writeBatch(std::span<const WriteRequest> requests)
 {
+    runBurst(requests);
+    return {scratch_.outcomes.data(), scratch_.outcomes.size()};
+}
+
+BurstOutcome
+MemorySystem::applyBurst(std::span<const MemRequest> requests)
+{
+    runBurst(requests);
+    return {{scratch_.outcomes.data(), scratch_.outcomes.size()},
+            {scratch_.reads.data(), scratch_.reads.size()}};
+}
+
+template <class Request>
+void
+MemorySystem::runBurst(std::span<const Request> requests)
+{
     BatchScratch &s = scratch_;
     s.outcomes.clear();
+    s.reads.clear();
     if (requests.empty()) {
-        return {};
+        return;
     }
     s.outcomes.reserve(requests.size());
 
-    // A repeated address must plan its second write against the
-    // post-first-write state, so the burst splits into duplicate-free
+    // A repeated address must plan against the state its predecessor
+    // in the burst left, so the burst splits into duplicate-free
     // chunks committed in order.
     std::size_t begin = 0;
     s.seen.clear();
     for (std::size_t i = 0; i < requests.size(); ++i) {
         if (!s.seen.insert(requests[i].lineAddr).second) {
-            applyBatchChunk(requests.subspan(begin, i - begin));
+            applyChunk(requests.subspan(begin, i - begin));
             begin = i;
             s.seen.clear();
             s.seen.insert(requests[i].lineAddr);
         }
     }
-    applyBatchChunk(requests.subspan(begin));
+    applyChunk(requests.subspan(begin));
     obs::flightRecorderRecord(obs::FlightEventKind::WriteBatch, 0, 0,
                               requests.size());
-    return {s.outcomes.data(), s.outcomes.size()};
 }
 
+template <class Request>
 void
-MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
+MemorySystem::applyChunk(std::span<const Request> chunk)
 {
     BatchScratch &s = scratch_;
     const std::size_t n = chunk.size();
 
     // The arenas only grow. Duplicate splits make chunk sizes vary,
     // and resizing down and up again would value-initialize the
-    // regrown tail (56 pad requests a line) on every longer chunk.
+    // regrown tail (64 pad requests a line) on every longer chunk.
     auto reserveArena = [](auto &arena, std::size_t size) {
         if (arena.size() < size) {
             arena.resize(size);
@@ -163,13 +200,22 @@ MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
     reserveArena(s.states, n);
     reserveArena(s.padOffsets, n + 1);
     reserveArena(s.padReqs, 4 * kMaxWritePadLines * n);
+    auto isRead = [&chunk](std::size_t i) {
+        if constexpr (std::is_same_v<Request, MemRequest>) {
+            return chunk[i].op == MemOp::Read;
+        }
+        return false;
+    };
     unsigned pad_total = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        StoredLineState &state = install(chunk[i].lineAddr);
+        const uint64_t addr = chunk[i].lineAddr;
+        StoredLineState &state = install(addr);
+        LinePadRequest *plan = s.padReqs.data() + 4 * pad_total;
         s.states[i] = &state;
         s.padOffsets[i] = pad_total;
-        pad_total += scheme_.planWritePads(
-            chunk[i].lineAddr, state, s.padReqs.data() + 4 * pad_total);
+        pad_total += isRead(i)
+            ? scheme_.planReadPads(addr, state, plan)
+            : scheme_.planWritePads(addr, state, plan);
     }
     s.padOffsets[n] = pad_total;
 
@@ -180,15 +226,23 @@ MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
     reserveArena(s.linePads, pad_total);
     assembleLinePads(s.pads.data(), s.linePads.data(), pad_total);
 
-    // Phase 3: commit in request order, with the wear landing
+    // Phase 3: commit in request order, with the writes' wear landing
     // deferred (wear is integer-exact and commutative) to one
     // cross-line batch below.
     reserveArena(s.physDiffs, n);
     reserveArena(s.metaDiffs, n);
     reserveArena(s.cosetDiffs, n);
+    std::size_t writes = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const uint64_t addr = chunk[i].lineAddr;
         StoredLineState &state = *s.states[i];
+        const CacheLine *line_pads = s.linePads.data() + s.padOffsets[i];
+
+        if (isRead(i)) {
+            chargeRead(addr);
+            s.reads.push_back(scheme_.readWithPads(addr, state, line_pads));
+            continue;
+        }
 
         // Vertical wear leveling advances on demand writes. The gap
         // copy itself rewrites one line at its new rotation; its (~1%
@@ -200,9 +254,8 @@ MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
         }
 
         WriteOutcome outcome;
-        outcome.result = scheme_.writeWithPads(
-            addr, chunk[i].data, state,
-            s.linePads.data() + s.padOffsets[i]);
+        outcome.result =
+            scheme_.writeWithPads(addr, chunk[i].data, state, line_pads);
 
         unsigned rotation = rotation_->rotationFor(addr);
         rotation_->onWrite(addr);
@@ -235,10 +288,11 @@ MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
                                   outcome.flipFraction);
         obs::flightRecorderRecord(obs::FlightEventKind::Write, 0, 0,
                                   addr, outcome.result.totalFlips());
-        s.physDiffs[i] = phys;
-        s.metaDiffs[i] =
+        s.physDiffs[writes] = phys;
+        s.metaDiffs[writes] =
             outcome.result.modifiedDiff | outcome.result.flipDiff;
-        s.cosetDiffs[i] = outcome.result.cosetDiff;
+        s.cosetDiffs[writes] = outcome.result.cosetDiff;
+        ++writes;
 
         if (persist_) {
             PersistTraffic t = persist_->onWrite(addr, state);
@@ -249,20 +303,10 @@ MemorySystem::applyBatchChunk(std::span<const WriteRequest> chunk)
         s.outcomes.push_back(outcome);
     }
 
-    counters_.noteWearBatch(s.physDiffs.data(), s.metaDiffs.data(), n,
-                            s.cosetDiffs.data());
-}
-
-CacheLine
-MemorySystem::read(uint64_t line_addr)
-{
-    StoredLineState &state = install(line_addr);
-    counters_.noteRead(line_addr);
-    if (persist_) {
-        PersistTraffic t = persist_->onRead(line_addr);
-        counters_.notePersist(t.metaReads, t.metaWrites);
+    if (writes > 0) {
+        counters_.noteWearBatch(s.physDiffs.data(), s.metaDiffs.data(),
+                                writes, s.cosetDiffs.data());
     }
-    return scheme_.read(line_addr, state);
 }
 
 ReadStatus

@@ -76,6 +76,17 @@ struct WriteRequest
     CacheLine data;
 };
 
+/** Operation kind of a mixed burst entry. */
+enum class MemOp : uint8_t { Read, Write };
+
+/** One entry of a mixed read/write burst (MemorySystem::applyBurst). */
+struct MemRequest
+{
+    MemOp op = MemOp::Read;
+    uint64_t lineAddr = 0;
+    CacheLine data; ///< write payload (ignored for reads)
+};
+
 /** Per-write outcome surfaced to callers. */
 struct WriteOutcome
 {
@@ -108,6 +119,14 @@ struct WriteOutcome
      *  flushes; 0 for write-behind policies or when the model is
      *  off). */
     unsigned persistMetaWrites = 0;
+};
+
+/** A mixed burst's write outcomes and read plaintexts, each in
+ *  submission order (spans into the system's arenas). */
+struct BurstOutcome
+{
+    std::span<const WriteOutcome> writes;
+    std::span<const CacheLine> reads;
 };
 
 /** A secure PCM main memory for one scheme + wear-leveling combo. */
@@ -149,33 +168,31 @@ class MemorySystem
     MemorySystem &operator=(MemorySystem &&) = delete;
 
     /**
-     * Write back a line (installing it first if never seen): a
-     * writeBatch() of one, minus the burst's WriteBatch flight event.
-     * Reuses the outcome arena, so it also ends the life of the span
-     * the last writeBatch() returned.
+     * Write back a line (installing it first if never seen): a burst
+     * of one, without the burst's WriteBatch flight event. Reuses the
+     * outcome arena, so it also ends the life of the span the last
+     * writeBatch() or applyBurst() returned.
      */
     WriteOutcome write(uint64_t line_addr, const CacheLine &plaintext);
 
     /**
-     * Write back a burst of lines: install + pad-plan every line,
-     * generate all OTP pads in one cipher stream (where wide AES
-     * backends earn their keep), then commit slots/wear/fault/persist
-     * in request order with the burst's wear landed through the
-     * cross-line kernels.
-     *
-     * Bit-identical to calling write() per request, in order — same
-     * outcomes, same stored states, same counter signature — for
-     * every scheme. Schemes whose pads depend on the incoming data
-     * plan none and generate them at commit; a repeated address
-     * splits the burst so later writes plan against post-write state.
-     *
-     * The returned span lives in a per-system arena reused by the
-     * next write() or writeBatch() call — consume it before then.
+     * Apply a burst of reads and writes in submission order, in
+     * chunks that close when an address repeats: every op of a chunk
+     * installs and plans its pads against pre-chunk state, all pads
+     * come from one cipher stream (where wide AES backends earn their
+     * keep), and the ops commit in order, the writes' wear landing
+     * through the cross-line kernels. Bit-identical to read() and
+     * write() per request, in order, for every scheme. The spans live
+     * until the next write(), writeBatch() or applyBurst().
      */
+    BurstOutcome applyBurst(std::span<const MemRequest> requests);
+
+    /** Write back a burst of lines: applyBurst()'s write-only case. */
     std::span<const WriteOutcome>
     writeBatch(std::span<const WriteRequest> requests);
 
-    /** Read (decrypt) a line; installs it if never seen. */
+    /** Read (decrypt) a line, installing it if never seen: the charge
+     *  of a burst's read, then EncryptionScheme::read(). */
     CacheLine read(uint64_t line_addr);
 
     /**
@@ -330,12 +347,22 @@ class MemorySystem
   private:
     StoredLineState &install(uint64_t line_addr);
 
+    /** Charge one read: the read counters, then the persist domain's
+     *  read traffic. */
+    void chargeRead(uint64_t line_addr);
+
+    /** Commit @p requests (WriteRequest or MemRequest) through
+     *  applyChunk(), one duplicate-free chunk at a time. */
+    template <class Request>
+    void runBurst(std::span<const Request> requests);
+
     /**
      * Commit one duplicate-free slice of a burst (plan → generate →
-     * writeWithPads → accounting), appending its outcomes to the
-     * outcome arena. Every write, single or batched, lands here.
+     * write/readWithPads → accounting), appending to the outcome and
+     * read arenas. Every read and write, single or batched, lands here.
      */
-    void applyBatchChunk(std::span<const WriteRequest> chunk);
+    template <class Request>
+    void applyChunk(std::span<const Request> chunk);
 
     /**
      * MLC2 accounting of one committed write: build the physical
@@ -365,6 +392,7 @@ class MemorySystem
         std::vector<uint64_t> metaDiffs;
         std::vector<uint64_t> cosetDiffs;
         std::vector<WriteOutcome> outcomes;
+        std::vector<CacheLine> reads;
         std::unordered_set<uint64_t> seen;
     };
 

@@ -19,6 +19,7 @@
 #include "crypto/otp_engine.hh"
 #include "enc/deuce.hh"
 #include "enc/scheme_factory.hh"
+#include "serve/tenant_scheme.hh"
 
 namespace deuce
 {
@@ -395,26 +396,129 @@ TEST(DeucePadPlan, OneWritePlansEachPadOnce)
     }
 }
 
+/** Counts pad calls by entry point, forwarding to an inner engine. */
+class CallCountingOtp final : public OtpEngine
+{
+  public:
+    explicit CallCountingOtp(const OtpEngine &inner) : inner_(inner) {}
+
+    AesBlock
+    padForBlock(uint64_t line_addr, uint64_t counter,
+                unsigned block) const override
+    {
+        ++otherCalls;
+        return inner_.padForBlock(line_addr, counter, block);
+    }
+
+    void
+    padForBlocks(uint64_t line_addr, const PadRequest *requests,
+                 AesBlock *pads, unsigned n) const override
+    {
+        ++otherCalls;
+        inner_.padForBlocks(line_addr, requests, pads, n);
+    }
+
+    void
+    padForLines(const LinePadRequest *requests, AesBlock *pads,
+                unsigned n) const override
+    {
+        ++lineBatches;
+        linePads += n;
+        inner_.padForLines(requests, pads, n);
+    }
+
+    CacheLine
+    padForLine(uint64_t line_addr, uint64_t counter) const override
+    {
+        ++otherCalls;
+        return inner_.padForLine(line_addr, counter);
+    }
+
+    void reset() const { otherCalls = lineBatches = linePads = 0; }
+
+    mutable unsigned otherCalls = 0;  ///< any entry but padForLines
+    mutable unsigned lineBatches = 0; ///< padForLines() calls
+    mutable unsigned linePads = 0;    ///< blocks they requested
+
+  private:
+    const OtpEngine &inner_;
+};
+
+/** Every scheme id, the sweep variants included. */
+const char *const kAllIds[] = {
+    "nodcw", "nofnw", "encr", "encr-fnw", "ble", "ble-deuce",
+    "deuce", "deuce-fnw", "dyndeuce", "deuce-1b", "deuce-8b",
+    "deuce-e8", "addrpad", "invmm", "perword", "vcc", "vcc-mlc"};
+
 TEST(DeucePadPlan, ReadIsOnePadBatch)
 {
-    // A read fetches its LCTR and TCTR pads as one 8-block stream:
-    // the same pads as two padForLine() calls, in one batch.
-    FastOtpEngine otp(7);
-    for (const char *id : {"deuce", "deuce-fnw", "dyndeuce"}) {
+    // A read plans its pads and fetches them as one padForLines()
+    // stream of 4 * planReadPads() blocks — the read path's one choke
+    // point — or, planning none, touches no engine at all. Every
+    // DEUCE variant's LCTR and TCTR pads are one 8-block stream.
+    FastOtpEngine fast(7);
+    CallCountingOtp otp(fast);
+    for (const char *id : kAllIds) {
         SCOPED_TRACE(id);
         std::unique_ptr<EncryptionScheme> scheme = makeScheme(id, otp);
+        Rng rng(11);
+        CacheLine plain = randomLine(rng);
         StoredLineState state;
-        CacheLine plain;
-        plain.limb(3) = 0x1234;
         scheme->install(9, plain, state);
-        plain.limb(5) = 0x5678;
-        scheme->write(9, plain, state);
+        for (int step = 0; step < 40; ++step) {
+            LinePadRequest reqs[4 * kMaxReadPadLines];
+            unsigned lines = scheme->planReadPads(9, state, reqs);
+            otp.reset();
+            EXPECT_EQ(scheme->read(9, state), plain) << "step " << step;
+            EXPECT_EQ(otp.otherCalls, 0u) << "step " << step;
+            EXPECT_EQ(otp.lineBatches, lines > 0 ? 1u : 0u)
+                << "step " << step;
+            EXPECT_EQ(otp.linePads, 4 * lines) << "step " << step;
+            if (step == 0 &&
+                std::string(id).find("deuce") != std::string::npos) {
+                EXPECT_EQ(otp.linePads, 8u);
+            }
+            plain = rng.nextBool(0.3)
+                ? randomLine(rng)
+                : withModifiedWord(plain, step % 32, 16, rng.next());
+            scheme->write(9, plain, state);
+        }
+    }
 
-        uint64_t batches = otp.padBatches();
-        uint64_t pads = otp.padsGenerated();
-        EXPECT_EQ(scheme->read(9, state), plain);
-        EXPECT_EQ(otp.padBatches() - batches, 1u);
-        EXPECT_EQ(otp.padsGenerated() - pads, 8u);
+    // Through TenantScheme the plan is lifted to global addresses and
+    // generated by the line's own tenant's engine alone, still as one
+    // batch of 4 * planReadPads() pads.
+    TenantKeyTable keys(0x7e4a47, 3, true);
+    for (const char *id : kAllIds) {
+        SCOPED_TRACE(std::string("tenant ") + id);
+        serve::TenantScheme scheme(keys, id, 8);
+        const uint64_t addr = serve::TenantScheme::globalAddr(1, 9, 8);
+        Rng rng(12);
+        CacheLine plain = randomLine(rng);
+        StoredLineState state;
+        scheme.install(addr, plain, state);
+        for (int step = 0; step < 10; ++step) {
+            LinePadRequest reqs[4 * kMaxReadPadLines];
+            unsigned lines = scheme.planReadPads(addr, state, reqs);
+            for (unsigned i = 0; i < 4 * lines; ++i) {
+                ASSERT_EQ(scheme.tenantOf(reqs[i].lineAddr), 1u);
+            }
+            OtpCounterSnapshot before[3];
+            for (unsigned t = 0; t < 3; ++t) {
+                before[t] = keys.engine(t).snapshotCounters();
+            }
+            EXPECT_EQ(scheme.read(addr, state), plain);
+            for (unsigned t = 0; t < 3; ++t) {
+                OtpCounterSnapshot now = keys.engine(t).snapshotCounters();
+                bool mine = t == 1 && lines > 0;
+                EXPECT_EQ(now.padBatches - before[t].padBatches,
+                          mine ? 1u : 0u) << "tenant " << t;
+                EXPECT_EQ(now.pads - before[t].pads, mine ? 4 * lines : 0)
+                    << "tenant " << t;
+            }
+            plain = withModifiedWord(plain, step, 16, rng.next());
+            scheme.write(addr, plain, state);
+        }
     }
 }
 

@@ -16,6 +16,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "crypto/otp_engine.hh"
+#include "enc/per_word_counters.hh"
 #include "enc/scheme_factory.hh"
 
 namespace deuce
@@ -178,7 +179,8 @@ TEST(SchemeProperty, CorruptionContainmentOfXorPadSchemes)
     // reason ECC composes cleanly with it).
     auto otp = makeAesOtpEngine(8);
     Rng rng(8);
-    for (const char *id : {"encr", "deuce", "ble", "addrpad"}) {
+    for (const char *id :
+         {"encr", "deuce", "ble", "addrpad", "perword", "vcc", "vcc-mlc"}) {
         auto scheme = makeScheme(id, *otp);
         CacheLine plain = randomLine(rng);
         StoredLineState state;
@@ -221,6 +223,56 @@ TEST(SchemeProperty, PadPlanFitsTheWriteArena)
                 << id << " step " << step;
             plain = sparseMutate(plain, rng);
             scheme->write(11, plain, state);
+        }
+    }
+}
+
+TEST(SchemeProperty, ReadPadPlanFitsTheReadArena)
+{
+    // EncryptionScheme::read() plans into a fixed arena of
+    // 4 * kMaxReadPadLines requests: every scheme must stay within it
+    // on every read, epoch starts and re-keys included, and the plan
+    // must decode what was written. Per-word counters at their
+    // smallest word (1 byte, 2-bit counters so they re-key) fill the
+    // read arena exactly, and their write plan is that read-back. The
+    // buffer here is oversized so an over-plan fails the check
+    // instead of overrunning it.
+    std::unique_ptr<OtpEngine> otp = makeAesOtpEngine(4242);
+    std::vector<std::unique_ptr<EncryptionScheme>> schemes;
+    for (const char *id :
+         {"nodcw", "nofnw", "encr", "encr-fnw", "ble", "ble-deuce",
+          "deuce", "deuce-fnw", "dyndeuce", "deuce-1b", "deuce-8b",
+          "deuce-e8", "addrpad", "invmm", "perword", "vcc", "vcc-mlc"}) {
+        schemes.push_back(makeScheme(id, *otp));
+    }
+    schemes.push_back(std::make_unique<PerWordCounters>(*otp, 1, 2));
+    for (const auto &scheme : schemes) {
+        const bool one_byte = scheme->name() == "PerWordCtr-1B-c2";
+        Rng rng(7);
+        CacheLine plain = randomLine(rng);
+        StoredLineState state;
+        scheme->install(11, plain, state);
+        std::vector<LinePadRequest> reqs(16 * kMaxWritePadLines);
+        for (int step = 0; step < 120; ++step) {
+            unsigned lines = scheme->planReadPads(11, state, reqs.data());
+            ASSERT_LE(lines, kMaxReadPadLines)
+                << scheme->name() << " step " << step;
+            if (one_byte) {
+                ASSERT_EQ(lines, kMaxReadPadLines);
+                ASSERT_EQ(scheme->planWritePads(11, state, reqs.data()),
+                          kMaxReadPadLines);
+            }
+            ASSERT_EQ(scheme->read(11, state), plain)
+                << scheme->name() << " step " << step;
+            plain = rng.nextBool(0.1) ? randomLine(rng)
+                                      : sparseMutate(plain, rng);
+            scheme->write(11, plain, state);
+        }
+        if (one_byte) {
+            EXPECT_GT(
+                static_cast<const PerWordCounters &>(*scheme)
+                    .overflowRekeys(),
+                0u);
         }
     }
 }

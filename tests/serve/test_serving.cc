@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "crypto/key_domain.hh"
 #include "crypto/otp_engine.hh"
@@ -346,6 +347,61 @@ TEST(ShardedMemorySystemTest, TinyQueuesBackpressureWithoutLoss)
     EXPECT_EQ(srv.aggregateCounters().deterministicSignature(),
               serve::replaySequential(cfg, trace)
                   .deterministicSignature());
+}
+
+TEST(ShardedMemorySystemTest, OutOfRangeTenantAddressIsRejected)
+{
+    // Tenant 0's local line 0x13 does not fit 4 address bits: composed
+    // blindly it would be tenant 1's line 3, read back decrypted under
+    // tenant 1's key. The submitting thread gets the fatal error, and
+    // nothing reaches a shard.
+    ServeConfig cfg;
+    cfg.scheme = "encr";
+    cfg.shards = 2;
+    cfg.tenants = 2;
+    cfg.fastOtp = true;
+    cfg.tenantAddrBits = 4;
+
+    Request alias;
+    alias.op = ReqOp::Read;
+    alias.tenant = 0;
+    alias.addr = 0x13;
+    Request in_range = alias;
+    in_range.addr = 0xf;
+
+    ShardedMemorySystem srv(cfg);
+    auto port = srv.addClient();
+    EXPECT_THROW(port.trySubmit(alias), FatalError);
+    EXPECT_TRUE(port.trySubmit(in_range));
+    for (unsigned s = 0; s < cfg.shards; ++s) {
+        EXPECT_EQ(srv.queueDepth(s), s == srv.shardOf(0xf) ? 1u : 0u);
+    }
+
+    EXPECT_THROW(serve::replaySequential(cfg, {in_range, alias}),
+                 FatalError);
+}
+
+TEST(ShardedMemorySystemTest, UnknownTenantIsRejected)
+{
+    // A tenant without a key domain used to reach the worker's
+    // assertion and abort the process from the worker thread.
+    ServeConfig cfg;
+    cfg.scheme = "encr";
+    cfg.shards = 2;
+    cfg.tenants = 2;
+    cfg.fastOtp = true;
+    cfg.tenantAddrBits = 4;
+
+    Request req;
+    req.op = ReqOp::Write;
+    req.tenant = 2;
+    req.addr = 3;
+    req.data = patternLine(1);
+
+    ShardedMemorySystem srv(cfg);
+    auto port = srv.addClient();
+    EXPECT_THROW(port.trySubmit(req), FatalError);
+    EXPECT_THROW(serve::replaySequential(cfg, {req}), FatalError);
 }
 
 TEST(ShardedMemorySystemTest, ShardedAggregateMatchesSequentialReplay)

@@ -1,22 +1,28 @@
 /**
  * @file
- * Bit-identity tests for the batched write pipeline: for every scheme
- * and batch size, MemorySystem::writeBatch must produce exactly the
- * same outcomes, stored states, and counter signature as the same
- * trace replayed one write() at a time.
+ * Bit-identity tests for the batched pipeline: for every scheme and
+ * batch size, MemorySystem::writeBatch must produce exactly the same
+ * outcomes, stored states, and counter signature as the same trace
+ * replayed one write() at a time, and applyBurst over interleaved
+ * reads and writes exactly what read() and write() produce one op at
+ * a time.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/cache_line.hh"
 #include "common/rng.hh"
+#include "crypto/key_domain.hh"
 #include "crypto/otp_engine.hh"
 #include "enc/scheme_factory.hh"
+#include "serve/tenant_scheme.hh"
 #include "sim/memory_system.hh"
+#include "sim/stats_dump.hh"
 
 namespace deuce
 {
@@ -357,6 +363,191 @@ TEST(WriteBatch, SingleRequestBatchMatchesWrite)
     }
     EXPECT_EQ(seq.system->counters().deterministicSignature(),
               bat.system->counters().deterministicSignature());
+}
+
+/**
+ * An interleaved read/write trace over @p addrs: each op hits a random
+ * line of the pool, and a third of the time the next op hits the same
+ * line with the opposite kind, so bursts hold read-after-write and
+ * write-after-read pairs of one line.
+ */
+std::vector<MemRequest>
+makeMixedTrace(unsigned ops, const std::vector<uint64_t> &addrs,
+               uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<MemRequest> trace;
+    trace.reserve(ops);
+    while (trace.size() < ops) {
+        MemRequest req;
+        if (!trace.empty() && rng.nextBool(1.0 / 3)) {
+            req.lineAddr = trace.back().lineAddr;
+            req.op = trace.back().op == MemOp::Read ? MemOp::Write
+                                                    : MemOp::Read;
+        } else {
+            req.lineAddr = addrs[rng.nextBounded(addrs.size())];
+            req.op = rng.nextBool(0.5) ? MemOp::Read : MemOp::Write;
+        }
+        if (req.op == MemOp::Write) {
+            req.data = initialContents(req.lineAddr);
+            unsigned words = 1 + static_cast<unsigned>(rng.nextBounded(8));
+            for (unsigned w = 0; w < words; ++w) {
+                unsigned limb = static_cast<unsigned>(rng.nextBounded(8));
+                req.data.limb(limb) ^=
+                    rng.next() & (rng.nextBool(0.5) ? 0xffffull
+                                                    : ~uint64_t{0});
+            }
+        }
+        trace.push_back(req);
+    }
+    return trace;
+}
+
+/** A system over one scheme id, or a TenantScheme of it. */
+struct MixedFixture
+{
+    static constexpr unsigned kTenantAddrBits = 8;
+
+    std::unique_ptr<OtpEngine> otp;
+    std::unique_ptr<TenantKeyTable> keys;
+    std::unique_ptr<EncryptionScheme> scheme;
+    std::unique_ptr<MemorySystem> system;
+
+    MixedFixture(const std::string &scheme_id, unsigned tenants,
+                 const PersistConfig &persist)
+    {
+        if (tenants > 0) {
+            keys = std::make_unique<TenantKeyTable>(0xfeed, tenants, true);
+            scheme = std::make_unique<serve::TenantScheme>(
+                *keys, scheme_id, kTenantAddrBits);
+        } else {
+            otp = std::make_unique<FastOtpEngine>(0xfeed);
+            scheme = makeScheme(scheme_id, *otp);
+        }
+        system = std::make_unique<MemorySystem>(
+            *scheme, WearLevelingConfig{}, PcmConfig{}, initialContents,
+            FaultConfig{}, persist);
+    }
+
+    /** Both stats dumps, text then JSON. */
+    std::string
+    stats() const
+    {
+        std::ostringstream os;
+        dumpStats(os, *system);
+        dumpStatsJson(os, *system);
+        return os.str();
+    }
+};
+
+/**
+ * Replay a mixed trace through two systems — read() and write() one
+ * op at a time, and applyBurst() in bursts of @p burst — and require
+ * bit-identical plaintexts, outcomes, stored states, counter
+ * signatures and stats dumps.
+ */
+void
+expectMixedBurstsMatchSequential(const std::string &scheme_id,
+                                 unsigned tenants,
+                                 const PersistConfig &persist,
+                                 unsigned burst)
+{
+    SCOPED_TRACE(scheme_id + " tenants=" + std::to_string(tenants) +
+                 " persist=" + std::to_string(persist.enabled) +
+                 " burst=" + std::to_string(burst));
+    std::vector<uint64_t> addrs;
+    for (unsigned a = 0; a < 29; ++a) {
+        addrs.push_back(tenants > 0
+                            ? serve::TenantScheme::globalAddr(
+                                  a % tenants, a * 3 + 1,
+                                  MixedFixture::kTenantAddrBits)
+                            : uint64_t{a} * 3 + 1);
+    }
+    std::vector<MemRequest> trace =
+        makeMixedTrace(400, addrs, 0x5eed + burst);
+    // The differential is only as strong as its trace: it must hold a
+    // read right after a write of the same line and a write right
+    // after a read of it, or bursts never split on them.
+    bool raw = false;
+    bool war = false;
+    for (std::size_t i = 1; i < trace.size(); ++i) {
+        if (trace[i].lineAddr == trace[i - 1].lineAddr &&
+            trace[i].op != trace[i - 1].op) {
+            raw |= trace[i].op == MemOp::Read;
+            war |= trace[i].op == MemOp::Write;
+        }
+    }
+    ASSERT_TRUE(raw && war);
+
+    MixedFixture seq(scheme_id, tenants, persist);
+    MixedFixture bat(scheme_id, tenants, persist);
+
+    std::vector<WriteOutcome> seq_writes;
+    std::vector<CacheLine> seq_reads;
+    for (const MemRequest &r : trace) {
+        if (r.op == MemOp::Read) {
+            seq_reads.push_back(seq.system->read(r.lineAddr));
+        } else {
+            seq_writes.push_back(seq.system->write(r.lineAddr, r.data));
+        }
+    }
+
+    std::vector<WriteOutcome> bat_writes;
+    std::vector<CacheLine> bat_reads;
+    for (std::size_t i = 0; i < trace.size(); i += burst) {
+        std::size_t n = std::min<std::size_t>(burst, trace.size() - i);
+        BurstOutcome out = bat.system->applyBurst(
+            std::span<const MemRequest>(trace.data() + i, n));
+        // The spans alias the system's arenas: copy out first.
+        bat_writes.insert(bat_writes.end(), out.writes.begin(),
+                          out.writes.end());
+        bat_reads.insert(bat_reads.end(), out.reads.begin(),
+                         out.reads.end());
+    }
+
+    ASSERT_EQ(seq_reads.size(), bat_reads.size());
+    for (std::size_t i = 0; i < seq_reads.size(); ++i) {
+        EXPECT_EQ(seq_reads[i], bat_reads[i]) << "read " << i;
+    }
+    ASSERT_EQ(seq_writes.size(), bat_writes.size());
+    for (std::size_t i = 0; i < seq_writes.size(); ++i) {
+        expectOutcomeEq(seq_writes[i], bat_writes[i],
+                        "write " + std::to_string(i));
+    }
+    for (uint64_t addr : addrs) {
+        ASSERT_EQ(seq.system->contains(addr), bat.system->contains(addr));
+        if (seq.system->contains(addr)) {
+            EXPECT_EQ(seq.system->storedState(addr),
+                      bat.system->storedState(addr))
+                << "line " << addr;
+        }
+    }
+    EXPECT_EQ(seq.system->counters().deterministicSignature(),
+              bat.system->counters().deterministicSignature());
+    EXPECT_EQ(seq.stats(), bat.stats());
+}
+
+TEST(WriteBatch, MixedBurstsMatchOpAtATime)
+{
+    std::vector<std::string> ids = schemesUnderTest();
+    for (const char *id : {"deuce-1b", "deuce-8b", "deuce-e8"}) {
+        ids.push_back(id);
+    }
+    PersistConfig lazy;
+    lazy.enabled = true;
+    lazy.policy = PersistConfig::Policy::Lazy;
+    lazy.integrity = true;
+    lazy.flushEpoch = 16;
+    for (const std::string &id : ids) {
+        for (unsigned tenants : {0u, 3u}) {
+            for (const PersistConfig &persist : {PersistConfig{}, lazy}) {
+                for (unsigned burst : {1u, 7u, 64u}) {
+                    expectMixedBurstsMatchSequential(id, tenants, persist,
+                                                     burst);
+                }
+            }
+        }
+    }
 }
 
 } // namespace
