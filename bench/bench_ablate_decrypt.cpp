@@ -23,7 +23,6 @@ regenerate()
     printBanner(std::cout, "Ablation (Figure 3)",
                 "decryption path: serialized cipher vs parallel OTP");
     ExperimentOptions opt = benchutil::standardOptions();
-    opt.fastOtp = true;
     opt.timing = true;
 
     Table t({"cipher latency", "path", "avg read latency (ns)",
@@ -62,7 +61,6 @@ BM_TimedCellDecryptPath(benchmark::State &state)
     p.workingSetLines = 512;
     ExperimentOptions opt;
     opt.writebacks = 4000;
-    opt.fastOtp = true;
     opt.timing = true;
     opt.wl.verticalEnabled = false;
     opt.timingCfg.decryptPath =

@@ -29,7 +29,6 @@ regenerate()
     printBanner(std::cout, "Ablation",
                 "FNW granularity: average flips (%) and overhead");
     SweepSpec spec = benchutil::standardSpec();
-    spec.options.fastOtp = true;
     // Two scheme columns per region size, all 8 built through
     // factories so every cell owns its scheme instance.
     for (unsigned bits : {8u, 16u, 32u, 64u}) {

@@ -1,11 +1,9 @@
 /**
  * @file
  * Ablation: the full DEUCE (word size x epoch) grid, extending the
- * paper's one-dimensional sweeps of Figures 8 and 9. Uses the fast
- * pad engine (statistically identical flips) so the 16-cell grid
- * stays cheap.
+ * paper's one-dimensional sweeps of Figures 8 and 9.
  *
- * Micro section: pad-generation cost, AES vs fast engine.
+ * Micro section: AES pad-generation cost per line.
  */
 
 #include <benchmark/benchmark.h>
@@ -28,7 +26,6 @@ regenerate()
     printBanner(std::cout, "Ablation",
                 "DEUCE average flips (%) over word-size x epoch grid");
     SweepSpec spec = benchutil::standardSpec();
-    spec.options.fastOtp = true; // statistical grid; see file header
 
     const unsigned word_sizes[4] = {1, 2, 4, 8};
     const unsigned epochs[4] = {8, 16, 32, 64};
@@ -71,21 +68,15 @@ regenerate()
 }
 
 void
-BM_PadGeneration(benchmark::State &state, bool fast)
+BM_PadGeneration(benchmark::State &state)
 {
-    std::unique_ptr<OtpEngine> otp;
-    if (fast) {
-        otp = std::make_unique<FastOtpEngine>(1);
-    } else {
-        otp = makeAesOtpEngine(1);
-    }
+    auto otp = makeAesOtpEngine(1);
     uint64_t ctr = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(otp->padForLine(42, ++ctr));
     }
 }
-BENCHMARK_CAPTURE(BM_PadGeneration, aes, false);
-BENCHMARK_CAPTURE(BM_PadGeneration, fast, true);
+BENCHMARK(BM_PadGeneration);
 
 } // namespace
 

@@ -42,7 +42,7 @@ runWear(BenchmarkProfile p, const char *scheme_id,
     SyntheticWorkload workload(
         p, static_cast<uint64_t>(
                writebacks * (p.mpki + p.wbpki) / p.wbpki) + 1);
-    auto otp = std::make_unique<FastOtpEngine>(5);
+    auto otp = makeAesOtpEngine(5);
     auto scheme = makeScheme(scheme_id, *otp);
     WearLevelingConfig wl;
     wl.verticalEnabled = true;

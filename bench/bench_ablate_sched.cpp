@@ -25,7 +25,6 @@ regenerate()
     printBanner(std::cout, "Ablation",
                 "scheduler policy and counter cache vs speedup");
     ExperimentOptions opt = benchutil::standardOptions();
-    opt.fastOtp = true;
     opt.timing = true;
 
     struct Config
@@ -77,7 +76,6 @@ BM_TimedCellReadPriority(benchmark::State &state)
     p.workingSetLines = 512;
     ExperimentOptions opt;
     opt.writebacks = 4000;
-    opt.fastOtp = true;
     opt.timing = true;
     opt.wl.verticalEnabled = false;
     opt.timingCfg.scheduler =

@@ -25,7 +25,6 @@ regenerate()
     printBanner(std::cout, "Ablation",
                 "write-slot width vs slots per write");
     ExperimentOptions opt = benchutil::standardOptions();
-    opt.fastOtp = true;
 
     Table t({"slot width", "slots/line", "Encr", "DEUCE", "NoEncr",
              "DEUCE saving"});

@@ -43,7 +43,6 @@ standardOptions()
 
     ExperimentOptions opt;
     opt.writebacks = writebacksFromEnv(60000);
-    opt.fastOtp = false; // figures use the real AES engine
     opt.wl.verticalEnabled = false;
     return opt;
 }

@@ -315,8 +315,8 @@ BENCHMARK(BM_PersistOnWrite);
 void
 BM_RecoveryRun(benchmark::State &state)
 {
-    FastOtpEngine otp(11);
-    auto scheme = makeScheme("encr", otp);
+    auto otp = makeAesOtpEngine(11);
+    auto scheme = makeScheme("encr", *otp);
     WearLevelingConfig wl;
     wl.verticalEnabled = false;
     PersistConfig persist;

@@ -13,11 +13,8 @@
  *
  * Endurance is scaled down (FaultConfig::meanEndurance) so the memory
  * actually dies within the simulation; the scheme *ratios* are what
- * the paper's lifetime projection predicts. Pads use the fast hash
- * engine (identical flip statistics to AES; these cells run to
- * end-of-life, far past the figure benches' budgets). All cells share
- * one endurance seed, so every scheme faces the identical cell-budget
- * map.
+ * the paper's lifetime projection predicts. All cells share one
+ * endurance seed, so every scheme faces the identical cell-budget map.
  *
  * Micro section: CellFaultMap::recordWrite throughput over a hot and a
  * cold line set.
@@ -85,8 +82,8 @@ runToFirstUncorrectable(const BenchmarkProfile &profile,
     BenchmarkProfile p = profile;
     p.workingSetLines = 256; // concentrated, as in bench_fig14
 
-    FastOtpEngine otp(7);
-    auto scheme = makeScheme(variant.id, otp);
+    auto otp = makeAesOtpEngine(7);
+    auto scheme = makeScheme(variant.id, *otp);
 
     WearLevelingConfig wl;
     wl.rotation = variant.rotation;

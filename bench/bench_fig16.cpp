@@ -71,7 +71,7 @@ void
 BM_TimingSimulator(benchmark::State &state)
 {
     BenchmarkProfile p = profileByName("mcf");
-    auto otp = std::make_unique<FastOtpEngine>(1);
+    auto otp = makeAesOtpEngine(1);
     auto scheme = makeScheme("deuce", *otp);
     for (auto _ : state) {
         state.PauseTiming();

@@ -125,18 +125,6 @@ BENCHMARK_CAPTURE(BM_PadForLine, aesni, AesBackendKind::AesNi);
 BENCHMARK_CAPTURE(BM_PadForLine, vaes, AesBackendKind::Vaes);
 
 void
-BM_PadForLineFast(benchmark::State &state)
-{
-    FastOtpEngine otp(1);
-    uint64_t ctr = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(otp.padForLine(123, ctr++));
-    }
-    state.SetBytesProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_PadForLineFast);
-
-void
 BM_LineXor(benchmark::State &state)
 {
     Rng rng(1);

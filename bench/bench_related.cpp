@@ -43,7 +43,6 @@ regenerate()
 
     // All seven designs as one 7 x 12 parallel sweep.
     SweepSpec spec = benchutil::standardSpec();
-    spec.options.fastOtp = true;
     for (const Entry &e : entries) {
         spec.add(e.id);
     }
@@ -52,7 +51,7 @@ regenerate()
     Table t({"design", "flips %", "metadata bits/line",
              "bus-snooping safe?"});
     for (const Entry &e : entries) {
-        auto otp = std::make_unique<FastOtpEngine>(1);
+        auto otp = makeAesOtpEngine(1);
         auto scheme = makeScheme(e.id, *otp);
         unsigned bits = scheme->trackingBitsPerLine();
         t.addRow({e.label,
@@ -88,9 +87,7 @@ regenerateMlc()
         {"vcc-mlc", "VCC (MLC-cost select)"}};
 
     SweepSpec slc = benchutil::standardSpec();
-    slc.options.fastOtp = true;
     SweepSpec mlc = benchutil::standardSpec();
-    mlc.options.fastOtp = true;
     mlc.options.pcm.cellTech = CellTech::MLC2;
     for (const auto &s : schemes) {
         slc.add(s.first);
@@ -106,7 +103,7 @@ regenerateMlc()
     Table t({"design", "SLC pJ/write", "MLC2 pJ/write",
              "metadata bits/line"});
     for (const auto &s : schemes) {
-        auto otp = std::make_unique<FastOtpEngine>(1);
+        auto otp = makeAesOtpEngine(1);
         auto scheme = makeScheme(s.first, *otp);
         t.addRow({s.second, fmt(avg(slc_rows[s.first]), 1),
                   fmt(avg(mlc_rows[s.first]), 1),
@@ -152,7 +149,7 @@ regenerateMlc()
 void
 BM_PerWordWrite(benchmark::State &state)
 {
-    auto otp = std::make_unique<FastOtpEngine>(1);
+    auto otp = makeAesOtpEngine(1);
     PerWordCounters scheme(*otp);
     Rng rng(1);
     CacheLine plain;
@@ -168,7 +165,7 @@ BENCHMARK(BM_PerWordWrite);
 void
 BM_INvmmHotWrite(benchmark::State &state)
 {
-    auto otp = std::make_unique<FastOtpEngine>(1);
+    auto otp = makeAesOtpEngine(1);
     INvmm scheme(*otp);
     Rng rng(1);
     CacheLine plain;

@@ -19,7 +19,7 @@
  *
  *   $ ./bench_serving [--shards 1,4,8] [--tenants 1,4] [--clients 2]
  *                     [--ops N] [--read-pct 50] [--scheme deuce]
- *                     [--fast-otp] [--working-set 4096] [--seed S]
+ *                     [--working-set 4096] [--seed S]
  *                     [--queue 1024] [--burst 64] [--json rows.jsonl]
  *                     [--telemetry-out base] [--telemetry-period-ms N]
  *                     [--slo-p99-us X]
@@ -71,7 +71,6 @@ struct Args
     unsigned readPct = 50;
     unsigned workingSet = 4096;
     std::string scheme = "deuce";
-    bool fastOtp = false;
     uint64_t seed = 0xfeedface;
     size_t queue = 1024;
     unsigned burst = 64;
@@ -87,7 +86,7 @@ usage(const char *argv0)
     std::cerr << "usage: " << argv0
               << " [--shards <n[,n...]>] [--tenants <n[,n...]>]"
                  " [--clients <n>] [--ops <n>] [--read-pct <0-100>]"
-                 " [--scheme <id>] [--fast-otp] [--working-set <n>]"
+                 " [--scheme <id>] [--working-set <n>]"
                  " [--seed <n>] [--queue <n>] [--burst <n>]"
                  " [--json <path>] [--telemetry-out <base>]"
                  " [--telemetry-period-ms <n>] [--slo-p99-us <x>]\n";
@@ -145,8 +144,6 @@ parseArgs(int argc, char **argv)
             args.workingSet = static_cast<unsigned>(count(kUintMax));
         } else if (a == "--scheme") {
             args.scheme = next();
-        } else if (a == "--fast-otp") {
-            args.fastOtp = true;
         } else if (a == "--seed") {
             args.seed = number(next(), 0, kU64Max);
         } else if (a == "--queue") {
@@ -244,7 +241,6 @@ runCell(const Args &args, unsigned shards, unsigned tenants)
     cfg.scheme = args.scheme;
     cfg.shards = shards;
     cfg.tenants = tenants;
-    cfg.fastOtp = args.fastOtp;
     cfg.masterSeed = args.seed;
     cfg.queueCapacity = args.queue;
     cfg.maxBurst = args.burst;
@@ -421,8 +417,7 @@ main(int argc, char **argv)
     std::cout << "scheme " << args.scheme << ", " << args.ops
               << " ops/cell, " << args.readPct << "% reads, "
               << args.clients << " client threads"
-              << (args.fastOtp ? ", fast pads" : ", AES pads")
-              << "\n\n";
+              << ", AES pads\n\n";
 
     Table table({"cell", "ops/s", "seq ops/s", "speedup", "p50 us",
                  "p99 us", "p999 us", "burst", "b-p95", "flip %",

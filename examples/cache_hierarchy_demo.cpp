@@ -56,7 +56,6 @@ main(int argc, char **argv)
     CacheHierarchy caches(hierarchy());
     SecureMemoryConfig cfg;
     cfg.scheme = "deuce";
-    cfg.fastOtp = true;
     SecureMemory memory(cfg);
     AddressMap address_map;
 

@@ -38,7 +38,6 @@ main(int argc, char **argv)
 
     ExperimentOptions opt;
     opt.writebacks = writebacks;
-    opt.fastOtp = true;
     opt.wl.verticalEnabled = false;
 
     // Full scheme panel.

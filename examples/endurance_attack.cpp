@@ -102,7 +102,7 @@ act2FaultLifetime()
     Table t({"config", "detected @", "first stuck @",
              "ECP corrections", "decommissioned @"});
     for (const Setup &s : setups) {
-        auto otp = std::make_unique<FastOtpEngine>(3);
+        auto otp = makeAesOtpEngine(3);
         auto scheme = makeScheme("deuce", *otp);
         WearLevelingConfig wl;
         wl.verticalEnabled = s.vertical;

@@ -35,7 +35,7 @@ profileWear(const BenchmarkProfile &profile,
     BenchmarkProfile p = profile;
     p.workingSetLines = 2048;
     SyntheticWorkload workload(p, 120000);
-    auto otp = std::make_unique<FastOtpEngine>(21);
+    auto otp = makeAesOtpEngine(21);
     auto scheme = makeScheme(scheme_id, *otp);
     WearLevelingConfig wl;
     wl.verticalEnabled = true;

@@ -17,7 +17,6 @@
  *   --timing                run the bank-contention timing model
  *   --hwl                   enable horizontal wear leveling
  *   --vwl <startgap|sr>     vertical wear-leveling engine
- *   --fast-otp              hash-based pads instead of AES
  *   --aes-backend <b>       AES implementation: auto (default),
  *                           scalar, aesni, vaes, or neon (falls back
  *                           to auto with a warning when the host
@@ -131,7 +130,6 @@ usage(const char *argv0)
     std::cerr << "usage: " << argv0
               << " [--bench <name|all>] [--scheme <id[,id...]>]"
                  " [--writebacks <n>] [--timing] [--hwl] [--vwl startgap|sr]"
-                 " [--fast-otp]"
                  " [--aes-backend auto|scalar|aesni|vaes|neon]"
                  " [--line-backend auto|scalar|avx2|neon]"
                  " [--batch <n>]"
@@ -230,8 +228,6 @@ parseArgs(int argc, char **argv)
             } else {
                 usage(argv[0]);
             }
-        } else if (arg == "--fast-otp") {
-            cli.experiment.fastOtp = true;
         } else if (arg == "--aes-backend") {
             std::optional<AesBackendKind> parsed =
                 parseAesBackendName(value());
@@ -375,12 +371,7 @@ void
 dumpCellStats(const BenchmarkProfile &p, const std::string &scheme_id,
               const ExperimentOptions &opt, bool json)
 {
-    std::unique_ptr<OtpEngine> otp;
-    if (opt.fastOtp) {
-        otp = std::make_unique<FastOtpEngine>(opt.otpSeed);
-    } else {
-        otp = makeAesOtpEngine(opt.otpSeed);
-    }
+    std::unique_ptr<OtpEngine> otp = opt.otpEngine(opt.otpSeed);
     auto scheme = makeScheme(scheme_id, *otp);
     SyntheticWorkload workload(
         p, static_cast<uint64_t>(

@@ -26,7 +26,6 @@ main(int argc, char **argv)
 {
     ExperimentOptions opt;
     opt.writebacks = 20000;
-    opt.fastOtp = true;
     opt.timing = true;
     opt.wl.verticalEnabled = false;
     const char *synopsis = "[writebacks] [mlp] [cpi-base]";

@@ -37,10 +37,10 @@ cmake --build "$build" -j "$(nproc)"
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
 # Full-grid smoke sweep: every Table 2 benchmark x the three headline
-# schemes, fast pads, rows emitted as JSON Lines.
+# schemes, AES pads, rows emitted as JSON Lines.
 "$build/examples/simulate" \
     --bench all --scheme encr,encr-fnw,deuce \
-    --fast-otp --writebacks 10000 \
+    --writebacks 10000 \
     --json "$build/bench_results.json" \
     > /dev/null
 rows=$(wc -l < "$build/bench_results.json")
@@ -52,7 +52,7 @@ echo "tier1: sweep wrote $rows rows to $build/bench_results.json"
 DEUCE_BENCH_JSON="$build/bench_results.json" "$build/examples/simulate" \
     --bench mcf --scheme deuce \
     --fault --ecp 4 --endurance 200 \
-    --fast-otp --writebacks 10000 \
+    --writebacks 10000 \
     > /dev/null
 rows=$(wc -l < "$build/bench_results.json")
 echo "tier1: fault cell appended (now $rows rows)"
@@ -64,7 +64,7 @@ echo "tier1: fault cell appended (now $rows rows)"
 DEUCE_BENCH_JSON="$build/bench_results.json" "$build/examples/simulate" \
     --bench mcf --scheme deuce,vcc,vcc-mlc \
     --cell-tech mlc2 \
-    --fast-otp --writebacks 10000 \
+    --writebacks 10000 \
     > /dev/null
 rows=$(wc -l < "$build/bench_results.json")
 echo "tier1: MLC2 cells appended (now $rows rows)"
@@ -145,11 +145,11 @@ echo "tier1: AES backend equivalence OK (scalar == auto)"
 # popcount drifted from the reference — a hard failure.
 "$build/examples/simulate" \
     --bench mcf --scheme deuce,deuce-fnw --writebacks 5000 \
-    --fast-otp --line-backend scalar \
+    --line-backend scalar \
     --json "$build/equiv_line_scalar.jsonl" > /dev/null
 "$build/examples/simulate" \
     --bench mcf --scheme deuce,deuce-fnw --writebacks 5000 \
-    --fast-otp --line-backend auto \
+    --line-backend auto \
     --json "$build/equiv_line_auto.jsonl" > /dev/null
 if ! diff \
     <(sed "$strip_backend" "$build/equiv_line_scalar.jsonl") \
@@ -170,11 +170,11 @@ batch_schemes=nodcw,nofnw,encr,encr-fnw,ble,ble-deuce,deuce,deuce-fnw
 batch_schemes=$batch_schemes,dyndeuce,addrpad,invmm,perword,vcc,vcc-mlc
 "$build/examples/simulate" \
     --bench mcf --scheme "$batch_schemes" --writebacks 5000 \
-    --fast-otp --batch 1 \
+    --batch 1 \
     --json "$build/equiv_batch_seq.jsonl" > /dev/null
 "$build/examples/simulate" \
     --bench mcf --scheme "$batch_schemes" --writebacks 5000 \
-    --fast-otp --batch 64 \
+    --batch 64 \
     --json "$build/equiv_batch_64.jsonl" > /dev/null
 if ! diff \
     <(sed "$strip_backend" "$build/equiv_batch_seq.jsonl") \
@@ -225,7 +225,7 @@ echo "tier1: throughput gate OK (now $rows rows)"
 # unbalanced trace means a span leaked across the sweep teardown.
 "$build/examples/simulate" \
     --bench mcf --scheme encr,encr-fnw,deuce,dyndeuce \
-    --fast-otp --writebacks 2000 --threads 4 \
+    --writebacks 2000 --threads 4 \
     --trace-out "$build/tier1_trace.json" --progress \
     > /dev/null 2> "$build/tier1_progress.log"
 python3 - "$build/tier1_trace.json" <<'PY'
@@ -262,7 +262,7 @@ rm -f "$build/tier1_both_trace.json" "$build/tier1_both_flight.json"
 DEUCE_FLIGHT_RECORDER="$build/tier1_both_flight.json" \
 "$build/examples/simulate" \
     --bench mcf --scheme encr,encr-fnw,deuce,dyndeuce \
-    --fast-otp --writebacks 2000 --threads 3 \
+    --writebacks 2000 --threads 3 \
     --trace-out "$build/tier1_both_trace.json" > /dev/null
 python3 - "$build/tier1_both_trace.json" \
     "$build/tier1_both_flight.json" <<'PY'
@@ -300,7 +300,7 @@ PY
 rm -f "$build/tier1_fatal_trace.json" "$build/tier1_fatal_flight.json"
 status=0
 DEUCE_FLIGHT_RECORDER="$build/tier1_fatal_flight.json" \
-"$build/examples/simulate" --bench nosuch --scheme deuce --fast-otp \
+"$build/examples/simulate" --bench nosuch --scheme deuce \
     --trace-out "$build/tier1_fatal_trace.json" \
     > /dev/null 2> "$build/tier1_fatal.log" || status=$?
 if [[ "$status" != 1 ]] ||
@@ -324,17 +324,18 @@ expect_fatal() {
     fi
 }
 expect_fatal env DEUCE_BENCH_THREADS=4x "$build/examples/simulate" \
-    --bench mcf --scheme deuce --fast-otp --writebacks 100
+    --bench mcf --scheme deuce --writebacks 100
 expect_fatal env DEUCE_TELEMETRY="$build/tier1_fatal_env" \
     DEUCE_TELEMETRY_PERIOD_MS=10ms "$build/examples/simulate" \
-    --bench mcf --scheme deuce --fast-otp --writebacks 100
+    --bench mcf --scheme deuce --writebacks 100
 echo "tier1: malformed env OK (2 variables rejected with status 1)"
 
 # Hostile CLI values must be rejected, not coerced: junk after a
 # number, a sign on an unsigned flag, a non-number, a non-finite real,
 # a missing value, a mean endurance outside [1, 2^32), a bad
-# DEUCE_BENCH_WB, removed backend names and a bad positional argument
-# of each example each print the usage line and exit 2.
+# DEUCE_BENCH_WB, removed backend names, the removed --fast-otp flag
+# and a bad positional argument of each example each print the usage
+# line and exit 2.
 expect_usage() {
     local status=0
     "$@" > /dev/null 2> "$build/tier1_hostile.log" || status=$?
@@ -346,7 +347,7 @@ expect_usage() {
 }
 hostile_cli() {
     expect_usage "$build/examples/simulate" --bench mcf --scheme deuce \
-        --fast-otp --writebacks 100 "$@"
+        --writebacks 100 "$@"
 }
 hostile_cli --writebacks 12x
 hostile_cli --seed -1
@@ -358,11 +359,13 @@ hostile_cli --fault --endurance 0.5
 hostile_cli --fault --endurance 1e12
 hostile_cli --persist lazy --flush-epoch 0
 hostile_cli --persist battery --persist-queue 0
+hostile_cli --fast-otp
 expect_usage "$build/bench/bench_throughput" --writes abc
 expect_usage "$build/bench/bench_throughput" --batches 16,x
 expect_usage "$build/bench/bench_serving" --ops 1e3x
 expect_usage "$build/bench/bench_serving" --shards
 expect_usage "$build/bench/bench_serving" --slo-p99-us inf
+expect_usage "$build/bench/bench_serving" --fast-otp
 expect_usage env DEUCE_BENCH_WB=abc "$build/bench/bench_throughput"
 expect_usage env DEUCE_BENCH_WB=12x "$build/bench/bench_fig10" \
     --benchmark_filter=NONE
@@ -372,7 +375,7 @@ expect_usage "$build/examples/trace_replay" mcf -1
 expect_usage "$build/examples/secure_kvstore" 1e3
 expect_usage "$build/examples/lifetime_planner" mcf 50M
 expect_usage "$build/examples/cache_hierarchy_demo" 2,000
-echo "tier1: hostile CLI OK (23 bad values rejected with status 2)"
+echo "tier1: hostile CLI OK (25 bad values rejected with status 2)"
 
 # Trace overhead cell: the same sweep with tracing compiled in but
 # disabled vs enabled, appended as BENCH_MICRO rows. Informational
@@ -382,7 +385,7 @@ overhead_run() {
     start=$(date +%s%N)
     "$build/examples/simulate" \
         --bench mcf --scheme deuce \
-        --fast-otp --writebacks 20000 --threads 2 \
+        --writebacks 20000 --threads 2 \
         "$@" > /dev/null
     end=$(date +%s%N)
     echo $(( end - start ))
@@ -417,7 +420,7 @@ PY
 rm -f "$build/tier1_telemetry.prom" "$build/tier1_telemetry.jsonl"
 DEUCE_BENCH_JSON="$build/bench_results.json" "$build/bench/bench_serving" \
     --shards 1,4,8 --tenants 1,4 --clients 2 \
-    --ops 20000 --fast-otp \
+    --ops 20000 \
     --telemetry-out "$build/tier1_telemetry" --telemetry-period-ms 10 \
     > /dev/null || {
         echo "tier1: FAIL — serving determinism gate" >&2
@@ -474,7 +477,7 @@ telemetry_cell() {
     DEUCE_BENCH_JSON="$build/telemetry_overhead.jsonl" \
         "$build/bench/bench_serving" \
         --shards 4 --tenants 4 --clients 2 \
-        --ops 40000 --fast-otp "$@" > /dev/null
+        --ops 40000 "$@" > /dev/null
 }
 rm -f "$build/telemetry_overhead.jsonl"
 telemetry_cell
@@ -597,7 +600,7 @@ if [[ "${DEUCE_TSAN:-0}" == "1" ]]; then
     # hammering the SPSC queue-pairs, determinism gate still on.
     "$tsan/bench/bench_serving" \
         --shards 4 --tenants 4 --clients 2 \
-        --ops 5000 --fast-otp > /dev/null
+        --ops 5000 > /dev/null
     echo "tier1: TSan concurrency tests passed"
 fi
 

@@ -16,11 +16,7 @@ namespace deuce
 
 SecureMemory::SecureMemory(const SecureMemoryConfig &cfg) : cfg_(cfg)
 {
-    if (cfg_.fastOtp) {
-        otp_ = std::make_unique<FastOtpEngine>(cfg_.keySeed);
-    } else {
-        otp_ = makeAesOtpEngine(cfg_.keySeed);
-    }
+    otp_ = makeAesOtpEngine(cfg_.keySeed);
     scheme_ = makeScheme(cfg_.scheme, *otp_);
     // A fresh memory installs lines as all-zero plaintext.
     memory_ = std::make_unique<MemorySystem>(

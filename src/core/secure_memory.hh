@@ -50,12 +50,6 @@ struct SecureMemoryConfig
     /** PCM device parameters. */
     PcmConfig pcm;
 
-    /**
-     * Use the fast non-cryptographic pad generator (simulation-speed
-     * option; never use for real data).
-     */
-    bool fastOtp = false;
-
     /** Counter-persistence / crash-consistency model (off by
      *  default; see persist/persist_config.hh). */
     PersistConfig persist;

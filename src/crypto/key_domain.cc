@@ -12,7 +12,7 @@ namespace deuce
 {
 
 TenantKeyTable::TenantKeyTable(uint64_t master_seed, unsigned tenants,
-                               bool fast_otp)
+                               OtpEngineMaker make_engine)
 {
     deuce_assert(tenants >= 1);
     engines_.reserve(tenants);
@@ -20,11 +20,7 @@ TenantKeyTable::TenantKeyTable(uint64_t master_seed, unsigned tenants,
     for (unsigned t = 0; t < tenants; ++t) {
         uint64_t seed = deriveTenantSeed(master_seed, t);
         seeds_.push_back(seed);
-        if (fast_otp) {
-            engines_.push_back(std::make_unique<FastOtpEngine>(seed));
-        } else {
-            engines_.push_back(makeAesOtpEngine(seed));
-        }
+        engines_.push_back(make_engine(seed));
     }
 }
 

@@ -35,12 +35,11 @@ class TenantKeyTable
     /**
      * @param master_seed the per-deployment secret seed
      * @param tenants     number of key domains to derive (>= 1)
-     * @param fast_otp    use the non-cryptographic fast pad generator
-     *                    (simulation-speed option, as in
-     *                    SecureMemoryConfig::fastOtp)
+     * @param make_engine builds each tenant's pad engine from its
+     *                    derived key seed
      */
     TenantKeyTable(uint64_t master_seed, unsigned tenants,
-                   bool fast_otp = false);
+                   OtpEngineMaker make_engine = makeAesOtpEngine);
 
     TenantKeyTable(TenantKeyTable &&) noexcept = default;
     TenantKeyTable &operator=(TenantKeyTable &&) noexcept = default;

@@ -86,7 +86,7 @@ class OtpEngine
      * with a pipelined cipher override this to key-schedule once and
      * run the blocks through the pipeline together (AES-NI and NEON
      * keep four blocks in flight, VAES sixteen). The default loops
-     * over padForBlock().
+     * over padForBlock(). An empty request (n == 0) charges no batch.
      */
     virtual void padForBlocks(uint64_t line_addr,
                               const PadRequest *requests,
@@ -98,6 +98,7 @@ class OtpEngine
      * padForBlocks(). Bit-identical to n padForBlock() calls; the AES
      * engine streams the whole burst through one cipher pipeline so
      * a batched write path amortizes per-call overhead across lines.
+     * An empty request (n == 0) charges no batch.
      */
     virtual void padForLines(const LinePadRequest *requests,
                              AesBlock *pads, unsigned n) const;
@@ -205,12 +206,15 @@ class AesOtpEngine : public OtpEngine
 };
 
 /**
- * OtpEngine backed by a SplitMix64-style hash. Statistically
- * indistinguishable avalanche behaviour (each pad bit is an unbiased
- * pseudo-random function of the triple) at ~20x the speed of software
- * AES. NOT cryptographically secure; intended for large parameter-sweep
- * experiments where only bit-flip statistics matter. Tests verify that
- * flip statistics match the AES engine.
+ * OtpEngine backed by a SplitMix64-style hash: the reference engine the
+ * pinned tests (golden sweep rows, scheme pins, fuzz and grid
+ * signatures) were recorded on. Each pad bit is an unbiased
+ * pseudo-random function of the (key, address, counter, block) triple,
+ * so flip statistics match the AES engine, but it is NOT
+ * cryptographically secure and no product path builds it. It is not
+ * faster either: one padForLine() costs ~74-79 ns against ~46-59 ns
+ * on the aesni and vaes AES backends (bench_micro, 4-vCPU Xeon with
+ * VAES, gcc 12.2, Release).
  */
 class FastOtpEngine : public OtpEngine
 {
@@ -227,8 +231,14 @@ class FastOtpEngine : public OtpEngine
     uint64_t seed_;
 };
 
+/** Builds a pad engine from a 64-bit key seed. */
+using OtpEngineMaker = std::unique_ptr<OtpEngine> (*)(uint64_t key_seed);
+
 /** Construct the default (AES) engine from a 64-bit seed-derived key. */
 std::unique_ptr<OtpEngine> makeAesOtpEngine(uint64_t key_seed);
+
+/** Construct the hash reference engine (tests only) from @p key_seed. */
+std::unique_ptr<OtpEngine> makeFastOtpEngine(uint64_t key_seed);
 
 } // namespace deuce
 

@@ -56,18 +56,18 @@ BlockLevelEncryption::writeWithPads(uint64_t line_addr,
     const CacheLine cur_plain = readWithPads(line_addr, state, line_pads);
 
     // Only the dirty blocks bump their counters and re-encrypt. Their
-    // fresh pads depend on which blocks the data dirtied, so they are
-    // generated here, as one cipher batch: each dirty block's LCTR
-    // pad, then its TCTR pad in the DEUCE composition unless the
-    // block starts an epoch.
+    // fresh LCTR pads depend on which blocks the data dirtied, so they
+    // are generated here, as one cipher batch. Their TCTR pads are
+    // not: a dirty block that starts an epoch takes the LCTR pad whole,
+    // and one that does not keeps its trailing counter, so its TCTR pad
+    // is block b of the read-back's second line pad.
     const uint64_t dirty =
         lineKernels().wordDiffMask(plaintext, cur_plain, kBlockBits);
     const uint64_t word_diff =
         withDeuce_ ? lineKernels().wordDiffMask(plaintext, cur_plain,
                                                 wordBits_)
                    : 0;
-    PadRequest requests[2 * kBlocks];
-    bool is_tctr[2 * kBlocks];
+    PadRequest requests[kBlocks];
     unsigned n = 0;
     uint64_t lctr_words = ~uint64_t{0}; // words taking the LCTR pad
     for (unsigned b = 0; b < kBlocks; ++b) {
@@ -75,8 +75,7 @@ BlockLevelEncryption::writeWithPads(uint64_t line_addr,
             continue; // counter and ciphertext untouched
         }
         const uint64_t ctr = ++state.blockCounters[b];
-        requests[n] = PadRequest{ctr, b};
-        is_tctr[n++] = false;
+        requests[n++] = PadRequest{ctr, b};
         if (!withDeuce_) {
             continue;
         }
@@ -91,19 +90,19 @@ BlockLevelEncryption::writeWithPads(uint64_t line_addr,
         }
         state.modifiedBits |= word_diff & block_words;
         lctr_words &= ~block_words | state.modifiedBits;
-        requests[n] = PadRequest{trailing(ctr), b};
-        is_tctr[n++] = true;
     }
-    AesBlock generated[2 * kBlocks];
+    AesBlock generated[kBlocks];
     otp().padForBlocks(line_addr, requests, generated, n);
-    uint8_t pads[2][CacheLine::kBytes] = {};
+    uint8_t lctr_bytes[CacheLine::kBytes] = {};
     for (unsigned i = 0; i < n; ++i) {
-        std::memcpy(pads[is_tctr[i]] + 16 * requests[i].block,
+        std::memcpy(lctr_bytes + 16 * requests[i].block,
                     generated[i].data(), 16);
     }
+    const CacheLine lctr_pad = CacheLine::fromBytes(lctr_bytes);
     const CacheLine cipher =
-        plaintext ^ select_(lctr_words, CacheLine::fromBytes(pads[0]),
-                            CacheLine::fromBytes(pads[1]));
+        plaintext ^ (withDeuce_
+                         ? select_(lctr_words, lctr_pad, line_pads[1])
+                         : lctr_pad);
     for (unsigned l = 0; l < CacheLine::kLimbs; ++l) {
         if ((dirty >> (l * kBlocks / CacheLine::kLimbs)) & 1) {
             state.data.limb(l) = cipher.limb(l);

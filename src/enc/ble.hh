@@ -54,8 +54,9 @@ class BlockLevelEncryption : public EncryptionScheme
                            const StoredLineState &state,
                            const CacheLine *line_pads) const override;
 
-    /** Write pad plan: the read-back only; the dirty blocks' new
-     *  pads depend on the data, so writeWithPads() generates them. */
+    /** Write pad plan: the read-back only. Its TCTR pad also
+     *  serves the write; the dirty blocks' new LCTR pads depend on
+     *  the data, so writeWithPads() generates them. */
     unsigned planWritePads(uint64_t line_addr,
                            const StoredLineState &state,
                            LinePadRequest *requests) const override;

@@ -100,7 +100,7 @@ schemeFactoryFor(const std::string &id)
 {
     // Resolve eagerly so an unknown id fails at spec-construction
     // time on the caller's thread, not inside a worker.
-    makeScheme(id, FastOtpEngine(0));
+    makeScheme(id, *makeAesOtpEngine(0));
     return [id](const OtpEngine &otp) { return makeScheme(id, otp); };
 }
 

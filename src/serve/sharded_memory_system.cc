@@ -41,6 +41,15 @@ completionOf(const Request &req)
     return c;
 }
 
+/** The key table @p cfg asks for: AES pads unless a test opts out. */
+TenantKeyTable
+keyTableOf(const ServeConfig &cfg)
+{
+    return TenantKeyTable(cfg.masterSeed, cfg.tenants,
+                          cfg.fastOtp ? makeFastOtpEngine
+                                      : makeAesOtpEngine);
+}
+
 } // namespace
 
 uint64_t
@@ -72,7 +81,7 @@ MemoryCounters
 replaySequential(const ServeConfig &cfg,
                  const std::vector<Request> &trace)
 {
-    TenantKeyTable keys(cfg.masterSeed, cfg.tenants, cfg.fastOtp);
+    TenantKeyTable keys = keyTableOf(cfg);
     TenantScheme scheme(keys, cfg.scheme, cfg.tenantAddrBits);
     MemorySystem system(scheme, cfg.wearLeveling, cfg.pcm,
                         [](uint64_t) { return CacheLine{}; });
@@ -95,7 +104,7 @@ replaySequential(const ServeConfig &cfg,
 }
 
 ShardedMemorySystem::ShardedMemorySystem(const ServeConfig &cfg)
-    : cfg_(cfg), keys_(cfg.masterSeed, cfg.tenants, cfg.fastOtp)
+    : cfg_(cfg), keys_(keyTableOf(cfg))
 {
     deuce_assert(cfg_.shards >= 1);
     deuce_assert(cfg_.tenants >= 1 && cfg_.tenants <= 65536);

@@ -72,7 +72,12 @@ struct ServeConfig
     /** Master secret seed the per-tenant keys derive from. */
     uint64_t masterSeed = 0xfeedface;
 
-    /** Use the fast non-cryptographic pad generator. */
+    /**
+     * Build the tenant engines on the hash reference pads
+     * (FastOtpEngine) instead of AES. Only tests set it to true, to
+     * replay signatures recorded on those pads; every product path
+     * leaves it false.
+     */
     bool fastOtp = false;
 
     /** Wear-leveling setup of every shard. */

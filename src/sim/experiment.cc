@@ -185,12 +185,7 @@ runExperiment(const BenchmarkProfile &profile,
               const SchemeFactory &factory,
               const ExperimentOptions &options)
 {
-    std::unique_ptr<OtpEngine> otp;
-    if (options.fastOtp) {
-        otp = std::make_unique<FastOtpEngine>(options.otpSeed);
-    } else {
-        otp = makeAesOtpEngine(options.otpSeed);
-    }
+    std::unique_ptr<OtpEngine> otp = options.otpEngine(options.otpSeed);
     std::unique_ptr<EncryptionScheme> scheme = factory(*otp);
     ExperimentRow row = runExperiment(profile, *scheme, options);
     row.aesBackend = otp->backendName();

@@ -52,11 +52,8 @@ struct ExperimentOptions
      *  profile's working set. */
     PersistConfig persist;
 
-    /**
-     * Use the fast hash-based pad generator instead of real AES
-     * (identical flip statistics; ~20x faster for large sweeps).
-     */
-    bool fastOtp = false;
+    /** Builds the cell's pad engine from otpSeed. */
+    OtpEngineMaker otpEngine = makeAesOtpEngine;
 
     /** Key seed for the pad generator. */
     uint64_t otpSeed = 0x5ec2e7;
@@ -195,7 +192,7 @@ ExperimentRow runExperiment(const BenchmarkProfile &profile,
 
 /**
  * Run one cell, constructing the scheme (and its pad engine, per
- * options.fastOtp/otpSeed) through @p factory. This is the overload
+ * options.otpEngine/otpSeed) through @p factory. This is the overload
  * parallel sweeps use: the cell owns everything it touches, so no
  * scheme instance is shared across worker threads.
  */

@@ -25,7 +25,6 @@ TEST_P(ByteInterfaceFuzz, MatchesFlatShadowBuffer)
 {
     SecureMemoryConfig cfg;
     cfg.scheme = GetParam();
-    cfg.fastOtp = true;
     cfg.wearLeveling.verticalEnabled = false;
     SecureMemory memory(cfg);
 

@@ -23,7 +23,6 @@ quickConfig(const std::string &scheme = "deuce")
     SecureMemoryConfig cfg;
     cfg.scheme = scheme;
     cfg.wearLeveling.verticalEnabled = false;
-    cfg.fastOtp = true;
     return cfg;
 }
 
@@ -108,17 +107,6 @@ TEST(SecureMemory, EverySchemeIdWorksThroughTheFacade)
     }
 }
 
-TEST(SecureMemory, RealAesEngineWorksToo)
-{
-    SecureMemoryConfig cfg = quickConfig();
-    cfg.fastOtp = false;
-    SecureMemory mem(cfg);
-    CacheLine data;
-    data.setField(64, 64, 0x1122334455667788ull);
-    mem.writeLine(9, data);
-    EXPECT_EQ(mem.readLine(9), data);
-}
-
 TEST(SecureMemory, DifferentKeysGiveDifferentCiphertext)
 {
     SecureMemoryConfig a = quickConfig("encr");
@@ -147,7 +135,6 @@ TEST(SecureMemory, DeuceHalvesEncryptionFlipsOnSparseTraffic)
         SecureMemoryConfig cfg;
         cfg.scheme = scheme;
         cfg.wearLeveling.verticalEnabled = false;
-        cfg.fastOtp = true;
         SecureMemory mem(cfg);
         CacheLine data;
         Rng rng(1);
@@ -168,7 +155,6 @@ TEST(SecureMemory, SecurityRefreshEngineWorksThroughTheFacade)
 {
     SecureMemoryConfig cfg;
     cfg.scheme = "deuce";
-    cfg.fastOtp = true;
     cfg.wearLeveling.verticalEnabled = true;
     cfg.wearLeveling.engine =
         WearLevelingConfig::Engine::SecurityRefresh;

@@ -40,6 +40,14 @@ TEST_P(OtpEngineTest, Deterministic)
     EXPECT_EQ(a->padForLine(99, 1000), b->padForLine(99, 1000));
 }
 
+TEST_P(OtpEngineTest, EmptyRequestChargesNoBatch)
+{
+    auto otp = make();
+    otp->padForBlocks(5, nullptr, nullptr, 0);
+    otp->padForLines(nullptr, nullptr, 0);
+    EXPECT_EQ(otp->snapshotCounters(), OtpCounterSnapshot{});
+}
+
 TEST_P(OtpEngineTest, DistinctAcrossInputs)
 {
     auto otp = make();

@@ -36,6 +36,28 @@ touchBlock(const CacheLine &base, unsigned block, Rng &rng)
     return out;
 }
 
+/**
+ * One write() split at its pad plan: the planned read-back pads are
+ * generated first, so the returned delta counts only what
+ * writeWithPads() itself asks the engine for.
+ */
+OtpCounterSnapshot
+writeOwnPads(const EncryptionScheme &scheme, const OtpEngine &otp,
+             uint64_t addr, const CacheLine &plain, StoredLineState &state)
+{
+    LinePadRequest reqs[4 * kMaxWritePadLines];
+    AesBlock blocks[4 * kMaxWritePadLines];
+    CacheLine line_pads[kMaxWritePadLines];
+    const unsigned lines = scheme.planWritePads(addr, state, reqs);
+    scheme.generatePads(reqs, blocks, 4 * lines);
+    assembleLinePads(blocks, line_pads, lines);
+    const OtpCounterSnapshot before = otp.snapshotCounters();
+    scheme.writeWithPads(addr, plain, state, line_pads);
+    const OtpCounterSnapshot after = otp.snapshotCounters();
+    return {after.pads - before.pads,
+            after.padBatches - before.padBatches};
+}
+
 class BleTest : public ::testing::Test
 {
   protected:
@@ -189,6 +211,59 @@ TEST_F(BleTest, FusionCheaperThanPlainBleOnSparseTraffic)
     }
     // Figure 18: BLE+DEUCE < BLE.
     EXPECT_LT(fused_total, ble_total * 0.6);
+}
+
+TEST_F(BleTest, IdenticalRewriteGeneratesNoPads)
+{
+    // No block is dirty, so the write asks for no pad and charges no
+    // batch, on the AES engine and on the base-class batch fallback.
+    std::unique_ptr<OtpEngine> engines[] = {makeAesOtpEngine(888),
+                                            makeFastOtpEngine(888)};
+    for (const auto &otp : engines) {
+        SCOPED_TRACE(otp->backendName());
+        BlockLevelEncryption ble(*otp);
+        Rng rng(9);
+        CacheLine plain = randomLine(rng);
+        StoredLineState state;
+        ble.install(18, plain, state);
+        plain = touchBlock(plain, 1, rng);
+        ble.write(18, plain, state);
+        EXPECT_EQ(writeOwnPads(ble, *otp, 18, plain, state),
+                  OtpCounterSnapshot{});
+        EXPECT_EQ(ble.read(18, state), plain);
+    }
+}
+
+TEST_F(BleTest, FusedWriteGeneratesOnePadPerDirtyBlock)
+{
+    // A mid-epoch dirty block keeps its trailing counter, so its TCTR
+    // pad comes from the read-back; only its fresh LCTR pad is
+    // generated, all of them in one batch.
+    BlockLevelEncryption fused(*otp_, true, 2, 32);
+    Rng rng(10);
+    CacheLine plain = randomLine(rng);
+    StoredLineState state;
+    fused.install(19, plain, state);
+    for (int step = 0; step < 20; ++step) {
+        const unsigned blocks =
+            1 + static_cast<unsigned>(rng.nextBounded(4));
+        for (unsigned b = 0; b < blocks; ++b) {
+            plain = touchBlock(
+                plain, static_cast<unsigned>(rng.nextBounded(4)), rng);
+        }
+        const StoredLineState before = state;
+        const OtpCounterSnapshot used =
+            writeOwnPads(fused, *otp_, 19, plain, state);
+        uint64_t dirty = 0;
+        for (unsigned b = 0; b < 4; ++b) {
+            ASSERT_LT(state.blockCounters[b], 32u) << "not mid-epoch";
+            dirty += state.blockCounters[b] - before.blockCounters[b];
+        }
+        EXPECT_EQ(used.pads, dirty) << "step " << step;
+        EXPECT_EQ(used.padBatches, dirty > 0 ? 1u : 0u)
+            << "step " << step;
+        ASSERT_EQ(fused.read(19, state), plain) << "step " << step;
+    }
 }
 
 TEST_F(BleTest, ConfigValidation)

@@ -488,7 +488,7 @@ TEST(DeucePadPlan, ReadIsOnePadBatch)
     // Through TenantScheme the plan is lifted to global addresses and
     // generated by the line's own tenant's engine alone, still as one
     // batch of 4 * planReadPads() pads.
-    TenantKeyTable keys(0x7e4a47, 3, true);
+    TenantKeyTable keys(0x7e4a47, 3, makeFastOtpEngine);
     for (const char *id : kAllIds) {
         SCOPED_TRACE(std::string("tenant ") + id);
         serve::TenantScheme scheme(keys, id, 8);

@@ -29,7 +29,7 @@ faultSpec()
         spec.benchmarks.push_back(p);
     }
     spec.options.writebacks = 4000;
-    spec.options.fastOtp = true;
+    spec.options.otpEngine = makeFastOtpEngine;
     spec.options.wl.verticalEnabled = false;
     // ~60 writes/line at 4000 writebacks over 64 lines: a 40-flip
     // budget guarantees even the sparser benchmarks wear cells out.

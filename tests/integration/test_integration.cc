@@ -102,7 +102,7 @@ TEST(Integration, Figure10OrderingHoldsOnAverage)
     // 12-benchmark suite at reduced length.
     ExperimentOptions opt;
     opt.writebacks = 8000;
-    opt.fastOtp = true;
+    opt.otpEngine = makeFastOtpEngine;
     opt.wl.verticalEnabled = false;
 
     std::map<std::string, double> avg;
@@ -129,7 +129,7 @@ TEST(Integration, GemsAndSoplexPreferFnwUnderDynDeuce)
 {
     ExperimentOptions opt;
     opt.writebacks = 8000;
-    opt.fastOtp = true;
+    opt.otpEngine = makeFastOtpEngine;
     opt.wl.verticalEnabled = false;
 
     for (const char *bench : {"Gems", "soplex"}) {
@@ -235,7 +235,7 @@ TEST(Integration, WriteSlotOrderingAcrossSchemes)
     // Figure 15's shape: unencrypted < DEUCE < encrypted slot usage.
     ExperimentOptions opt;
     opt.writebacks = 8000;
-    opt.fastOtp = true;
+    opt.otpEngine = makeFastOtpEngine;
     opt.wl.verticalEnabled = false;
 
     std::map<std::string, double> slots;

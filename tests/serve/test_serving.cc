@@ -59,8 +59,8 @@ patternLine(uint64_t seed)
 
 TEST(TenantKeyTableTest, SeedsAreDistinctAndReproducible)
 {
-    TenantKeyTable a(0x1234, 8, true);
-    TenantKeyTable b(0x1234, 8, true);
+    TenantKeyTable a(0x1234, 8, makeFastOtpEngine);
+    TenantKeyTable b(0x1234, 8, makeFastOtpEngine);
     ASSERT_EQ(a.tenants(), 8u);
     for (unsigned t = 0; t < 8; ++t) {
         // Same master seed -> byte-identical domains.
@@ -74,7 +74,7 @@ TEST(TenantKeyTableTest, SeedsAreDistinctAndReproducible)
         }
     }
     // A different master seed re-keys every domain.
-    TenantKeyTable c(0x1235, 8, true);
+    TenantKeyTable c(0x1235, 8, makeFastOtpEngine);
     for (unsigned t = 0; t < 8; ++t) {
         EXPECT_NE(a.keySeed(t), c.keySeed(t));
     }
@@ -82,7 +82,7 @@ TEST(TenantKeyTableTest, SeedsAreDistinctAndReproducible)
 
 TEST(TenantKeyTableTest, EnginesProduceDomainSeparatedPads)
 {
-    TenantKeyTable keys(0xfeedface, 2, true);
+    TenantKeyTable keys(0xfeedface, 2, makeFastOtpEngine);
     // The same (line, counter, block) coordinates must yield different
     // pads in different tenant domains.
     auto p0 = keys.engine(0).padForBlock(42, 7, 0);
@@ -98,7 +98,7 @@ TEST(TenantKeyTableTest, EnginesProduceDomainSeparatedPads)
 
 TEST(TenantSchemeTest, GlobalAddressRoundTrips)
 {
-    TenantKeyTable keys(1, 4, true);
+    TenantKeyTable keys(1, 4, makeFastOtpEngine);
     TenantScheme scheme(keys, "deuce", 20);
     for (unsigned t = 0; t < 4; ++t) {
         uint64_t addr = TenantScheme::globalAddr(t, 0xabcde, 20);
@@ -109,7 +109,7 @@ TEST(TenantSchemeTest, GlobalAddressRoundTrips)
 
 TEST(TenantSchemeTest, SameLocalLineSamePlaintextDifferentCiphertext)
 {
-    TenantKeyTable keys(0xfeedface, 2, true);
+    TenantKeyTable keys(0xfeedface, 2, makeFastOtpEngine);
     TenantScheme scheme(keys, "encr", 16);
     CacheLine plain = patternLine(99);
 
@@ -129,7 +129,7 @@ TEST(TenantSchemeTest, SameLocalLineSamePlaintextDifferentCiphertext)
 
 TEST(TenantSchemeTest, InnerSchemeSeesLocalAddress)
 {
-    TenantKeyTable keys(5, 2, true);
+    TenantKeyTable keys(5, 2, makeFastOtpEngine);
     TenantScheme scheme(keys, "encr", 16);
     // Tenant 1's line must be encrypted with tenant 1's engine at the
     // LOCAL address: reproduce it with a bare inner scheme over the

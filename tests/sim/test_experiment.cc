@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "crypto/aes_backend.hh"
 #include "enc/scheme_factory.hh"
 #include "sim/experiment.hh"
+#include "sim/sweep.hh"
 
 namespace deuce
 {
@@ -27,7 +29,7 @@ quickOptions()
 {
     ExperimentOptions opt;
     opt.writebacks = 3000;
-    opt.fastOtp = true;
+    opt.otpEngine = makeFastOtpEngine;
     opt.wl.verticalEnabled = false;
     return opt;
 }
@@ -110,6 +112,28 @@ TEST(Experiment, SchemeFactoryOverloadMatchesStringId)
     EXPECT_EQ(by_factory.scheme, by_id.scheme);
     EXPECT_DOUBLE_EQ(by_factory.flipPct, by_id.flipPct);
     EXPECT_DOUBLE_EQ(by_factory.avgSlots, by_id.avgSlots);
+}
+
+TEST(Experiment, DefaultOptionsRunOnAesPads)
+{
+    // Only a test opts into the hash reference pads: a default
+    // ExperimentOptions cell runs on an AES backend, alone or swept.
+    ExperimentOptions opt;
+    opt.writebacks = 500;
+    auto isAes = [](const std::string &name) {
+        std::optional<AesBackendKind> kind = parseAesBackendName(name);
+        return kind && *kind != AesBackendKind::Auto;
+    };
+    ExperimentRow row = runExperiment(quickProfile(), "deuce", opt);
+    EXPECT_TRUE(isAes(row.aesBackend)) << row.aesBackend;
+
+    SweepSpec spec;
+    spec.benchmarks = {quickProfile()};
+    spec.options = opt;
+    spec.threads = 1;
+    spec.add("deuce");
+    const std::string swept = runSweep(spec)["deuce"].at(0).aesBackend;
+    EXPECT_TRUE(isAes(swept)) << swept;
 }
 
 TEST(Experiment, SchemeFactoryRejectsUnknownIdEagerly)

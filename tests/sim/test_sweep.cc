@@ -35,7 +35,7 @@ quickSpec()
         spec.benchmarks.push_back(p);
     }
     spec.options.writebacks = 2000;
-    spec.options.fastOtp = true;
+    spec.options.otpEngine = makeFastOtpEngine;
     spec.options.wl.verticalEnabled = false;
     spec.add("encr", "Encr").add("deuce", "DEUCE");
     return spec;

@@ -33,7 +33,7 @@ goldenSpec()
         spec.benchmarks.push_back(p);
     }
     spec.options.writebacks = 1500;
-    spec.options.fastOtp = true;
+    spec.options.otpEngine = makeFastOtpEngine;
     spec.options.timing = true; // populate every row field
     spec.add("encr", "Encr")
         .add("deuce", "DEUCE")

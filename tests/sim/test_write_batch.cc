@@ -417,7 +417,8 @@ struct MixedFixture
                  const PersistConfig &persist)
     {
         if (tenants > 0) {
-            keys = std::make_unique<TenantKeyTable>(0xfeed, tenants, true);
+            keys = std::make_unique<TenantKeyTable>(0xfeed, tenants,
+                                                    makeFastOtpEngine);
             scheme = std::make_unique<serve::TenantScheme>(
                 *keys, scheme_id, kTenantAddrBits);
         } else {
