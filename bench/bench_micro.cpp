@@ -64,25 +64,6 @@ BENCHMARK_CAPTURE(BM_AesEncryptBlock, aesni, AesBackendKind::AesNi);
 BENCHMARK_CAPTURE(BM_AesEncryptBlock, vaes, AesBackendKind::Vaes);
 
 void
-BM_AesDecryptBlock(benchmark::State &state, AesBackendKind backend)
-{
-    if (skipUnavailable(state, backend)) {
-        return;
-    }
-    AesKey key{};
-    Aes128 aes(key, backend);
-    AesBlock block{};
-    for (auto _ : state) {
-        block = aes.decrypt(block);
-        benchmark::DoNotOptimize(block);
-    }
-    state.SetBytesProcessed(state.iterations() * 16);
-}
-BENCHMARK_CAPTURE(BM_AesDecryptBlock, scalar, AesBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_AesDecryptBlock, aesni, AesBackendKind::AesNi);
-BENCHMARK_CAPTURE(BM_AesDecryptBlock, vaes, AesBackendKind::Vaes);
-
-void
 BM_AesEncrypt4(benchmark::State &state, AesBackendKind backend)
 {
     if (skipUnavailable(state, backend)) {
@@ -256,33 +237,6 @@ BM_LineRegionPopcounts(benchmark::State &state, LineBackendKind backend)
 BENCHMARK_CAPTURE(BM_LineRegionPopcounts, scalar,
                   LineBackendKind::Scalar);
 BENCHMARK_CAPTURE(BM_LineRegionPopcounts, avx2, LineBackendKind::Avx2);
-
-void
-BM_LineXorPopcountBatch(benchmark::State &state,
-                        LineBackendKind backend)
-{
-    if (skipUnavailable(state, backend)) {
-        return;
-    }
-    constexpr std::size_t kLines = 64;
-    const LineKernelOps &ops = *lineBackendOps(backend);
-    Rng rng(9);
-    std::vector<CacheLine> a(kLines), b(kLines);
-    for (std::size_t i = 0; i < kLines; ++i) {
-        randomLine(rng, a[i]);
-        randomLine(rng, b[i]);
-    }
-    uint32_t out[kLines];
-    for (auto _ : state) {
-        ops.xorPopcountBatch(a.data(), b.data(), out, kLines);
-        benchmark::DoNotOptimize(out);
-    }
-    state.SetBytesProcessed(state.iterations() * kLines * 2 * 64);
-}
-BENCHMARK_CAPTURE(BM_LineXorPopcountBatch, scalar,
-                  LineBackendKind::Scalar);
-BENCHMARK_CAPTURE(BM_LineXorPopcountBatch, avx2,
-                  LineBackendKind::Avx2);
 
 void
 BM_CacheAccess(benchmark::State &state)

@@ -9,16 +9,17 @@
 #   DEUCE_TSAN=1         additionally build with ThreadSanitizer and
 #                        run the concurrency tests under it
 #   DEUCE_ASAN=1         additionally build with ASan+UBSan and run
-#                        the line-table, fault, sweep, Merkle-tree,
-#                        persist, verified-read, recovery, scheme
-#                        property, scheme pin and serving tests and
-#                        the endurance_attack example under it
+#                        the AES, pad-engine, line-table, fault,
+#                        sweep, Merkle-tree, persist, verified-read,
+#                        recovery, scheme property, scheme pin and
+#                        serving tests and the endurance_attack
+#                        example under it
 #   DEUCE_UBSAN=1        additionally build with UBSan alone (traps
-#                        fatal) and run the line-kernel differential,
-#                        line-table, fuzz-consistency, Merkle-tree,
-#                        persist, fault-model, scheme property, scheme
-#                        pin and serving tests and the
-#                        stolen_dimm_attack and endurance_attack
+#                        fatal) and run the AES and line-kernel
+#                        differentials, line-table, fuzz-consistency,
+#                        Merkle-tree, persist, fault-model, scheme
+#                        property, scheme pin and serving tests and
+#                        the stolen_dimm_attack and endurance_attack
 #                        examples under it
 #
 # Besides ctest, the default run drives the example/bench smokes:
@@ -329,6 +330,13 @@ expect_fatal env DEUCE_TELEMETRY="$build/tier1_fatal_env" \
     DEUCE_TELEMETRY_PERIOD_MS=10ms "$build/examples/simulate" \
     --bench mcf --scheme deuce --writebacks 100
 echo "tier1: malformed env OK (2 variables rejected with status 1)"
+# A DEUCE variant id with junk around its number is an unknown scheme,
+# not the default DEUCE-2B-e32.
+expect_fatal "$build/examples/simulate" \
+    --bench mcf --scheme deuce-2xyzb --writebacks 100
+expect_fatal "$build/examples/simulate" \
+    --bench mcf --scheme deuce-e32junk --writebacks 100
+echo "tier1: malformed scheme ids OK (2 ids rejected with status 1)"
 
 # Hostile CLI values must be rejected, not coerced: junk after a
 # number, a sign on an unsigned flag, a non-number, a non-finite real,
@@ -609,10 +617,16 @@ if [[ "${DEUCE_ASAN:-0}" == "1" ]]; then
     cmake -B "$asan" -S "$repo" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDEUCE_ASAN=ON
     cmake --build "$asan" -j "$(nproc)" \
-        --target test_line_table test_fault test_fault_sweep test_sweep \
+        --target test_aes test_otp test_line_table test_fault \
+                 test_fault_sweep test_sweep \
                  test_integrity test_persist test_persist_fault \
                  test_scheme_properties test_scheme_pins test_serving \
                  endurance_attack
+    # Each AES backend's one n-block encrypt strides raw pointers
+    # through its 16/8/4/1-block tails (test_aes runs every length
+    # 0..40), and the pad engine hands requests to it in chunks.
+    "$asan/tests/test_aes"
+    "$asan/tests/test_otp"
     # The line table's index probes, backward-shift erase and chunked
     # records, which every per-line store now sits on.
     "$asan/tests/test_line_table"
@@ -635,7 +649,7 @@ if [[ "${DEUCE_ASAN:-0}" == "1" ]]; then
     "$asan/tests/test_scheme_pins"
     "$asan/tests/test_serving"
     "$asan/examples/endurance_attack" > /dev/null
-    echo "tier1: ASan line-table/fault/sweep/integrity/persist/scheme/serving tests passed"
+    echo "tier1: ASan aes/otp/line-table/fault/sweep/integrity/persist/scheme/serving tests passed"
 fi
 
 if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
@@ -643,11 +657,15 @@ if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
     cmake -B "$ubsan" -S "$repo" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDEUCE_UBSAN=ON
     cmake --build "$ubsan" -j "$(nproc)" \
-        --target test_line_kernels test_line_table test_fuzz_consistency \
+        --target test_aes test_line_kernels test_line_table \
+                 test_fuzz_consistency \
                  test_persist test_write_batch test_otp test_vcc \
                  test_integrity test_persist_fault test_fault \
                  test_fault_sweep test_scheme_properties test_scheme_pins \
                  test_serving stolen_dimm_attack endurance_attack
+    # The AES backends' unaligned loads behind intrinsics, at every
+    # batch tail.
+    "$ubsan/tests/test_aes"
     "$ubsan/tests/test_line_kernels"
     "$ubsan/tests/test_line_table"
     "$ubsan/tests/test_fuzz_consistency"
@@ -678,7 +696,7 @@ if [[ "${DEUCE_UBSAN:-0}" == "1" ]]; then
     "$ubsan/tests/test_serving"
     "$ubsan/examples/stolen_dimm_attack" > /dev/null
     "$ubsan/examples/endurance_attack" > /dev/null
-    echo "tier1: UBSan line-kernel, line-table, persist, fault, scheme and serving tests passed"
+    echo "tier1: UBSan aes, line-kernel, line-table, persist, fault, scheme and serving tests passed"
 fi
 
 echo "tier1: OK"

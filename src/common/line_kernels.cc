@@ -163,15 +163,6 @@ scalarAccumulateFlips(const CacheLine &diff, uint64_t *counters)
 }
 
 void
-scalarXorPopcountBatch(const CacheLine *a, const CacheLine *b,
-                       uint32_t *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = scalarXorPopcount(a[i], b[i]);
-    }
-}
-
-void
 scalarPopcountBatch(const CacheLine *lines, uint32_t *out,
                     std::size_t n)
 {
@@ -202,7 +193,6 @@ constexpr LineKernelOps kScalarOps = {
     &scalarMaskedXorInto,
     &scalarAndNotInto,
     &scalarAccumulateFlips,
-    &scalarXorPopcountBatch,
     &scalarPopcountBatch,
     &scalarAccumulateFlipsBatch,
     &detail::mlcCellDiffExpand,

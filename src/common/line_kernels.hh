@@ -118,13 +118,6 @@ struct LineKernelOps
     void (*accumulateFlips)(const CacheLine &diff, uint64_t *counters);
 
     /**
-     * Batched multi-line diff for sweep cells: out[i] =
-     * popcount(a[i] ^ b[i]) for i in [0, n).
-     */
-    void (*xorPopcountBatch)(const CacheLine *a, const CacheLine *b,
-                             uint32_t *out, std::size_t n);
-
-    /**
      * Batched per-line popcount for write bursts: out[i] =
      * popcount(lines[i]) for i in [0, n).
      */

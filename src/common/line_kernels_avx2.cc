@@ -256,15 +256,6 @@ avx2AccumulateFlips(const CacheLine &diff, uint64_t *counters)
 }
 
 void
-avx2XorPopcountBatch(const CacheLine *a, const CacheLine *b,
-                     uint32_t *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = avx2XorPopcount(a[i], b[i]);
-    }
-}
-
-void
 avx2PopcountBatch(const CacheLine *lines, uint32_t *out, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i) {
@@ -357,7 +348,6 @@ constexpr LineKernelOps kAvx2Ops = {
     &avx2MaskedXorInto,
     &avx2AndNotInto,
     &avx2AccumulateFlips,
-    &avx2XorPopcountBatch,
     &avx2PopcountBatch,
     &avx2AccumulateFlipsBatch,
     &detail::mlcCellDiffExpand,

@@ -139,15 +139,6 @@ neonAccumulateFlips(const CacheLine &diff, uint64_t *counters)
 }
 
 void
-neonXorPopcountBatch(const CacheLine *a, const CacheLine *b,
-                     uint32_t *out, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        out[i] = neonXorPopcount(a[i], b[i]);
-    }
-}
-
-void
 neonPopcountBatch(const CacheLine *lines, uint32_t *out,
                   std::size_t n)
 {
@@ -174,7 +165,6 @@ constexpr LineKernelOps kNeonOps = {
     &neonMaskedXorInto,
     &neonAndNotInto,
     &neonAccumulateFlips,
-    &neonXorPopcountBatch,
     &neonPopcountBatch,
     &neonAccumulateFlipsBatch,
     &detail::mlcCellDiffExpand,

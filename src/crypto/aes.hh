@@ -2,10 +2,12 @@
  * @file
  * AES-128 block cipher (FIPS-197), implemented from scratch.
  *
- * The cipher is used exclusively as the pad generator for counter-mode
- * memory encryption (see OtpEngine). Only encryption of 16-byte blocks
- * is needed for counter mode, but decryption is provided as well so the
- * implementation can be validated against the full FIPS-197 vectors.
+ * The cipher has two users: the pad generator of counter-mode memory
+ * encryption (see OtpEngine) and the integrity layer's
+ * Matyas-Meyer-Oseas hash (integrity/merkle.hh). Both only run it
+ * forward — counter-mode decryption XORs the same pad — so there is
+ * no inverse cipher; the forward cipher is validated against the
+ * FIPS-197 and SP 800-38A encryption vectors.
  *
  * Aes128 dispatches at construction to one of several bit-identical
  * backends (scalar reference, AES-NI, VAES, NEON — see aes_backend.hh),
@@ -50,17 +52,14 @@ class Aes128
     explicit Aes128(const AesKey &key,
                     AesBackendKind backend = AesBackendKind::Auto);
 
-    /** Encrypt one 16-byte block. */
+    /** Encrypt one 16-byte block (a one-block encryptBlocks()). */
     AesBlock encrypt(const AesBlock &plaintext) const;
 
-    /** Decrypt one 16-byte block (inverse cipher). */
-    AesBlock decrypt(const AesBlock &ciphertext) const;
-
     /**
-     * Encrypt @p n independent blocks, pipelining rounds across
-     * blocks (four in flight for AES-NI/NEON, sixteen for VAES).
-     * Bit-identical to n calls of encrypt(); @p in and @p out may
-     * alias only exactly.
+     * Encrypt @p n independent blocks in one backend call, pipelining
+     * rounds across blocks (eight in flight for AES-NI, sixteen for
+     * VAES, four for NEON). Bit-identical to n calls of encrypt();
+     * @p in and @p out may alias only exactly.
      */
     void encryptBlocks(const AesBlock *in, AesBlock *out,
                        size_t n) const;
@@ -81,31 +80,9 @@ class Aes128
         return roundKeys_;
     }
 
-    /**
-     * Equivalent-inverse-cipher decryption keys (backend-internal):
-     * dk[0] = rk[10], dk[r] = InvMixColumns(rk[10 - r]) for
-     * r = 1..9, dk[10] = rk[0]. This is exactly the AESIMC-transformed
-     * schedule AESDEC expects.
-     */
-    const std::array<std::array<uint8_t, 16>, kRounds + 1> &
-    decRoundKeys() const
-    {
-        return decRoundKeys_;
-    }
-
-    /** Store round key @p r (backend expandKeys hooks only; must
-     *  match the portable expansion bit for bit). */
-    void setRoundKey(unsigned r, const uint8_t bytes[16]);
-
   private:
-    /** Derive decRoundKeys_ from roundKeys_. */
-    void computeDecRoundKeys();
-
     /** Round keys: (kRounds + 1) x 16 bytes. */
     std::array<std::array<uint8_t, 16>, kRounds + 1> roundKeys_;
-
-    /** Transformed decryption round keys (see decRoundKeys()). */
-    std::array<std::array<uint8_t, 16>, kRounds + 1> decRoundKeys_;
 
     /** Resolved backend. */
     AesBackendKind kind_;

@@ -6,14 +6,12 @@
  * CPUID reports AES support (aes_backend.cc), so the binary still
  * runs on hosts without the extension.
  *
- * The key schedule runs through AESKEYGENASSIST and produces exactly
- * the FIPS-197 expansion bytes; decryption consumes the
- * AESIMC-equivalent transformed schedule Aes128 precomputes
- * (decRoundKeys()), so AESDEC needs no per-call key transformation.
- * encrypt4 keeps four blocks in registers and steps them through
- * each round together — the AESENC units pipeline with ~4-cycle
- * latency and 1-cycle throughput, so four independent chains run at
- * ~4x the single-block rate.
+ * The one entry point, aesniEncrypt, reads the portable FIPS-197
+ * schedule Aes128 expanded at construction and walks a run of blocks
+ * eight at a time, then four, then one. AESENC has ~4-cycle latency
+ * at 1-cycle throughput, so independent chains stepped through each
+ * round together keep the unit busy: eight in flight on long runs,
+ * four for a line's worth of pads.
  */
 
 #include "crypto/aes.hh"
@@ -33,43 +31,6 @@ loadKey(const std::array<uint8_t, 16> &rk)
         reinterpret_cast<const __m128i *>(rk.data()));
 }
 
-/** Fold the AESKEYGENASSIST output into the previous round key
- *  (standard AES-128 expansion step). */
-inline __m128i
-expandStep(__m128i key, __m128i assist)
-{
-    assist = _mm_shuffle_epi32(assist, _MM_SHUFFLE(3, 3, 3, 3));
-    key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
-    key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
-    key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
-    return _mm_xor_si128(key, assist);
-}
-
-void
-aesniExpandKeys(Aes128 &aes, const uint8_t key[16])
-{
-    __m128i rk[Aes128::kRounds + 1];
-    rk[0] = _mm_loadu_si128(reinterpret_cast<const __m128i *>(key));
-    // _mm_aeskeygenassist_si128 needs an immediate rcon, hence the
-    // unrolled ladder.
-    rk[1] = expandStep(rk[0], _mm_aeskeygenassist_si128(rk[0], 0x01));
-    rk[2] = expandStep(rk[1], _mm_aeskeygenassist_si128(rk[1], 0x02));
-    rk[3] = expandStep(rk[2], _mm_aeskeygenassist_si128(rk[2], 0x04));
-    rk[4] = expandStep(rk[3], _mm_aeskeygenassist_si128(rk[3], 0x08));
-    rk[5] = expandStep(rk[4], _mm_aeskeygenassist_si128(rk[4], 0x10));
-    rk[6] = expandStep(rk[5], _mm_aeskeygenassist_si128(rk[5], 0x20));
-    rk[7] = expandStep(rk[6], _mm_aeskeygenassist_si128(rk[6], 0x40));
-    rk[8] = expandStep(rk[7], _mm_aeskeygenassist_si128(rk[7], 0x80));
-    rk[9] = expandStep(rk[8], _mm_aeskeygenassist_si128(rk[8], 0x1b));
-    rk[10] =
-        expandStep(rk[9], _mm_aeskeygenassist_si128(rk[9], 0x36));
-    for (unsigned r = 0; r <= Aes128::kRounds; ++r) {
-        uint8_t bytes[16];
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(bytes), rk[r]);
-        aes.setRoundKey(r, bytes);
-    }
-}
-
 void
 aesniEncrypt1(const Aes128 &aes, const uint8_t in[16], uint8_t out[16])
 {
@@ -81,20 +42,6 @@ aesniEncrypt1(const Aes128 &aes, const uint8_t in[16], uint8_t out[16])
         s = _mm_aesenc_si128(s, loadKey(rk[r]));
     }
     s = _mm_aesenclast_si128(s, loadKey(rk[Aes128::kRounds]));
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(out), s);
-}
-
-void
-aesniDecrypt1(const Aes128 &aes, const uint8_t in[16], uint8_t out[16])
-{
-    const auto &dk = aes.decRoundKeys();
-    __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(in));
-    s = _mm_xor_si128(s, loadKey(dk[0]));
-    for (unsigned r = 1; r < Aes128::kRounds; ++r) {
-        s = _mm_aesdec_si128(s, loadKey(dk[r]));
-    }
-    s = _mm_aesdeclast_si128(s, loadKey(dk[Aes128::kRounds]));
     _mm_storeu_si128(reinterpret_cast<__m128i *>(out), s);
 }
 
@@ -133,12 +80,9 @@ aesniEncrypt4(const Aes128 &aes, const uint8_t in[64], uint8_t out[64])
 }
 
 void
-aesniEncryptMany(const Aes128 &aes, const uint8_t *in, uint8_t *out,
-                 std::size_t nblocks)
+aesniEncrypt(const Aes128 &aes, const uint8_t *in, uint8_t *out,
+             std::size_t nblocks)
 {
-    // Eight AESENC chains in flight per iteration: AESENC has ~4-cycle
-    // latency at 1/cycle throughput, so four chains (encrypt4) leave
-    // the unit idle half the time on long runs.
     const auto &rk = aes.roundKeys();
     while (nblocks >= 8) {
         __m128i k = loadKey(rk[0]);
@@ -176,14 +120,7 @@ aesniEncryptMany(const Aes128 &aes, const uint8_t *in, uint8_t *out,
     }
 }
 
-constexpr AesBackendOps kAesniOps = {
-    "aesni",
-    aesniEncrypt1,
-    aesniDecrypt1,
-    aesniEncrypt4,
-    aesniExpandKeys,
-    aesniEncryptMany,
-};
+constexpr AesBackendOps kAesniOps = {"aesni", aesniEncrypt};
 
 } // namespace
 

@@ -8,13 +8,18 @@
  *  - "scalar"  byte-oriented reference (aes.cc): the oracle of every
  *              differential test, and the fallback on hosts without
  *              a hardware AES unit
- *  - "aesni"   hardware AESENC/AESDEC via x86 AES-NI, compiled in a
- *              separately-flagged TU and only dispatched to when
- *              CPUID reports support (aes_aesni.cc)
+ *  - "aesni"   hardware AESENC via x86 AES-NI, eight blocks in
+ *              flight, compiled in a separately-flagged TU and only
+ *              dispatched to when CPUID reports support (aes_aesni.cc)
  *  - "vaes"    512-bit VAES/AVX-512: four blocks per AESENC, sixteen
  *              blocks in flight, for cross-line pad bursts
  *              (aes_vaes.cc)
- *  - "neon"    ARMv8 AESE/AESMC crypto extensions (aes_neon.cc)
+ *  - "neon"    ARMv8 AESE/AESMC crypto extensions, four blocks in
+ *              flight (aes_neon.cc)
+ *
+ * Counter mode only ever runs the cipher forward, so a backend is one
+ * n-block encrypt; the key schedule is the portable FIPS-197
+ * expansion in the Aes128 constructor, shared by every backend.
  *
  * The default backend is the setAesBackend() override (the
  * --aes-backend CLI flag), else Auto. Auto resolves to the fastest
@@ -52,37 +57,19 @@ enum class AesBackendKind
 };
 
 /**
- * Function table of one backend. Blocks are raw 16-byte buffers in
- * FIPS-197 order; `encrypt4` processes four independent blocks
- * (in[64] -> out[64]) so implementations can pipeline rounds across
- * blocks. All functions must be bit-identical to the scalar
- * reference for every key and block.
+ * Function table of one backend: its name and one n-block encrypt.
+ * `encrypt` runs @p nblocks independent contiguous 16-byte blocks
+ * (in[16*n] -> out[16*n], FIPS-197 byte order) through the cipher,
+ * pipelining rounds across blocks as wide as the backend can; @p in
+ * and @p out may alias only exactly, and nblocks may be 0. Every
+ * backend must be bit-identical to the scalar reference for every
+ * key, block and nblocks.
  */
 struct AesBackendOps
 {
     const char *name;
-    void (*encrypt1)(const Aes128 &aes, const uint8_t in[16],
-                     uint8_t out[16]);
-    void (*decrypt1)(const Aes128 &aes, const uint8_t in[16],
-                     uint8_t out[16]);
-    void (*encrypt4)(const Aes128 &aes, const uint8_t in[64],
-                     uint8_t out[64]);
-    /**
-     * Optional hardware key-schedule hook (AESKEYGENASSIST). When
-     * null the portable FIPS-197 expansion in the Aes128 constructor
-     * runs instead; when set it must produce the same bytes.
-     */
-    void (*expandKeys)(Aes128 &aes, const uint8_t key[16]);
-
-    /**
-     * Optional wide-batch hook: encrypt @p nblocks independent
-     * contiguous 16-byte blocks (in[16*n] -> out[16*n]). Null means
-     * the caller strip-mines through encrypt4/encrypt1; when set it
-     * must be bit-identical to that loop. Backends wider than four
-     * blocks (VAES) live here.
-     */
-    void (*encryptMany)(const Aes128 &aes, const uint8_t *in,
-                        uint8_t *out, std::size_t nblocks);
+    void (*encrypt)(const Aes128 &aes, const uint8_t *in, uint8_t *out,
+                    std::size_t nblocks);
 };
 
 /** True when the AES-NI TU was compiled in (CMake DEUCE_AESNI). */

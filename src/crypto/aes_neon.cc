@@ -7,13 +7,10 @@
  * ARM's AES instructions split the round differently from x86:
  * AESE(s, k) = ShiftRows(SubBytes(s ^ k)) and AESMC applies
  * MixColumns separately, so the round key is XORed *before* the
- * S-box layer and the final AddRoundKey becomes a plain EOR.
- * Decryption consumes the same AESIMC-transformed schedule Aes128
- * precomputes for x86 (decRoundKeys()): AESD(s, dk) folds the key
- * add into the inverse S-box layer and AESIMC supplies the
- * InvMixColumns between rounds, which is algebraically identical to
- * the x86 AESDEC ladder — results stay bit-identical to the scalar
- * reference.
+ * S-box layer and the final AddRoundKey becomes a plain EOR — the
+ * same FIPS-197 cipher, so results stay bit-identical to the scalar
+ * reference. The one entry point, neonEncrypt, walks a run of
+ * blocks four at a time, then one.
  */
 
 #include "crypto/aes.hh"
@@ -50,18 +47,6 @@ neonEncrypt1(const Aes128 &aes, const uint8_t in[16], uint8_t out[16])
 }
 
 void
-neonDecrypt1(const Aes128 &aes, const uint8_t in[16], uint8_t out[16])
-{
-    const auto &dk = aes.decRoundKeys();
-    uint8x16_t s = vld1q_u8(in);
-    s = vaesdq_u8(s, loadKey(dk[0]));
-    for (unsigned r = 1; r < Aes128::kRounds; ++r) {
-        s = vaesdq_u8(vaesimcq_u8(s), loadKey(dk[r]));
-    }
-    vst1q_u8(out, veorq_u8(s, loadKey(dk[Aes128::kRounds])));
-}
-
-void
 neonEncrypt4(const Aes128 &aes, const uint8_t in[64], uint8_t out[64])
 {
     // Four independent chains stepped together: the AESE/AESMC pair
@@ -87,8 +72,8 @@ neonEncrypt4(const Aes128 &aes, const uint8_t in[64], uint8_t out[64])
 }
 
 void
-neonEncryptMany(const Aes128 &aes, const uint8_t *in, uint8_t *out,
-                std::size_t nblocks)
+neonEncrypt(const Aes128 &aes, const uint8_t *in, uint8_t *out,
+            std::size_t nblocks)
 {
     while (nblocks >= 4) {
         neonEncrypt4(aes, in, out);
@@ -101,14 +86,7 @@ neonEncryptMany(const Aes128 &aes, const uint8_t *in, uint8_t *out,
     }
 }
 
-constexpr AesBackendOps kNeonOps = {
-    "neon",
-    neonEncrypt1,
-    neonDecrypt1,
-    neonEncrypt4,
-    nullptr,
-    neonEncryptMany,
-};
+constexpr AesBackendOps kNeonOps = {"neon", neonEncrypt};
 
 } // namespace
 

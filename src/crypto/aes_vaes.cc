@@ -7,11 +7,12 @@
  * (aes_backend.cc), so the binary still runs on older x86 hosts.
  *
  * The 512-bit AESENC forms (_mm512_aesenc_epi128) run four
- * independent AES rounds per instruction; encryptMany keeps four zmm
- * registers — sixteen blocks — in flight so the AES unit's ~4-cycle
- * latency is fully hidden on cross-line pad bursts. Round keys are
- * broadcast lane-wise with _mm512_broadcast_i32x4, so every 128-bit
- * lane computes exactly the FIPS-197 cipher and results stay
+ * independent AES rounds per instruction; the one entry point,
+ * vaesEncrypt, keeps four zmm registers — sixteen blocks — in flight
+ * so the AES unit's ~4-cycle latency is fully hidden on cross-line
+ * pad bursts, then finishes the run four and one at a time. Round
+ * keys are broadcast lane-wise with _mm512_broadcast_i32x4, so every
+ * 128-bit lane computes exactly the FIPS-197 cipher and results stay
  * bit-identical to the scalar reference.
  */
 
@@ -54,20 +55,6 @@ vaesEncrypt1(const Aes128 &aes, const uint8_t in[16], uint8_t out[16])
     _mm_storeu_si128(reinterpret_cast<__m128i *>(out), s);
 }
 
-void
-vaesDecrypt1(const Aes128 &aes, const uint8_t in[16], uint8_t out[16])
-{
-    const auto &dk = aes.decRoundKeys();
-    __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(in));
-    s = _mm_xor_si128(s, loadKey128(dk[0]));
-    for (unsigned r = 1; r < Aes128::kRounds; ++r) {
-        s = _mm_aesdec_si128(s, loadKey128(dk[r]));
-    }
-    s = _mm_aesdeclast_si128(s, loadKey128(dk[Aes128::kRounds]));
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(out), s);
-}
-
 /** Four blocks in one zmm: load, round ladder, store. */
 void
 vaesEncrypt4(const Aes128 &aes, const uint8_t in[64], uint8_t out[64])
@@ -84,8 +71,8 @@ vaesEncrypt4(const Aes128 &aes, const uint8_t in[64], uint8_t out[64])
 }
 
 void
-vaesEncryptMany(const Aes128 &aes, const uint8_t *in, uint8_t *out,
-                std::size_t nblocks)
+vaesEncrypt(const Aes128 &aes, const uint8_t *in, uint8_t *out,
+            std::size_t nblocks)
 {
     const auto &rk = aes.roundKeys();
     // Sixteen blocks (4 zmm) per iteration keeps four independent
@@ -129,14 +116,7 @@ vaesEncryptMany(const Aes128 &aes, const uint8_t *in, uint8_t *out,
     }
 }
 
-constexpr AesBackendOps kVaesOps = {
-    "vaes",
-    vaesEncrypt1,
-    vaesDecrypt1,
-    vaesEncrypt4,
-    nullptr,
-    vaesEncryptMany,
-};
+constexpr AesBackendOps kVaesOps = {"vaes", vaesEncrypt};
 
 } // namespace
 

@@ -82,11 +82,11 @@ class OtpEngine
 
     /**
      * Generate pads for @p n (counter, block) pairs of one line in a
-     * single batch. Bit-identical to n padForBlock() calls; engines
-     * with a pipelined cipher override this to key-schedule once and
-     * run the blocks through the pipeline together (AES-NI and NEON
-     * keep four blocks in flight, VAES sixteen). The default loops
-     * over padForBlock(). An empty request (n == 0) charges no batch.
+     * single batch. Bit-identical to n padForBlock() calls. The
+     * default re-addresses the pairs as LinePadRequests and hands
+     * them to padForLines(), so an engine's one batched path serves
+     * both; a request of up to 64 pairs (every caller's) is one
+     * batch. An empty request (n == 0) charges no batch.
      */
     virtual void padForBlocks(uint64_t line_addr,
                               const PadRequest *requests,
@@ -94,18 +94,18 @@ class OtpEngine
 
     /**
      * Generate pads for @p n (address, counter, block) triples
-     * spanning many lines in one batch — the cross-line extension of
-     * padForBlocks(). Bit-identical to n padForBlock() calls; the AES
-     * engine streams the whole burst through one cipher pipeline so
-     * a batched write path amortizes per-call overhead across lines.
-     * An empty request (n == 0) charges no batch.
+     * spanning many lines in one batch. Bit-identical to n
+     * padForBlock() calls; the AES engine streams the whole burst
+     * through one cipher pipeline so a batched write path amortizes
+     * per-call overhead across lines. The default loops over
+     * padForBlock(). An empty request (n == 0) charges no batch.
      */
     virtual void padForLines(const LinePadRequest *requests,
                              AesBlock *pads, unsigned n) const;
 
     /**
      * Generate the full 512-bit pad for a line (blocks 0..3 at one
-     * counter) — a padForBlocks() batch of four.
+     * counter) — a padForLines() batch of four.
      */
     virtual CacheLine padForLine(uint64_t line_addr,
                                  uint64_t counter) const;
@@ -123,7 +123,7 @@ class OtpEngine
         return pads_.load(std::memory_order_relaxed);
     }
 
-    /** padForBlocks() batches issued (batch size may vary). */
+    /** Batched pad requests issued (batch size may vary). */
     uint64_t padBatches() const
     {
         return batches_.load(std::memory_order_relaxed);
@@ -188,11 +188,11 @@ class AesOtpEngine : public OtpEngine
     AesBlock padForBlock(uint64_t line_addr, uint64_t counter,
                          unsigned block) const override;
 
-    /** Batched: all nonces run through the cipher pipeline together. */
-    void padForBlocks(uint64_t line_addr, const PadRequest *requests,
-                      AesBlock *pads, unsigned n) const override;
-
-    /** Cross-line batched: one cipher stream for the whole burst. */
+    /**
+     * One cipher stream for the whole burst: the engine's one
+     * nonce-assembly loop, which padForBlocks() and padForLine()
+     * also reach.
+     */
     void padForLines(const LinePadRequest *requests, AesBlock *pads,
                      unsigned n) const override;
 

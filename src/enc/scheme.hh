@@ -265,6 +265,14 @@ class EncryptionScheme
     virtual void registerStats(obs::StatRegistry &reg,
                                const std::string &prefix) const;
 
+    /**
+     * The pad engine the scheme draws from (not owned), or null when
+     * it has none: the plaintext baselines, and TenantScheme, whose
+     * per-tenant engines the serving core's key table owns and
+     * registers.
+     */
+    const OtpEngine *otpEngine() const { return otp_; }
+
   protected:
     /** @param otp the pad engine (not owned), or null: no pads. */
     explicit EncryptionScheme(const OtpEngine *otp) : otp_(otp) {}

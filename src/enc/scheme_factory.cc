@@ -5,8 +5,9 @@
 
 #include "enc/scheme_factory.hh"
 
-#include <cstdlib>
+#include <limits>
 
+#include "common/cli_parse.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "enc/address_pad.hh"
@@ -72,17 +73,22 @@ makeScheme(const std::string &id, const OtpEngine &otp)
         return std::make_unique<Vcc>(otp, cfg);
     }
     if (id.rfind("deuce-", 0) == 0) {
+        // deuce-<n>b (word size) or deuce-e<n> (epoch interval); the
+        // number is digits only, so junk never runs as the default.
         std::string suffix = id.substr(6);
+        constexpr uint64_t kMax = std::numeric_limits<unsigned>::max();
         DeuceConfig cfg;
         if (!suffix.empty() && suffix.back() == 'b') {
-            cfg.wordBytes = static_cast<unsigned>(
-                std::strtoul(suffix.c_str(), nullptr, 10));
-            return std::make_unique<Deuce>(otp, cfg);
-        }
-        if (!suffix.empty() && suffix.front() == 'e') {
-            cfg.epochInterval = static_cast<unsigned>(
-                std::strtoul(suffix.c_str() + 1, nullptr, 10));
-            return std::make_unique<Deuce>(otp, cfg);
+            suffix.pop_back();
+            if (auto n = parseUnsigned(suffix.c_str(), kMax)) {
+                cfg.wordBytes = static_cast<unsigned>(*n);
+                return std::make_unique<Deuce>(otp, cfg);
+            }
+        } else if (!suffix.empty() && suffix.front() == 'e') {
+            if (auto n = parseUnsigned(suffix.c_str() + 1, kMax)) {
+                cfg.epochInterval = static_cast<unsigned>(*n);
+                return std::make_unique<Deuce>(otp, cfg);
+            }
         }
     }
     deuce_fatal("unknown scheme id: " + id);

@@ -9,7 +9,7 @@
  * Usage:
  *   DEUCE_TRACE_SCOPE("sweep.cell");             // RAII span
  *   DEUCE_TRACE_SCOPE_L("sweep.cell", label);    // + dynamic label
- *   DEUCE_TRACE_SCOPE_HOT("aes.padForBlocks");   // verbose-level span
+ *   DEUCE_TRACE_SCOPE_HOT("aes.padForLines");    // verbose-level span
  *
  * Cost model: tracing is always compiled in; a disabled site costs
  * one relaxed atomic load and one predictable branch. An enabled

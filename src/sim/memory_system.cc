@@ -496,6 +496,13 @@ MemorySystem::registerDetailStats(obs::StatRegistry &reg,
                         [&bank] { return bank.slots; });
     }
 
+    // Pads only: padBatches depends on how a burst was chunked, and
+    // a burst replay must dump the same JSON as an op-at-a-time one.
+    if (const OtpEngine *otp = scheme_.otpEngine()) {
+        reg.addIntValue(prefix + ".otp.pads",
+                        "128-bit pads generated by the OTP engine",
+                        [otp] { return otp->padsGenerated(); });
+    }
     if (fault_) {
         fault_->registerStats(reg, prefix + ".fault");
     }

@@ -286,7 +286,8 @@ class MemorySystem
 
     /**
      * Register the post-registry detail stats (per-bank counters,
-     * slot/flip histograms, OTP/fault counters) under @p prefix.
+     * slot/flip histograms, the scheme engine's pad count, fault
+     * and persist counters) under @p prefix.
      * Kept separate from registerStats() so the classic text dump
      * stays byte-compatible; the JSON dump registers both.
      */

@@ -273,23 +273,6 @@ TEST_P(LineKernelDifferential, AccumulateFlipsMatchesScalar)
     EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0);
 }
 
-TEST_P(LineKernelDifferential, XorPopcountBatchMatchesScalar)
-{
-    auto pairs = pairCorpus();
-    std::vector<CacheLine> a, b;
-    for (const auto &[x, y] : pairs) {
-        a.push_back(x);
-        b.push_back(y);
-    }
-    std::vector<uint32_t> got(a.size()), want(a.size());
-    ops().xorPopcountBatch(a.data(), b.data(), got.data(), a.size());
-    ref().xorPopcountBatch(a.data(), b.data(), want.data(), a.size());
-    EXPECT_EQ(got, want);
-
-    // Zero-length batches are a no-op, not a crash.
-    ops().xorPopcountBatch(a.data(), b.data(), got.data(), 0);
-}
-
 TEST_P(LineKernelDifferential, PopcountBatchMatchesScalar)
 {
     std::vector<CacheLine> lines;

@@ -282,6 +282,14 @@ TEST(SchemeFactory, UnknownIdIsFatal)
     auto otp = makeAesOtpEngine(1);
     EXPECT_THROW(makeScheme("not-a-scheme", *otp), FatalError);
     EXPECT_THROW(makeScheme("", *otp), FatalError);
+    // DEUCE variant ids: the number is digits only, no junk, no sign.
+    for (const char *id :
+         {"deuce-2xyzb", "deuce-e32junk", "deuce-+2b", "deuce-b",
+          "deuce-e", "deuce-e-32", "deuce- 2b", "deuce-e32b"}) {
+        EXPECT_THROW(makeScheme(id, *otp), FatalError) << id;
+    }
+    EXPECT_EQ(makeScheme("deuce-4b", *otp)->name(), "DEUCE-4B-e32");
+    EXPECT_EQ(makeScheme("deuce-e16", *otp)->name(), "DEUCE-2B-e16");
 }
 
 TEST(SchemeFactory, AllSchemeIdsConstructible)

@@ -183,6 +183,12 @@ TEST(StatsDump, JsonDumpNestsAndAddsDetail)
     EXPECT_NE(json.find("\"bank0\":{\"writes\":5"), std::string::npos);
     EXPECT_NE(json.find("\"bank31\":{\"writes\":0"),
               std::string::npos);
+    // The scheme's engine reports its pads; padBatches stays out.
+    EXPECT_GT(otp.padsGenerated(), 0u);
+    EXPECT_NE(json.find("\"otp\":{\"pads\":" +
+                        std::to_string(otp.padsGenerated()) + "}"),
+              std::string::npos);
+    EXPECT_EQ(json.find("padBatches"), std::string::npos);
 }
 
 } // namespace
